@@ -29,7 +29,6 @@ from .errors import (
 from .losses import (
     DcGradTargets,
     DcLossParts,
-    confusion_loss,
     domain_confusion_targets,
     domain_discrimination_loss,
     entropy_min_loss,

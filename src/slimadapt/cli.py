@@ -140,7 +140,13 @@ def _parse_widths(text: str) -> list[tuple[int, ...]]:
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8", newline="\n")
+    """Write through a temporary file, so a failed write leaves the old file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text("\n".join([header] + rows) + "\n", encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # -- subcommands ----------------------------------------------------------
@@ -175,10 +181,8 @@ def cmd_train(args) -> int:
         steps = exp.trainer.epochs * max(1, -(-max(ds.n_s, ds.n_t) // exp.trainer.batch_size))
         save_checkpoint(ckpt_tmp, bank, exp.seed, steps, exp.trainer.mode)
         os.replace(ckpt_tmp, exp.out_dir / CHECKPOINT_FILE)
-    except Exception:
+    finally:
         ckpt_tmp.unlink(missing_ok=True)
-        (exp.out_dir / CHECKPOINT_FILE).unlink(missing_ok=True)
-        raise
     rows = [
         ",".join([str(r["epoch"]), r["mode"], _f(r["loss_task"]), _f(r["loss_dd"]),
                   _f(r["loss_conf"]), _f(r["loss_ent"]), _f(r["loss_seed"]),
@@ -218,14 +222,16 @@ def cmd_search(args) -> int:
     else:
         rng = named_rng(exp.seed, "search")
         full = bank.arch.full_config().flops
+        anchor_probs = _anchor_probs(bank, ds.xt)
         for i, ratio in enumerate(plan.budgets(bank.arch)):
             _, scores = random_search(bank, ratio * full, exp.n_random, ds.xt, rng,
-                                      tolerance=plan.tolerance)
+                                      tolerance=plan.tolerance, anchor_probs=anchor_probs,
+                                      target_y=labels, head=head)
             for s in scores:
                 row = [str(i), _f(ratio), _widths_str(s.config), _f(s.delta),
                        _f(s.config.flops, 1)]
                 if labels is not None:
-                    row.append(_f(config_accuracy(bank, s.config, ds.xt, labels, head), 4))
+                    row.append(_f(s.accuracy, 4))
                 rows.append(",".join(row))
     _write_csv(exp.out_dir / SEARCH_FILE, header, rows)
     print(f"wrote {exp.out_dir / SEARCH_FILE} ({len(rows)} rows, strategy={args.strategy})")
@@ -249,8 +255,10 @@ def cmd_correlate(args) -> int:
         deltas, accs = [], []
         for _ in range(args.n):
             cfg = sample_config_at_budget(rng, bank.arch, ratio * full, exp.plan.tolerance)
-            deltas.append(anchor_discrepancy(bank, cfg, ds.xt, anchor_probs=anchor_probs).delta)
-            accs.append(config_accuracy(bank, cfg, ds.xt, labels, head))
+            score = anchor_discrepancy(bank, cfg, ds.xt, anchor_probs=anchor_probs,
+                                       target_y=labels, head=head)
+            deltas.append(score.delta)
+            accs.append(score.accuracy)
             scatter_rows.append(",".join([_f(ratio), _f(deltas[-1]), _f(accs[-1], 4)]))
         # A band whose scores or accuracies do not vary has no defined
         # correlation; it keeps its row with empty pearson/spearman cells.

@@ -35,7 +35,6 @@ __all__ = [
     "DcGradTargets",
     "task_discrimination_loss",
     "domain_discrimination_loss",
-    "confusion_loss",
     "entropy_min_loss",
     "domain_confusion_targets",
     "one_hot",
@@ -143,13 +142,6 @@ def _dom_confusion(model: SlimModel, feats_t: Tensor) -> Tensor:
 def _entropy(model: SlimModel, feats_t: Tensor) -> Tensor:
     p = model.probs(feats_t, "task", frozen=True)
     return -(p * _log(p)).sum(axis=1).mean()
-
-
-def confusion_loss(model: SlimModel, xs: np.ndarray, ys: np.ndarray, xt: np.ndarray) -> Tensor:
-    """Category-level plus domain-level confusion (extractor only)."""
-    fs = model.features(xs, mode="train")
-    ft = model.features(xt, mode="train")
-    return _cat_confusion(model, fs, ys) + _dom_confusion(model, ft)
 
 
 def entropy_min_loss(model: SlimModel, xt: np.ndarray) -> Tensor:

@@ -39,16 +39,19 @@ __all__ = [
     "inherited_greedy_search",
     "correlate",
     "monotonicity_probe",
-    "triangle_bound_terms",
     "linear_budget_ladder",
 ]
 
 
 @dataclass(frozen=True)
 class DiscrepancyScore:
+    """A config's anchor discrepancy; `accuracy` is its target accuracy
+    from the same recalibrated model when labels were given."""
+
     config: WidthConfig
     delta: float
     flops_ratio: float
+    accuracy: float | None = None
 
 
 @dataclass(frozen=True)
@@ -119,29 +122,44 @@ def recalibrated(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
     return model
 
 
+def _squared_distance(probs: np.ndarray, anchor_probs: np.ndarray) -> float:
+    """Mean over samples of the squared distance between two prediction sets."""
+    return float(((probs - anchor_probs) ** 2).sum()) / len(probs)
+
+
+def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
+    return float((probs.argmax(axis=1) == np.asarray(target_y)).mean())
+
+
 def discrepancy_between(candidate: SlimModel, anchor_probs: np.ndarray,
-                        target_x: np.ndarray, raw: bool = False) -> float:
-    """Squared output distance to the anchor's predictions; `raw` skips the
-    per-sample normalization (rankings are identical either way)."""
+                        target_x: np.ndarray) -> float:
+    """Squared output distance to the anchor's predictions, per sample."""
     if candidate.bn is None:
         raise UsageError("candidate must be AdaBN-recalibrated before scoring")
-    delta = float(((candidate.predict(target_x, head="a") - anchor_probs) ** 2).sum())
-    return delta if raw else delta / len(target_x)
+    return _squared_distance(candidate.predict(target_x, head="a"), anchor_probs)
 
 
 def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
-                       anchor_probs: np.ndarray | None = None) -> DiscrepancyScore:
+                       anchor_probs: np.ndarray | None = None,
+                       target_y: np.ndarray | None = None, head: str = "a") -> DiscrepancyScore:
     """Score one configuration against the full-width anchor.
 
     Both the candidate and the anchor are recalibrated on `target_x`; pass
     `anchor_probs` to reuse the anchor's predictions across many calls.
+    With `target_y` (evaluation only), the score also carries the
+    config's accuracy under `head`, read from the same recalibration.
     """
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
     candidate = recalibrated(bank, config, target_x)
-    delta = discrepancy_between(candidate, anchor_probs, target_x)
-    return DiscrepancyScore(config=config, delta=delta,
-                            flops_ratio=config.flops / bank.arch.full_config().flops)
+    probs = candidate.predict(target_x, head="a")
+    accuracy = None
+    if target_y is not None:
+        head_probs = probs if head == "a" else candidate.predict(target_x, head=head)
+        accuracy = _accuracy(head_probs, target_y)
+    return DiscrepancyScore(config=config, delta=_squared_distance(probs, anchor_probs),
+                            flops_ratio=config.flops / bank.arch.full_config().flops,
+                            accuracy=accuracy)
 
 
 def _anchor_probs(bank: ParamStore, target_x: np.ndarray) -> np.ndarray:
@@ -152,8 +170,7 @@ def config_accuracy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
                     target_y: np.ndarray, head: str = "a", batch_size: int = 256) -> float:
     """Target accuracy of one width after AdaBN (evaluation paths only)."""
     model = recalibrated(bank, config, target_x, batch_size=batch_size)
-    pred = model.predict(target_x, head=head).argmax(axis=1)
-    return float((pred == np.asarray(target_y)).mean())
+    return _accuracy(model.predict(target_x, head=head), target_y)
 
 
 def sample_configs_spanning(rng: np.random.Generator, arch: Architecture, n: int) -> list[WidthConfig]:
@@ -207,31 +224,34 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
 
 def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
                   rng: np.random.Generator, tolerance: float = 0.02,
-                  anchor_probs: np.ndarray | None = None
+                  anchor_probs: np.ndarray | None = None,
+                  target_y: np.ndarray | None = None, head: str = "a"
                   ) -> tuple[WidthConfig, list[DiscrepancyScore]]:
     """Sample n configs inside the budget band, return the lowest-score one
-    together with the whole score list."""
+    together with the whole score list (with accuracies when `target_y`
+    is given, as in `anchor_discrepancy`)."""
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
     scores = []
     for _ in range(n):
         cfg = sample_config_at_budget(rng, bank.arch, budget, tolerance)
-        scores.append(anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs))
+        scores.append(anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
+                                         target_y=target_y, head=head))
     best = min(scores, key=lambda s: s.delta)
     return best.config, scores
 
 
 def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthConfig,
-                    lo_f: float, hi_f: float) -> tuple[WidthConfig, bool]:
+                    lo_f: float, hi_f: float) -> tuple[WidthConfig, bool] | None:
     """Widen `base` by single channels on random blocks until its FLOPs
-    reach [lo_f, hi_f]; returns (config, saturated).  Overshoot is a
-    failure signalled as None config via ValueError to let callers retry."""
+    reach [lo_f, hi_f]; returns (config, saturated), or None when a step
+    overshoots hi_f (the caller retries)."""
     widths = list(base.widths)
     highs = arch.block_max_widths
     while True:
         flops = arch.make_config(widths).flops
         if flops > hi_f:
-            raise ValueError("overshoot")
+            return None
         if flops >= lo_f:
             return arch.make_config(widths), False
         grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
@@ -264,10 +284,9 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
         tries = 0
         while len(candidates) < plan.q and tries < max_tries * plan.q:
             tries += 1
-            try:
-                candidates.append(_grow_candidate(rng, arch, current, lo_f, hi_f))
-            except ValueError:
-                continue
+            grown = _grow_candidate(rng, arch, current, lo_f, hi_f)
+            if grown is not None:
+                candidates.append(grown)
         if not candidates:
             raise SearchError(f"could not grow candidates into budget ratio {ratio:.4f}")
         scored = [
@@ -287,22 +306,17 @@ def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndar
     """Pearson and Spearman correlation between anchor discrepancies and
     true target accuracies over a set of configurations (evaluation only).
 
-    Each config is recalibrated once; its deployment-head predictions feed
-    both the discrepancy and (arg-maxed) the accuracy.
+    Each config is recalibrated once (`anchor_discrepancy` with labels),
+    and that one model gives both its discrepancy and its accuracy.
     """
     configs = list(configs)
     if len(configs) < 3:
         raise UsageError(f"correlation needs at least 3 configs, got {len(configs)}")
     anchor_probs = _anchor_probs(bank, target_x)
-    target_y = np.asarray(target_y)
-    deltas, accs = [], []
-    for cfg in configs:
-        probs = recalibrated(bank, cfg, target_x).predict(target_x, head="a")
-        deltas.append(float(((probs - anchor_probs) ** 2).sum()) / len(target_x))
-        if head == "a":
-            accs.append(float((probs.argmax(axis=1) == target_y).mean()))
-        else:
-            accs.append(config_accuracy(bank, cfg, target_x, target_y, head=head))
+    scores = [anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
+                                 target_y=target_y, head=head) for cfg in configs]
+    deltas = [s.delta for s in scores]
+    accs = [s.accuracy for s in scores]
     coefficients = correlation_coefficients(deltas, accs)
     if coefficients is None:
         raise UsageError("correlation undefined: zero variance in scores or accuracies")
@@ -333,17 +347,3 @@ def monotonicity_probe(bank: ParamStore, target_x: np.ndarray, target_y: np.ndar
         raise UsageError("monotonicity probe undefined: zero variance")
     return float(scipy_stats.spearmanr(flops, accs).statistic)
 
-
-def triangle_bound_terms(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
-                         target_y: np.ndarray) -> tuple[float, float, float]:
-    """The three raw squared distances relating a candidate's predictions,
-    the anchor's predictions, and the one-hot ground truth:
-    (candidate-to-truth, anchor-to-truth, candidate-to-anchor)."""
-    k = bank.arch.class_count
-    gt = np.eye(k)[np.asarray(target_y)]
-    anchor_probs = _anchor_probs(bank, target_x)
-    cand_probs = recalibrated(bank, config, target_x).predict(target_x, head="a")
-    cand_err = float(((cand_probs - gt) ** 2).sum())
-    anchor_err = float(((anchor_probs - gt) ** 2).sum())
-    delta_raw = float(((cand_probs - anchor_probs) ** 2).sum())
-    return cand_err, anchor_err, delta_raw

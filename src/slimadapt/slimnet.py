@@ -12,8 +12,10 @@ a sub-model's region receives exactly zero.
 BN statistics are never stored during training (train mode always uses
 batch statistics).  Before a sub-model is evaluated it must be
 recalibrated on target data: `adabn_recalibrate` recomputes exact
-population statistics layer by layer, which makes evaluation independent
-of sample order and batching.
+population statistics in one pass of L layer forwards (L = BN layers),
+carrying each batch's activations from layer to layer, which makes
+evaluation independent of sample order and batching.  `features` and the
+recalibration pass walk the same sliced layers (`SlimModel.layers`).
 """
 
 from __future__ import annotations
@@ -216,47 +218,39 @@ class SlimModel:
     def n_bn_layers(self) -> int:
         return self.arch.n_blocks * self.arch.layers_per_block
 
-    def features(self, x, mode: str = "train", upto_bn: int | None = None,
-                 bn_stats: BnStats | None = None) -> Tensor:
-        """Per-block Linear -> BN -> ReLU chain at the active widths.
-
-        `upto_bn` stops just before BN layer k and returns its pre-norm
-        input (used by the recalibration sweep, with `bn_stats` holding the
-        statistics already fixed for earlier layers).
-        """
+    def _input(self, x) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ConfigError(f"input shape {x.shape} != (n, {self.arch.input_dim})")
-        stats = bn_stats if bn_stats is not None else self.bn
-        if mode == "eval" and stats is None:
-            raise UsageError("eval-mode forward needs recalibrated BN statistics")
+        return x
 
-        h = x
+    def _sliced(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        param = self.store[name]
+        return param if param.shape == shape else ad.leading_slice(param, shape)
+
+    def layers(self):
+        """(weight, bias, gamma, beta) of each Linear -> BN -> ReLU layer in
+        order, sliced to the active widths."""
         prev_w = self.arch.input_dim
-        bn_idx = 0
         for i, w in enumerate(self.config.widths):
-            full_w = self.arch.block_max_widths[i]
             for j in range(self.arch.layers_per_block):
-                in_w = prev_w if j == 0 else w
-                full_in = (self.arch.input_dim if i == 0 else self.arch.block_max_widths[i - 1]) \
-                    if j == 0 else full_w
                 base = f"f.b{i}.l{j}"
-                weight = ad.leading_slice(self.store[f"{base}.w"], (in_w, w)) \
-                    if (in_w, w) != (full_in, full_w) else self.store[f"{base}.w"]
-                bias = ad.leading_slice(self.store[f"{base}.b"], (w,)) if w != full_w \
-                    else self.store[f"{base}.b"]
-                h = h @ weight + bias
-                if upto_bn is not None and bn_idx == upto_bn:
-                    return h
-                gamma = ad.leading_slice(self.store[f"{base}.bn_g"], (w,)) if w != full_w \
-                    else self.store[f"{base}.bn_g"]
-                beta = ad.leading_slice(self.store[f"{base}.bn_b"], (w,)) if w != full_w \
-                    else self.store[f"{base}.bn_b"]
-                layer_stats = stats.layer(bn_idx) if mode == "eval" else None
-                h = ad.batchnorm(h, gamma, beta, mode=mode, stats=layer_stats, eps=BN_EPS)
-                h = ad.relu(h)
-                bn_idx += 1
+                yield (self._sliced(f"{base}.w", (prev_w if j == 0 else w, w)),
+                       self._sliced(f"{base}.b", (w,)),
+                       self._sliced(f"{base}.bn_g", (w,)),
+                       self._sliced(f"{base}.bn_b", (w,)))
             prev_w = w
+
+    def features(self, x, mode: str = "train") -> Tensor:
+        """Per-block Linear -> BN -> ReLU chain at the active widths."""
+        h = self._input(x)
+        if mode == "eval" and self.bn is None:
+            raise UsageError("eval-mode forward needs recalibrated BN statistics")
+        for k, (weight, bias, gamma, beta) in enumerate(self.layers()):
+            layer_stats = self.bn.layer(k) if mode == "eval" else None
+            h = ad.batchnorm(h @ weight + bias, gamma, beta, mode=mode, stats=layer_stats,
+                             eps=BN_EPS)
+            h = ad.relu(h)
         return h
 
     def head_logits(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:
@@ -318,27 +312,35 @@ def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):
 def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 256) -> BnStats:
     """Recompute BN statistics for this width on target data.
 
-    Works layer by layer: the statistics of BN layer k are the exact
-    population moments of its input over the whole dataset, computed with
-    all earlier layers already in eval mode with their new statistics.
+    One pass of L layer forwards: the target set is split into batches,
+    and each batch's activations are carried from layer to layer.  The
+    statistics of BN layer k are the exact population moments of its
+    input over the whole dataset, merged batch by batch; each batch is
+    then normalised with them (eval mode) before it enters layer k+1.
     The result is deterministic, idempotent, and (up to float summation
-    order) independent of sample order.  Stores the stats on the model
-    and returns them.
+    order) independent of sample order and batch size.  Stores the stats
+    on the model and returns them.
     """
     target_x = np.asarray(target_x, dtype=np.float64)
     if target_x.ndim != 2 or target_x.shape[0] < 2:
         raise UsageError("AdaBN recalibration needs at least 2 target samples")
     stats = BnStats(means=[], variances=[], count=target_x.shape[0])
+    last = model.n_bn_layers - 1
     with ad.no_grad():
-        for bn_idx in range(model.n_bn_layers):
+        acts = [model._input(target_x[lo:lo + batch_size])
+                for lo in range(0, len(target_x), batch_size)]
+        for k, (weight, bias, gamma, beta) in enumerate(model.layers()):
+            acts = [h @ weight + bias for h in acts]
             count, mean, m2 = 0, 0.0, 0.0
-            for lo in range(0, len(target_x), batch_size):
-                batch = target_x[lo:lo + batch_size]
-                h = model.features(batch, mode="eval", upto_bn=bn_idx, bn_stats=stats).data
+            for h in acts:
+                h = h.data
                 b_mean = h.mean(axis=0)
                 b_m2 = h.var(axis=0) * h.shape[0]
                 count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], b_mean, b_m2)
             stats.means.append(np.asarray(mean))
             stats.variances.append(np.maximum(np.asarray(m2) / count, 0.0))
+            if k < last:
+                acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=stats.layer(k),
+                                             eps=BN_EPS)) for h in acts]
     model.bn = stats
     return stats

@@ -11,8 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from slimadapt import cli
+from slimadapt import cli, search
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
+from slimadapt.errors import NumericError
 from slimadapt.slimnet import Architecture
 from slimadapt.trainer import init_bank
 
@@ -96,6 +97,23 @@ class TestTrain:
         strip = lambda text: ["," .join(r.split(",")[:-1]) for r in text.splitlines()]
         assert strip(first) == strip(second)
 
+    def test_failed_train_keeps_previous_checkpoint(self, workdir, monkeypatch):
+        cfg_path, out = workdir
+        run(["gen-data", "--config", cfg_path])
+        assert run(["train", "--config", cfg_path]) == 0
+        checkpoint = (out / "checkpoint.json").read_bytes()
+        metrics = (out / "metrics.csv").read_bytes()
+
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite values in loss")
+
+        monkeypatch.setattr(cli, "train", diverge)
+        assert run(["train", "--config", cfg_path]) == 3
+        assert (out / "checkpoint.json").read_bytes() == checkpoint
+        assert (out / "metrics.csv").read_bytes() == metrics
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "dataset.json",
+                                                         "metrics.csv"]
+
     def test_mode_flag_changes_mode_column(self, workdir):
         cfg_path, out = workdir
         run(["gen-data", "--config", cfg_path])
@@ -170,6 +188,20 @@ class TestSearchEvalCorrelate:
         for line in summary[1:]:
             pearson = float(line.split(",")[1])
             assert -1.0 <= pearson <= 1.0
+
+    @pytest.mark.parametrize("argv, per_band", [
+        (["correlate", "--n", "4"], 4),
+        (["search", "--strategy", "random", "--reveal-labels"], CONFIG["search"]["n_random"]),
+    ])
+    def test_labelled_scoring_recalibrates_once_per_config(self, trained, monkeypatch, argv,
+                                                           per_band):
+        cfg_path, _ = trained
+        calls = []
+        original = search.adabn_recalibrate
+        monkeypatch.setattr(search, "adabn_recalibrate",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        assert run(argv + ["--config", cfg_path]) == 0
+        assert len(calls) == CONFIG["search"]["k"] * per_band + 1  # configs plus the anchor
 
     def test_correlate_rejects_n_below_one(self, trained):
         cfg_path, _ = trained

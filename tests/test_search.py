@@ -9,6 +9,7 @@ optimum per budget.
 import numpy as np
 import pytest
 
+from slimadapt import search
 from slimadapt.datasets import ShiftSpec, make_dataset
 from slimadapt.errors import SearchError, UsageError
 from slimadapt.search import (
@@ -225,3 +226,25 @@ class TestCorrelationTools:
         a = config_accuracy(bank, cfg, ds.xt, yt)
         b = config_accuracy(bank, cfg, ds.xt, yt)
         assert a == b
+
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_score_accuracy_equals_config_accuracy(self, trained, head):
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        for widths in [(16, 24), (8, 12), (2, 5)]:
+            cfg = ARCH.make_config(widths)
+            score = anchor_discrepancy(bank, cfg, ds.xt, target_y=yt, head=head)
+            assert score.accuracy == config_accuracy(bank, cfg, ds.xt, yt, head=head)
+            assert score.delta == anchor_discrepancy(bank, cfg, ds.xt).delta
+        assert anchor_discrepancy(bank, cfg, ds.xt).accuracy is None
+
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_correlate_recalibrates_once_per_config(self, trained, monkeypatch, head):
+        bank, ds = trained
+        calls = []
+        original = search.adabn_recalibrate
+        monkeypatch.setattr(search, "adabn_recalibrate",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        configs = sample_configs_spanning(np.random.default_rng(7), ARCH, 6)
+        correlate(bank, configs, ds.xt, ds.target_labels(evaluation=True), head=head)
+        assert len(calls) == len(configs) + 1  # one per config, one for the anchor

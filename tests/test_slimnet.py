@@ -10,12 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt.errors import ConfigError, UsageError
 from slimadapt.slimnet import (
+    BN_EPS,
     Architecture,
     ParamStore,
+    _combine_moments,
     adabn_recalibrate,
     flops_per_sample,
 )
@@ -50,6 +54,37 @@ def standalone_forward(store, widths, x, head="s"):
     cw = store[f"c.{head}.w"].data[: widths[-1]].copy()
     cb = store[f"c.{head}.b"].data.copy()
     return h @ cw + cb
+
+
+def quadratic_adabn(store, widths, x, batch_size):
+    """Reference AdaBN in plain numpy: every BN layer's input is re-derived
+    from the raw input, batch by batch, through all earlier layers in eval
+    mode with the statistics fixed so far (L(L+1)/2 layer forwards)."""
+    arch = store.arch
+    layers = []
+    prev = arch.input_dim
+    for i, w in enumerate(widths):
+        for j in range(arch.layers_per_block):
+            in_w = prev if j == 0 else w
+            base = f"f.b{i}.l{j}"
+            layers.append((store[f"{base}.w"].data[:in_w, :w], store[f"{base}.b"].data[:w],
+                           store[f"{base}.bn_g"].data[:w], store[f"{base}.bn_b"].data[:w]))
+        prev = w
+    means, variances = [], []
+    for weight, bias, _, _ in layers:
+        count, mean, m2 = 0, 0.0, 0.0
+        for lo in range(0, len(x), batch_size):
+            h = x[lo:lo + batch_size]
+            for (w_j, b_j, g_j, beta_j), mu, var in zip(layers, means, variances):
+                xhat = (h @ w_j + b_j - mu) * (1.0 / np.sqrt(var + BN_EPS))
+                h = g_j * xhat + beta_j
+                h = np.where(h > 0, h, 0.0)
+            h = h @ weight + bias
+            count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], h.mean(axis=0),
+                                               h.var(axis=0) * h.shape[0])
+        means.append(np.asarray(mean))
+        variances.append(np.maximum(np.asarray(m2) / count, 0.0))
+    return means, variances
 
 
 def sliced_logits(store, widths, x, head="s"):
@@ -255,6 +290,35 @@ class TestAdaBN:
         model = store.slice(ARCH.full_config())
         with pytest.raises(UsageError):
             adabn_recalibrate(model, np.zeros((0, ARCH.input_dim)))
+
+    @pytest.mark.parametrize("layers_per_block", [1, 2])
+    @pytest.mark.parametrize("widths", [(16, 24), (5, 9), (2, 3)])
+    @pytest.mark.parametrize("n, batch_size", [(50, 16), (64, 64), (37, 256)])
+    def test_one_pass_matches_quadratic_reference_bit_for_bit(self, layers_per_block, widths,
+                                                               n, batch_size):
+        arch = Architecture(input_dim=6, block_max_widths=(16, 24),
+                            layers_per_block=layers_per_block, class_count=3)
+        store = ParamStore(arch, np.random.default_rng(layers_per_block))
+        x = np.random.default_rng(14).normal(size=(n, arch.input_dim)) * 2.0 + 0.3
+        stats = adabn_recalibrate(store.slice(arch.make_config(widths)), x,
+                                  batch_size=batch_size)
+        means, variances = quadratic_adabn(store, widths, x, batch_size)
+        assert len(stats.means) == len(means) == arch.n_blocks * layers_per_block
+        for got, want in zip(stats.means + stats.variances, means + variances):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), batch_size=st.integers(1, 80),
+           widths=st.sampled_from([(16, 24), (8, 12), (2, 3)]))
+    def test_stats_invariant_to_order_and_batch_size(self, seed, batch_size, widths):
+        store = ParamStore(ARCH, np.random.default_rng(0))
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(60, ARCH.input_dim)) + 0.5
+        ref = adabn_recalibrate(store.slice(ARCH.make_config(widths)), x, batch_size=len(x))
+        got = adabn_recalibrate(store.slice(ARCH.make_config(widths)), x[rng.permutation(len(x))],
+                                batch_size=batch_size)
+        for a, b in zip(ref.means + ref.variances, got.means + got.variances):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
 
     def test_predict_shape_and_normalization(self, store):
         rng = np.random.default_rng(13)
