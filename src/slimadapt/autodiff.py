@@ -7,8 +7,13 @@ order and returns gradients in a per-call map, so independent losses may
 share forward subgraphs without corrupting each other's accumulation.
 
 Everything is float64: models here are desk-scale and exact gradient
-checks matter more than speed.  Every op output is checked for NaN/Inf;
-a non-finite value raises NumericError instead of propagating.
+checks matter more than speed.  Tensors built from outside data and the
+outputs of arithmetic ops are checked for NaN/Inf; a non-finite value
+raises NumericError instead of propagating.  Selection ops (slices,
+concat, relu, clip, neg, detach) and softmax skip the check: their output
+is a subset, clamp or sign flip of already-checked finite data, or lies in
+[0, 1].  matmul's VJP computes no gradient for an operand that needs
+none (input data, detached features, frozen heads).
 
 Also hosts the SGD-with-momentum optimizer and the inverse-decay learning
 rate schedule used by the trainer.
@@ -62,7 +67,7 @@ def no_grad():
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
 
 
@@ -71,9 +76,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None, *,
+                 _check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
-        _finite_or_raise(arr, name or "tensor")
+        if _check:
+            _finite_or_raise(arr, name or "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -100,7 +107,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A graph-free view sharing this tensor's data (stop-gradient)."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
+        return Tensor(self.data, requires_grad=False, name=self.name, _check=False)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -143,8 +150,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str) -> Tensor:
-    out = Tensor(data, name=what)
+def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str,
+          check: bool = True) -> Tensor:
+    """Wrap an op output; `check=False` only where finite inputs give finite output."""
+    out = Tensor(data, name=what, _check=check)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -198,7 +207,7 @@ def _neg(a: Tensor) -> Tensor:
     def vjp(g):
         return (-g,)
 
-    return _node(-a.data, (a,), vjp, "neg")
+    return _node(-a.data, (a,), vjp, "neg", check=False)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -208,9 +217,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ConfigError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return g @ b_data.T, a_data.T @ g
+        return (g @ b_data.T if need_a else None), (a_data.T @ g if need_b else None)
 
     return _node(a_data @ b_data, (a, b), vjp, "matmul")
 
@@ -222,7 +232,7 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.where(mask, x.data, 0.0), (x,), vjp, "relu")
+    return _node(np.where(mask, x.data, 0.0), (x,), vjp, "relu", check=False)
 
 
 def log(x: Tensor) -> Tensor:
@@ -256,7 +266,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.clip(x.data, lo, hi), (x,), vjp, "clip")
+    return _node(np.clip(x.data, lo, hi), (x,), vjp, "clip", check=False)
 
 
 def _sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -295,7 +305,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def vjp(g):
         return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _node(s, (x,), vjp, "softmax")
+    return _node(s, (x,), vjp, "softmax", check=False)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -347,7 +357,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
             start += s
         return tuple(outs)
 
-    return _node(data, ts, vjp, "concat")
+    return _node(data, ts, vjp, "concat", check=False)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -362,7 +372,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _node(x.data[:, start:stop], (x,), vjp, "slice_cols")
+    return _node(x.data[:, start:stop], (x,), vjp, "slice_cols", check=False)
 
 
 def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
@@ -386,7 +396,7 @@ def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _node(x.data[idx], (x,), vjp, "leading_slice")
+    return _node(x.data[idx], (x,), vjp, "leading_slice", check=False)
 
 
 def batchnorm(
@@ -528,13 +538,16 @@ class SgdState:
 
 
 def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], state: SgdState) -> None:
-    """Apply one momentum-SGD update to `params` in place.
+    """Apply one momentum-SGD update to `params` in place, all or nothing.
 
-    Every parameter passed in must have a gradient; parameter data arrays
-    are replaced (never mutated) so graphs built before the step stay valid.
+    Every parameter passed in must have a gradient.  Nothing is committed
+    until every new buffer and value is checked, so an error leaves all of
+    them as they were.  Parameter data arrays are replaced (never mutated)
+    so graphs built before the step stay valid.
     """
     if state.lr <= 0:
         raise UsageError(f"learning rate must be positive, got {state.lr}")
+    staged = []
     for name, p in params.items():
         if name not in grads:
             raise UsageError(f"missing gradient for parameter {name!r}")
@@ -543,9 +556,12 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], stat
             raise ConfigError(f"gradient shape {g.shape} != parameter {name!r} shape {p.shape}")
         buf = state.buffers.get(name)
         buf = g.copy() if buf is None else state.momentum * buf + g
+        data = p.data - state.lr * buf
+        _finite_or_raise(data, f"parameter {name!r} after sgd_step")
+        staged.append((name, p, buf, data))
+    for name, p, buf, data in staged:
         state.buffers[name] = buf
-        p.data = p.data - state.lr * buf
-        _finite_or_raise(p.data, f"parameter {name!r} after sgd_step")
+        p.data = data
 
 
 def lr_schedule(progress: float, base: float = 0.01, alpha: float = 10.0, beta: float = 0.75) -> float:

@@ -277,15 +277,20 @@ def cmd_eval(args) -> int:
     labels = ds.target_labels(evaluation=True)
     head = deploy_head(meta["mode"])
     arch = bank.arch
+    full = arch.full_config()
     if args.widths:
         configs = [arch.make_config(w) for w in _parse_widths(args.widths)]
     else:
-        configs = [arch.full_config(), arch.smallest_config()]
-    full_acc = config_accuracy(bank, arch.full_config(), ds.xt, labels, head)
+        configs = [full, arch.smallest_config()]
+    accs = {}  # one recalibration per distinct config, the full width included
+    for cfg in (full, *configs):
+        if cfg.widths not in accs:
+            accs[cfg.widths] = config_accuracy(bank, cfg, ds.xt, labels, head)
+    full_acc = accs[full.widths]
     rows = []
     for cfg in configs:
-        acc = config_accuracy(bank, cfg, ds.xt, labels, head)
-        rows.append(",".join([_widths_str(cfg), _f(cfg.flops / arch.full_config().flops),
+        acc = accs[cfg.widths]
+        rows.append(",".join([_widths_str(cfg), _f(cfg.flops / full.flops),
                               _f(acc, 4), _f(full_acc - acc, 4)]))
     _write_csv(exp.out_dir / EVAL_FILE, "widths,flops_ratio,accuracy,delta_vs_full", rows)
     print(f"wrote {exp.out_dir / EVAL_FILE}")

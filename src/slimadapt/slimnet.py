@@ -165,9 +165,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def extractor_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("f.")}
-
     def classifier_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith("c.")}
 

@@ -16,10 +16,12 @@ differ only in how gradients are produced:
             through their task heads.
 
 Every step samples a model batch that always contains the largest and the
-smallest configurations.  All gradients of a step are evaluated on the
-pre-step parameter snapshot; the classifier update and the extractor
-update are then applied one after the other, so the two optimization
-roles never mix.
+smallest configurations.  A step sums its weighted losses into one scalar
+and runs one backward over it: routing is structural (classifier-side
+losses see detached features, extractor-side losses see frozen heads), so
+the two optimization roles touch disjoint parameters and never mix.  The
+resulting gradient is applied in one all-or-nothing SGD update over the
+whole bank, parameters the step never reached getting a zero gradient.
 """
 
 from __future__ import annotations
@@ -194,13 +196,18 @@ def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
     return powered / powered.sum(axis=1, keepdims=True)
 
 
-def distillation_loss(model: SlimModel, g_seed: np.ndarray, feats_t: Tensor,
-                      feats_s: Tensor, ys_onehot: np.ndarray, route: str) -> Tensor:
-    """Deployment-head cross-entropy against the ensemble target on target
-    data plus the one-hot labels on source data.
+def distillation_loss(model: SlimModel, target_t: np.ndarray, feats_t: Tensor,
+                      feats_s: Tensor, target_s: np.ndarray, route: str,
+                      head: str = "a") -> Tensor:
+    """Cross-entropy of one head's prediction against constant targets on
+    both domains: `target_t` on target features plus `target_s` on source
+    features.
 
-    route='heads' detaches the features so only the deployment head
-    learns; route='extractor' freezes the head so only the features learn.
+    slimda distils the ensemble target and the one-hot source labels into
+    the deployment head ("a"); inplaced distils the teacher's detached
+    task predictions into each student's task heads (head="task").
+    route='heads' detaches the features so only the head learns;
+    route='extractor' freezes the head so only the features learn.
     """
     if route == "heads":
         ft, fs, frozen = feats_t.detach(), feats_s.detach(), False
@@ -208,36 +215,33 @@ def distillation_loss(model: SlimModel, g_seed: np.ndarray, feats_t: Tensor,
         ft, fs, frozen = feats_t, feats_s, True
     else:
         raise UsageError(f"unknown route {route!r}")
-    p_t = model.probs(ft, "a", frozen=frozen)
-    p_s = model.probs(fs, "a", frozen=frozen)
-    return ad.cross_entropy(_log(p_t), g_seed) + ad.cross_entropy(_log(p_s), ys_onehot)
+    p_t = model.probs(ft, head, frozen=frozen)
+    p_s = model.probs(fs, head, frozen=frozen)
+    return ad.cross_entropy(_log(p_t), target_t) + ad.cross_entropy(_log(p_s), target_s)
 
 
-def _task_distill_loss(model: SlimModel, teacher_t: np.ndarray, teacher_s: np.ndarray,
-                       feats_t: Tensor, feats_s: Tensor, route: str) -> Tensor:
-    """Cross-entropy of the model's own task prediction against a teacher's
-    detached task prediction, on both domains (inplaced mode)."""
-    if route == "heads":
-        ft, fs, frozen = feats_t.detach(), feats_s.detach(), False
-    else:
-        ft, fs, frozen = feats_t, feats_s, True
-    p_t = model.probs(ft, "task", frozen=frozen)
-    p_s = model.probs(fs, "task", frozen=frozen)
-    return ad.cross_entropy(_log(p_t), teacher_t) + ad.cross_entropy(_log(p_s), teacher_s)
-
-
-def _scaled_sum(grad_dicts, weights) -> dict[str, np.ndarray]:
-    total: dict[str, np.ndarray] = {}
-    for grads, w in zip(grad_dicts, weights):
+def _fused_gradients(bank: ParamStore, terms) -> dict[str, np.ndarray]:
+    """Gradients of sum(w * loss) over the (w, loss) terms from a single
+    backward.  Zero-weight terms are left out of the graph.  Parameters the
+    sum never reaches are absent from the result."""
+    total = None
+    for w, loss in terms:
         if w == 0.0:
             continue
-        for name, g in grads.items():
-            total[name] = total[name] + w * g if name in total else w * g
-    return total
+        term = loss * w
+        total = term if total is None else total + term
+    return ad.gradients(total, bank.params)
 
 
-def _padded(grads: dict[str, np.ndarray], params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {name: grads.get(name, np.zeros(p.shape)) for name, p in params.items()}
+def _capture_grads(capture: dict, bank: ParamStore, grads: dict[str, np.ndarray],
+                   per_loss: dict[str, list[Tensor]]) -> None:
+    """Debug record: one extra backward per loss for the per-loss gradient
+    dicts, next to the classifier ("c.") and extractor ("f.") parts of the
+    fused gradient that the step applies."""
+    for key, losses in per_loss.items():
+        capture[key] = [ad.gradients(loss, bank.params) for loss in losses]
+    capture["cls_grads"] = {n: g for n, g in grads.items() if n.startswith("c.")}
+    capture["ext_grads"] = {n: g for n, g in grads.items() if n.startswith("f.")}
 
 
 def _check_finite_losses(values, mode):
@@ -246,9 +250,11 @@ def _check_finite_losses(values, mode):
             raise NumericError(f"non-finite loss in {mode} step: {values}")
 
 
-def _apply_updates(bank, state, cls_grads, ext_grads):
-    sgd_step(bank.classifier_params(), _padded(cls_grads, bank.classifier_params()), state)
-    sgd_step(bank.extractor_params(), _padded(ext_grads, bank.extractor_params()), state)
+def _apply_update(bank: ParamStore, state: SgdState, grads: dict[str, np.ndarray]) -> None:
+    """One all-or-nothing SGD step over the whole bank; a parameter the
+    step's loss never reached gets a zero gradient."""
+    sgd_step(bank.params, {name: grads[name] if name in grads else np.zeros(p.shape)
+                           for name, p in bank.params.items()}, state)
 
 
 def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
@@ -258,6 +264,10 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     configs = sample_width_configs(rng_model, arch, cfg.model_batch_size)
     batch = build_model_batch(bank, configs, cfg.policy)
     conf = batch.confidences
+    m = batch.m
+    w_dc = conf / conf.sum()
+    anti = 1.0 - conf
+    w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros(m)
     ys_onehot = one_hot(ys, arch.class_count)
 
     feats = [(mdl.features(xs, mode="train"), mdl.features(xt, mode="train"))
@@ -269,39 +279,29 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
         prob_list = [mdl.probs(ft.detach(), "task").data for mdl, (_, ft) in zip(batch.models, feats)]
     g_seed = sharpen(_weighted_mixture(prob_list, conf), cfg.tau)
 
-    per_dc_cls, per_seed_cls, per_dc_ext, per_seed_ext = [], [], [], []
+    terms = []
+    per_loss = {key: [] for key in ("per_dc_cls", "per_seed_cls", "per_dc_ext", "per_seed_ext")}
     parts_acc = np.zeros(6)
     seed_vals = []
-    for mdl, (fs, ft) in zip(batch.models, feats):
+    for j, (mdl, (fs, ft)) in enumerate(zip(batch.models, feats)):
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
         seed_cls = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="heads")
         seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="extractor")
-        per_dc_cls.append(ad.gradients(dc.classifier_loss, bank.params))
-        per_seed_cls.append(ad.gradients(seed_cls, bank.params))
-        per_dc_ext.append(ad.gradients(dc.extractor_loss, bank.params))
-        per_seed_ext.append(ad.gradients(seed_ext, bank.params))
+        terms += [(1.0 / m, dc.classifier_loss + seed_cls), (w_dc[j], dc.extractor_loss),
+                  (w_seed[j], seed_ext)]
+        for key, loss in zip(per_loss, (dc.classifier_loss, seed_cls, dc.extractor_loss, seed_ext)):
+            per_loss[key].append(loss)
         p = dc.parts
         parts_acc += (p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
                       p.entropy_min)
         seed_vals.append(seed_cls.item())
 
-    m = batch.m
-    cls_grads = _scaled_sum(per_dc_cls + per_seed_cls, [1.0 / m] * (2 * m))
-
-    w_dc = conf / conf.sum()
-    anti = 1.0 - conf
-    w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros(m)
-    ext_grads = _scaled_sum(per_dc_ext + per_seed_ext, list(w_dc) + list(w_seed))
-
+    grads = _fused_gradients(bank, terms)
     metrics = _step_metrics(parts_acc / m, float(np.mean(seed_vals)), cfg.mode)
     if capture is not None:
-        capture.update(
-            configs=configs, confidences=conf, g_seed=g_seed,
-            per_dc_cls=per_dc_cls, per_seed_cls=per_seed_cls,
-            per_dc_ext=per_dc_ext, per_seed_ext=per_seed_ext,
-            cls_grads=cls_grads, ext_grads=ext_grads,
-        )
-    _apply_updates(bank, state, cls_grads, ext_grads)
+        capture.update(configs=configs, confidences=conf, g_seed=g_seed)
+        _capture_grads(capture, bank, grads, per_loss)
+    _apply_update(bank, state, grads)
     return metrics
 
 
@@ -310,25 +310,25 @@ def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     """One step of plain model-batch averaging of the confusion losses."""
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
     batch = build_model_batch(bank, configs, cfg.policy)
+    m = batch.m
 
-    per_cls, per_ext = [], []
+    terms, per_cls, per_ext = [], [], []
     parts_acc = np.zeros(6)
     for mdl in batch.models:
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent)
-        per_cls.append(ad.gradients(dc.classifier_loss, bank.params))
-        per_ext.append(ad.gradients(dc.extractor_loss, bank.params))
+        terms.append((1.0 / m, dc.classifier_loss + dc.extractor_loss))
+        per_cls.append(dc.classifier_loss)
+        per_ext.append(dc.extractor_loss)
         p = dc.parts
         parts_acc += (p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
                       p.entropy_min)
 
-    m = batch.m
-    cls_grads = _scaled_sum(per_cls, [1.0 / m] * m)
-    ext_grads = _scaled_sum(per_ext, [1.0 / m] * m)
+    grads = _fused_gradients(bank, terms)
     metrics = _step_metrics(parts_acc / m, 0.0, cfg.mode)
     if capture is not None:
-        capture.update(configs=configs, per_cls=per_cls, per_ext=per_ext,
-                       cls_grads=cls_grads, ext_grads=ext_grads)
-    _apply_updates(bank, state, cls_grads, ext_grads)
+        capture.update(configs=configs)
+        _capture_grads(capture, bank, grads, {"per_cls": per_cls, "per_ext": per_ext})
+    _apply_update(bank, state, grads)
     return metrics
 
 
@@ -343,34 +343,37 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
     batch = build_model_batch(bank, configs, cfg.policy)
     teacher = batch.models[0]
+    m = batch.m
 
-    dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent)
+    fs, ft = teacher.features(xs, mode="train"), teacher.features(xt, mode="train")
+    dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
     with ad.no_grad():
-        teacher_s = teacher.probs(teacher.features(xs, mode="train"), "task").data
-        teacher_t = teacher.probs(teacher.features(xt, mode="train"), "task").data
+        teacher_s = teacher.probs(fs.detach(), "task").data
+        teacher_t = teacher.probs(ft.detach(), "task").data
 
-    per_cls = [ad.gradients(dc.classifier_loss, bank.params)]
-    per_ext = [ad.gradients(dc.extractor_loss, bank.params)]
+    terms = [(1.0 / m, dc.classifier_loss + dc.extractor_loss)]
+    per_cls, per_ext = [dc.classifier_loss], [dc.extractor_loss]
     distill_vals = []
     for mdl in batch.models[1:]:
         fs = mdl.features(xs, mode="train")
         ft = mdl.features(xt, mode="train")
-        d_cls = _task_distill_loss(mdl, teacher_t, teacher_s, ft, fs, route="heads")
-        d_ext = _task_distill_loss(mdl, teacher_t, teacher_s, ft, fs, route="extractor")
-        per_cls.append(ad.gradients(d_cls, bank.params))
-        per_ext.append(ad.gradients(d_ext, bank.params))
+        d_cls = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="heads", head="task")
+        d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="extractor",
+                                  head="task")
+        terms.append((1.0 / m, d_cls + d_ext))
+        per_cls.append(d_cls)
+        per_ext.append(d_ext)
         distill_vals.append(d_cls.item())
 
-    m = batch.m
-    cls_grads = _scaled_sum(per_cls, [1.0 / m] * m)
-    ext_grads = _scaled_sum(per_ext, [1.0 / m] * m)
+    grads = _fused_gradients(bank, terms)
     p = dc.parts
     parts = np.array([p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
                       p.entropy_min])
     metrics = _step_metrics(parts, float(np.mean(distill_vals)), cfg.mode)
     if capture is not None:
-        capture.update(configs=configs, teacher_t=teacher_t, per_cls=per_cls, per_ext=per_ext)
-    _apply_updates(bank, state, cls_grads, ext_grads)
+        capture.update(configs=configs, teacher_t=teacher_t)
+        _capture_grads(capture, bank, grads, {"per_cls": per_cls, "per_ext": per_ext})
+    _apply_update(bank, state, grads)
     return metrics
 
 

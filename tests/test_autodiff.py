@@ -164,6 +164,19 @@ class TestBackward:
         grads = ad.backward(loss)
         np.testing.assert_allclose(grads[x], [9.0], atol=1e-12)  # d(9*x)/dx, not 3x^2
 
+    @pytest.mark.parametrize("grad_a, grad_b", [(False, True), (True, False)])
+    def test_matmul_vjp_skips_operand_without_grad(self, grad_a, grad_b):
+        rng = np.random.default_rng(12)
+        a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=grad_a)
+        b = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=grad_b)
+        g = rng.normal(size=(3, 2))
+        da, db = ad.matmul(a, b)._vjp(g)
+        assert (da is None) != grad_a and (db is None) != grad_b
+        if grad_a:
+            np.testing.assert_allclose(da, g @ b.data.T, atol=1e-12)
+        else:
+            np.testing.assert_allclose(db, a.data.T @ g, atol=1e-12)
+
     def test_matmul_fd(self):
         rng = np.random.default_rng(7)
         check_grads(lambda a, b: (a @ b).sum(),
@@ -261,6 +274,22 @@ class TestSgd:
         p = ad.Tensor([1.0], requires_grad=True, name="p")
         with pytest.raises(UsageError):
             ad.sgd_step({"p": p}, {}, ad.SgdState(lr=0.1))
+
+    def test_non_finite_update_commits_nothing(self):
+        # The last parameter's gradient carries an inf: the step must fail
+        # before any parameter or momentum buffer changes.
+        params = {name: ad.Tensor(np.arange(3.0) + k, requires_grad=True, name=name)
+                  for k, name in enumerate(("a", "b", "c"))}
+        state = ad.SgdState(lr=0.1, momentum=0.9)
+        ad.sgd_step(params, {name: np.ones(3) for name in params}, state)
+        before = {name: p.data.tobytes() for name, p in params.items()}
+        buffers = {name: buf.tobytes() for name, buf in state.buffers.items()}
+        grads = {name: np.full(3, 0.5) for name in params}
+        grads["c"] = np.array([0.5, 0.5, np.inf])
+        with pytest.raises(NumericError):
+            ad.sgd_step(params, grads, state)
+        assert {name: p.data.tobytes() for name, p in params.items()} == before
+        assert {name: buf.tobytes() for name, buf in state.buffers.items()} == buffers
 
     def test_updates_do_not_mutate_old_arrays(self):
         p = ad.Tensor([1.0], requires_grad=True, name="p")

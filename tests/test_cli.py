@@ -173,6 +173,22 @@ class TestSearchEvalCorrelate:
         assert run(["eval", "--config", cfg_path]) == 0  # default widths
         assert len((out / "eval.csv").read_text().strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("widths, recalibrations", [
+        (None, 2),                     # default list: full and smallest
+        ("16,24;2,3;8,12", 3),         # full width listed
+        ("2,3;8,12;2,3", 3),           # two distinct configs plus the full width
+    ])
+    def test_eval_recalibrates_once_per_distinct_config(self, trained, monkeypatch, widths,
+                                                        recalibrations):
+        cfg_path, _ = trained
+        calls = []
+        original = search.adabn_recalibrate
+        monkeypatch.setattr(search, "adabn_recalibrate",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        argv = ["eval", "--config", cfg_path] + (["--widths", widths] if widths else [])
+        assert run(argv) == 0
+        assert len(calls) == recalibrations
+
     def test_eval_rejects_illegal_widths(self, trained):
         cfg_path, _ = trained
         assert run(["eval", "--config", cfg_path, "--widths", "1,24"]) == 2

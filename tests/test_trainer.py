@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
-from slimadapt import trainer
 from slimadapt.datasets import DomainDataset, ShiftSpec, make_dataset
 from slimadapt.errors import ConfigError, UsageError
 from slimadapt.losses import _log, domain_confusion_targets, one_hot
@@ -264,19 +265,88 @@ class TestStepRouting:
         xs, ys, xt = small_batch(13)
         narrow = [ARCH.make_config((4, 6)), ARCH.make_config((8, 6))]
         batch = build_model_batch(bank, narrow)
-        grad_dicts = []
+        losses = []
         for mdl in batch.models:
             t = domain_confusion_targets(mdl, xs, ys, xt)
-            grad_dicts.append(ad.gradients(t.classifier_loss, bank.params))
-            grad_dicts.append(ad.gradients(t.extractor_loss, bank.params))
-        combined = trainer._scaled_sum(grad_dicts, [0.25] * 4)
+            losses += [t.classifier_loss, t.extractor_loss]
+        grads = ad.gradients(sum(loss * 0.25 for loss in losses), bank.params)
+        combined = {n: grads.get(n, np.zeros(p.shape)) for n, p in bank.params.items()}
         before = {k: v.copy() for k, v in bank.state_arrays().items()}
-        ad.sgd_step(bank.params, trainer._padded(combined, bank.params), ad.SgdState(lr=0.05))
+        ad.sgd_step(bank.params, combined, ad.SgdState(lr=0.05))
         w = bank["f.b0.l0.w"].data
         assert np.array_equal(w[:, 8:], before["f.b0.l0.w"][:, 8:])  # outside widest slice
         assert not np.array_equal(w[:, :4], before["f.b0.l0.w"][:, :4])
         cw = bank["c.s.w"].data
         assert np.array_equal(cw[6:, :], before["c.s.w"][6:, :])
+
+
+STEP_FNS = {"slimda": train_step, "baseline": train_step_baseline,
+            "inplaced": train_step_inplaced}
+
+
+def _weighted_sum(weights, grad_dicts):
+    """Reference mixture: sum_j w_j * grads_j over the union of names."""
+    out = {}
+    for w, grads in zip(weights, grad_dicts):
+        for name, g in grads.items():
+            out[name] = out.get(name, 0.0) + w * g
+    return out
+
+
+def _assert_grads_close(got, want, atol=1e-12):
+    # A name missing on one side reads zero on the other: zero-weight terms
+    # never enter the fused graph, but do enter the reference as w * g = 0.
+    for name in set(got) | set(want):
+        np.testing.assert_allclose(got.get(name, 0.0), want.get(name, 0.0), rtol=0, atol=atol)
+
+
+class TestFusedStep:
+    """One backward over the weighted loss sum equals the per-loss
+    gradients mixed with the same weights."""
+
+    @pytest.mark.parametrize("mode", ["baseline", "inplaced"])
+    def test_fused_gradients_match_per_loss_reconstruction(self, mode):
+        bank = init_bank(ARCH, 40)
+        cfg = TrainerConfig(mode=mode, model_batch_size=5)
+        xs, ys, xt = small_batch(41)
+        cap = {}
+        STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(5, "model"),
+                       capture=cap)
+        m = len(cap["configs"])
+        assert len(cap["per_cls"]) == len(cap["per_ext"]) == m
+        _assert_grads_close(cap["cls_grads"], _weighted_sum([1 / m] * m, cap["per_cls"]))
+        _assert_grads_close(cap["ext_grads"], _weighted_sum([1 / m] * m, cap["per_ext"]))
+        assert all(n.startswith("c.") for n in cap["cls_grads"])
+        assert all(n.startswith("f.") for n in cap["ext_grads"])
+
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 20))
+    def test_slimda_fused_gradients_match_weighted_per_loss_sum(self, m, seed, n):
+        bank = init_bank(ARCH, seed)
+        cfg = TrainerConfig(model_batch_size=m)
+        xs, ys, xt = small_batch(seed, n=n)
+        cap = {}
+        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(seed, "model"),
+                   capture=cap)
+        conf = cap["confidences"]
+        w_dc = conf / conf.sum()
+        anti = 1 - conf
+        w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros_like(conf)
+        _assert_grads_close(cap["cls_grads"], _weighted_sum(
+            [1 / m] * (2 * m), cap["per_dc_cls"] + cap["per_seed_cls"]))
+        _assert_grads_close(cap["ext_grads"], _weighted_sum(
+            list(w_dc) + list(w_seed), cap["per_dc_ext"] + cap["per_seed_ext"]))
+
+    @pytest.mark.parametrize("mode", sorted(STEP_FNS))
+    def test_one_backward_per_step(self, mode, monkeypatch):
+        calls = []
+        original = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss: calls.append(1) or original(loss))
+        bank = init_bank(ARCH, 42)
+        cfg = TrainerConfig(mode=mode, model_batch_size=4)
+        xs, ys, xt = small_batch(43)
+        STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(6, "model"))
+        assert len(calls) == 1
 
 
 class TestInplaced:
