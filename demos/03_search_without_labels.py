@@ -19,7 +19,6 @@ from slimadapt import (
     Architecture,
     SearchPlan,
     TrainerConfig,
-    config_accuracy,
     correlate,
     inherited_greedy_search,
     init_bank,
@@ -52,13 +51,15 @@ print(f"  over 100 sampled configs: pearson(score, acc) = {rep.pearson:.3f}, "
 
 print("\ninherited greedy ladder (geometric budgets), with hindsight accuracy:")
 plan = SearchPlan(k=6, q=20, seed=SEED, tolerance=0.02)
-steps = inherited_greedy_search(bank, plan, ds.xt)
+# target_y only reads each scored config's accuracy; selection stays label-free.
+steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
 rng = named_rng(SEED, "search")
 full = ARCH.full_config().flops
 print(f"{'budget':>7} {'winner widths':>18} {'score':>8} {'acc':>7} {'random median':>14}")
 for step in steps:
-    acc = config_accuracy(bank, step.config, ds.xt, yt, "a")
-    _, scores = random_search(bank, step.budget_ratio * full, 30, ds.xt, rng, tolerance=0.02)
-    med = float(np.median([config_accuracy(bank, s.config, ds.xt, yt, "a") for s in scores]))
+    _, scores = random_search(bank, step.budget_ratio * full, 30, ds.xt, rng, tolerance=0.02,
+                              target_y=yt)
+    med = float(np.median([s.accuracy for s in scores]))
     widths = "x".join(str(w) for w in step.config.widths)
-    print(f"{step.budget_ratio:>7.3f} {widths:>18} {step.delta:>8.4f} {acc:>7.3f} {med:>14.3f}")
+    print(f"{step.budget_ratio:>7.3f} {widths:>18} {step.delta:>8.4f} {step.accuracy:>7.3f} "
+          f"{med:>14.3f}")

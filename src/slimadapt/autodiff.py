@@ -35,7 +35,6 @@ __all__ = [
     "matmul",
     "relu",
     "log",
-    "exp",
     "clip",
     "softmax",
     "log_softmax",
@@ -232,7 +231,7 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.where(mask, x.data, 0.0), (x,), vjp, "relu", check=False)
+    return _node(np.maximum(x.data, 0.0), (x,), vjp, "relu", check=False)
 
 
 def log(x: Tensor) -> Tensor:
@@ -245,17 +244,6 @@ def log(x: Tensor) -> Tensor:
         return (g / x_data,)
 
     return _node(data, (x,), vjp, "log")
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(over="ignore"):
-        data = np.exp(x.data)
-
-    def vjp(g):
-        return (g * data,)
-
-    return _node(data, (x,), vjp, "exp")
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:

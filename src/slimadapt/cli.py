@@ -23,12 +23,10 @@ from .errors import ConfigError, NumericError, SearchError, UsageError
 from .search import (
     SearchPlan,
     _anchor_probs,
-    anchor_discrepancy,
     config_accuracy,
     correlation_coefficients,
     inherited_greedy_search,
     random_search,
-    sample_config_at_budget,
 )
 from .seeding import named_rng
 from .slimnet import Architecture
@@ -195,44 +193,56 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    exp = _load_experiment(args)
+def _load_trained(exp: Experiment, labelled: bool):
+    """The experiment's checkpoint, dataset, target labels (None unless
+    `labelled`) and deployment head.  A checkpoint of another architecture
+    than the config's is a config error."""
     bank, meta = load_checkpoint(exp.out_dir / CHECKPOINT_FILE)
     if bank.arch != exp.arch:
         raise ConfigError("checkpoint architecture does not match the experiment config")
-    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=args.reveal_labels)
-    labels = ds.target_labels(evaluation=True) if args.reveal_labels else None
-    head = deploy_head(meta["mode"])
+    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=labelled)
+    labels = ds.target_labels(evaluation=True) if labelled else None
+    return bank, ds, labels, deploy_head(meta["mode"])
+
+
+def _random_bands(exp: Experiment, plan: SearchPlan, bank, ds, n: int, labels, head: str):
+    """Yield (budget ratio, scores) per budget of `plan`: n configs sampled
+    in the band from the experiment's "search" stream, each scored once
+    against one recalibrated anchor (with accuracies when `labels` given)."""
+    rng = named_rng(exp.seed, "search")
+    full = bank.arch.full_config().flops
+    anchor_probs = _anchor_probs(bank, ds.xt)
+    for ratio in plan.budgets(bank.arch):
+        _, scores = random_search(bank, ratio * full, n, ds.xt, rng, tolerance=plan.tolerance,
+                                  anchor_probs=anchor_probs, target_y=labels, head=head)
+        yield ratio, scores
+
+
+def cmd_search(args) -> int:
+    exp = _load_experiment(args)
+    bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
     plan = exp.plan
     if args.budgets:
         plan = SearchPlan(k=plan.k, q=plan.q, seed=plan.seed, tolerance=plan.tolerance,
                           budget_ratios=tuple(float(b) for b in args.budgets.split(",")))
 
+    if args.strategy == "greedy":
+        steps = inherited_greedy_search(bank, plan, ds.xt, target_y=labels, head=head)
+        found = [(i, step.budget_ratio, step) for i, step in enumerate(steps)]
+    else:
+        bands = _random_bands(exp, plan, bank, ds, exp.n_random, labels, head)
+        found = [(i, ratio, s) for i, (ratio, scores) in enumerate(bands) for s in scores]
+
     header = "step,budget_ratio,widths,delta,flops"
     if labels is not None:
         header += ",accuracy"
     rows = []
-    if args.strategy == "greedy":
-        for i, step in enumerate(inherited_greedy_search(bank, plan, ds.xt)):
-            row = [str(i), _f(step.budget_ratio), _widths_str(step.config),
-                   _f(step.delta), _f(step.config.flops, 1)]
-            if labels is not None:
-                row.append(_f(config_accuracy(bank, step.config, ds.xt, labels, head), 4))
-            rows.append(",".join(row))
-    else:
-        rng = named_rng(exp.seed, "search")
-        full = bank.arch.full_config().flops
-        anchor_probs = _anchor_probs(bank, ds.xt)
-        for i, ratio in enumerate(plan.budgets(bank.arch)):
-            _, scores = random_search(bank, ratio * full, exp.n_random, ds.xt, rng,
-                                      tolerance=plan.tolerance, anchor_probs=anchor_probs,
-                                      target_y=labels, head=head)
-            for s in scores:
-                row = [str(i), _f(ratio), _widths_str(s.config), _f(s.delta),
-                       _f(s.config.flops, 1)]
-                if labels is not None:
-                    row.append(_f(s.accuracy, 4))
-                rows.append(",".join(row))
+    for i, ratio, scored in found:
+        row = [str(i), _f(ratio), _widths_str(scored.config), _f(scored.delta),
+               _f(scored.config.flops, 1)]
+        if labels is not None:
+            row.append(_f(scored.accuracy, 4))
+        rows.append(",".join(row))
     _write_csv(exp.out_dir / SEARCH_FILE, header, rows)
     print(f"wrote {exp.out_dir / SEARCH_FILE} ({len(rows)} rows, strategy={args.strategy})")
     return 0
@@ -242,24 +252,12 @@ def cmd_correlate(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     exp = _load_experiment(args)
-    bank, meta = load_checkpoint(exp.out_dir / CHECKPOINT_FILE)
-    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=True)
-    labels = ds.target_labels(evaluation=True)  # correlation is evaluation-only
-    head = deploy_head(meta["mode"])
-    rng = named_rng(exp.seed, "search")
-    full = bank.arch.full_config().flops
-
+    bank, ds, labels, head = _load_trained(exp, labelled=True)  # evaluation-only
     scatter_rows, summary_rows = [], []
-    anchor_probs = _anchor_probs(bank, ds.xt)
-    for ratio in exp.plan.budgets(bank.arch):
-        deltas, accs = [], []
-        for _ in range(args.n):
-            cfg = sample_config_at_budget(rng, bank.arch, ratio * full, exp.plan.tolerance)
-            score = anchor_discrepancy(bank, cfg, ds.xt, anchor_probs=anchor_probs,
-                                       target_y=labels, head=head)
-            deltas.append(score.delta)
-            accs.append(score.accuracy)
-            scatter_rows.append(",".join([_f(ratio), _f(deltas[-1]), _f(accs[-1], 4)]))
+    for ratio, scores in _random_bands(exp, exp.plan, bank, ds, args.n, labels, head):
+        deltas = [s.delta for s in scores]
+        accs = [s.accuracy for s in scores]
+        scatter_rows += [",".join([_f(ratio), _f(d), _f(a, 4)]) for d, a in zip(deltas, accs)]
         # A band whose scores or accuracies do not vary has no defined
         # correlation; it keeps its row with empty pearson/spearman cells.
         pearson, spearman = correlation_coefficients(deltas, accs) or (None, None)
@@ -272,10 +270,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = _load_experiment(args)
-    bank, meta = load_checkpoint(exp.out_dir / CHECKPOINT_FILE)
-    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=True)
-    labels = ds.target_labels(evaluation=True)
-    head = deploy_head(meta["mode"])
+    bank, ds, labels, head = _load_trained(exp, labelled=True)
     arch = bank.arch
     full = arch.full_config()
     if args.widths:

@@ -60,6 +60,7 @@ class SearchStep:
     config: WidthConfig
     delta: float
     saturated: bool = False
+    accuracy: float | None = None  # with labels: from the ladder's own recalibration
 
 
 @dataclass(frozen=True)
@@ -261,13 +262,17 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
 
 
 def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
-                            max_tries: int = 200) -> list[SearchStep]:
+                            max_tries: int = 200, target_y: np.ndarray | None = None,
+                            head: str = "a") -> list[SearchStep]:
     """Walk the budget ladder from the slimmest configuration upward.
 
     At each budget, q candidates are grown out of the previous winner by
     adding channels to random blocks until the budget band is reached;
     the lowest-discrepancy candidate wins and seeds the next budget, so
-    winners are blockwise non-decreasing along the ladder.
+    winners are blockwise non-decreasing along the ladder.  With
+    `target_y` (evaluation only), each step also carries its winner's
+    accuracy under `head`, read from the model the ladder recalibrated;
+    selection never reads the labels.
     """
     arch = bank.arch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(11,)))
@@ -289,15 +294,17 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
                 candidates.append(grown)
         if not candidates:
             raise SearchError(f"could not grow candidates into budget ratio {ratio:.4f}")
-        scored = [
-            (discrepancy_between(recalibrated(bank, cfg, target_x), anchor_probs, target_x),
-             cfg, saturated)
-            for cfg, saturated in candidates
-        ]
-        delta, winner, saturated = min(scored, key=lambda t: t[0])
-        steps.append(SearchStep(budget_ratio=ratio, config=winner, delta=delta,
-                                saturated=saturated))
-        current = winner
+        best = None  # (delta, config, saturated, model) of the first lowest delta
+        for cfg, saturated in candidates:
+            model = recalibrated(bank, cfg, target_x)
+            delta = discrepancy_between(model, anchor_probs, target_x)
+            if best is None or delta < best[0]:
+                best = (delta, cfg, saturated, model)
+        delta, current, saturated, model = best
+        accuracy = None if target_y is None else _accuracy(model.predict(target_x, head=head),
+                                                             target_y)
+        steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
+                                saturated=saturated, accuracy=accuracy))
     return steps
 
 
@@ -341,9 +348,9 @@ def monotonicity_probe(bank: ParamStore, target_x: np.ndarray, target_y: np.ndar
     if n < 3:
         raise UsageError(f"monotonicity probe needs n >= 3, got {n}")
     configs = sample_configs_spanning(rng, bank.arch, n)
-    flops = np.array([c.flops for c in configs])
-    accs = np.array([config_accuracy(bank, c, target_x, target_y, head=head) for c in configs])
-    if np.ptp(flops) == 0 or np.ptp(accs) == 0:
+    accs = [config_accuracy(bank, c, target_x, target_y, head=head) for c in configs]
+    coefficients = correlation_coefficients([c.flops for c in configs], accs)
+    if coefficients is None:
         raise UsageError("monotonicity probe undefined: zero variance")
-    return float(scipy_stats.spearmanr(flops, accs).statistic)
+    return coefficients[1]
 

@@ -16,18 +16,21 @@ differ only in how gradients are produced:
             through their task heads.
 
 Every step samples a model batch that always contains the largest and the
-smallest configurations.  A step sums its weighted losses into one scalar
-and runs one backward over it: routing is structural (classifier-side
-losses see detached features, extractor-side losses see frozen heads), so
-the two optimization roles touch disjoint parameters and never mix.  The
-resulting gradient is applied in one all-or-nothing SGD update over the
-whole bank, parameters the step never reached getting a zero gradient.
+smallest configurations.  A mode only lists its weighted losses and its
+models' loss parts; `_apply_step` is the one place a step is fused,
+checked, recorded and applied.  It sums the weighted losses into one
+scalar and runs one backward over it: routing is structural
+(classifier-side losses see detached features, extractor-side losses see
+frozen heads), so the two optimization roles touch disjoint parameters and
+never mix.  The resulting gradient is applied in one all-or-nothing SGD
+update over the whole bank, parameters the step never reached getting a
+zero gradient.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -220,41 +223,32 @@ def distillation_loss(model: SlimModel, target_t: np.ndarray, feats_t: Tensor,
     return ad.cross_entropy(_log(p_t), target_t) + ad.cross_entropy(_log(p_s), target_s)
 
 
-def _fused_gradients(bank: ParamStore, terms) -> dict[str, np.ndarray]:
-    """Gradients of sum(w * loss) over the (w, loss) terms from a single
-    backward.  Zero-weight terms are left out of the graph.  Parameters the
-    sum never reaches are absent from the result."""
+def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float, mode: str,
+                capture: dict | None, **record) -> dict:
+    """Fuse, check, record and apply one step's (capture key, weight, loss)
+    terms: one backward over the sum of the non-zero-weight terms, then one
+    all-or-nothing SGD update (zero gradient where the sum never reached).
+    Returns the checked mean of the models' `DcLossParts` as step metrics.
+    `capture` receives `record`, one gradient dict per term under its key
+    (one extra backward each) and the "c."/"f." parts of the fused gradient.
+    """
     total = None
-    for w, loss in terms:
+    for _, w, loss in terms:
         if w == 0.0:
             continue
         term = loss * w
         total = term if total is None else total + term
-    return ad.gradients(total, bank.params)
-
-
-def _capture_grads(capture: dict, bank: ParamStore, grads: dict[str, np.ndarray],
-                   per_loss: dict[str, list[Tensor]]) -> None:
-    """Debug record: one extra backward per loss for the per-loss gradient
-    dicts, next to the classifier ("c.") and extractor ("f.") parts of the
-    fused gradient that the step applies."""
-    for key, losses in per_loss.items():
-        capture[key] = [ad.gradients(loss, bank.params) for loss in losses]
-    capture["cls_grads"] = {n: g for n, g in grads.items() if n.startswith("c.")}
-    capture["ext_grads"] = {n: g for n, g in grads.items() if n.startswith("f.")}
-
-
-def _check_finite_losses(values, mode):
-    for v in values:
-        if not np.isfinite(v):
-            raise NumericError(f"non-finite loss in {mode} step: {values}")
-
-
-def _apply_update(bank: ParamStore, state: SgdState, grads: dict[str, np.ndarray]) -> None:
-    """One all-or-nothing SGD step over the whole bank; a parameter the
-    step's loss never reached gets a zero gradient."""
+    grads = ad.gradients(total, bank.params)
+    metrics = _step_metrics(parts, loss_seed, mode)
+    if capture is not None:
+        capture.update(record, **{key: [] for key, _, _ in terms})
+        for key, _, loss in terms:
+            capture[key].append(ad.gradients(loss, bank.params))
+        capture["cls_grads"] = {n: g for n, g in grads.items() if n.startswith("c.")}
+        capture["ext_grads"] = {n: g for n, g in grads.items() if n.startswith("f.")}
     sgd_step(bank.params, {name: grads[name] if name in grads else np.zeros(p.shape)
                            for name, p in bank.params.items()}, state)
+    return metrics
 
 
 def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
@@ -279,30 +273,17 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
         prob_list = [mdl.probs(ft.detach(), "task").data for mdl, (_, ft) in zip(batch.models, feats)]
     g_seed = sharpen(_weighted_mixture(prob_list, conf), cfg.tau)
 
-    terms = []
-    per_loss = {key: [] for key in ("per_dc_cls", "per_seed_cls", "per_dc_ext", "per_seed_ext")}
-    parts_acc = np.zeros(6)
-    seed_vals = []
+    terms, parts, seed_vals = [], [], []
     for j, (mdl, (fs, ft)) in enumerate(zip(batch.models, feats)):
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
         seed_cls = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="heads")
         seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="extractor")
-        terms += [(1.0 / m, dc.classifier_loss + seed_cls), (w_dc[j], dc.extractor_loss),
-                  (w_seed[j], seed_ext)]
-        for key, loss in zip(per_loss, (dc.classifier_loss, seed_cls, dc.extractor_loss, seed_ext)):
-            per_loss[key].append(loss)
-        p = dc.parts
-        parts_acc += (p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
-                      p.entropy_min)
+        terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
+                  ("per_dc_ext", w_dc[j], dc.extractor_loss), ("per_seed_ext", w_seed[j], seed_ext)]
+        parts.append(dc.parts)
         seed_vals.append(seed_cls.item())
-
-    grads = _fused_gradients(bank, terms)
-    metrics = _step_metrics(parts_acc / m, float(np.mean(seed_vals)), cfg.mode)
-    if capture is not None:
-        capture.update(configs=configs, confidences=conf, g_seed=g_seed)
-        _capture_grads(capture, bank, grads, per_loss)
-    _apply_update(bank, state, grads)
-    return metrics
+    return _apply_step(bank, state, terms, parts, float(np.mean(seed_vals)), cfg.mode, capture,
+                       configs=configs, confidences=conf, g_seed=g_seed)
 
 
 def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
@@ -312,24 +293,12 @@ def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     batch = build_model_batch(bank, configs, cfg.policy)
     m = batch.m
 
-    terms, per_cls, per_ext = [], [], []
-    parts_acc = np.zeros(6)
+    terms, parts = [], []
     for mdl in batch.models:
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent)
-        terms.append((1.0 / m, dc.classifier_loss + dc.extractor_loss))
-        per_cls.append(dc.classifier_loss)
-        per_ext.append(dc.extractor_loss)
-        p = dc.parts
-        parts_acc += (p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
-                      p.entropy_min)
-
-    grads = _fused_gradients(bank, terms)
-    metrics = _step_metrics(parts_acc / m, 0.0, cfg.mode)
-    if capture is not None:
-        capture.update(configs=configs)
-        _capture_grads(capture, bank, grads, {"per_cls": per_cls, "per_ext": per_ext})
-    _apply_update(bank, state, grads)
-    return metrics
+        terms += [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
+        parts.append(dc.parts)
+    return _apply_step(bank, state, terms, parts, 0.0, cfg.mode, capture, configs=configs)
 
 
 def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
@@ -351,8 +320,7 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
         teacher_s = teacher.probs(fs.detach(), "task").data
         teacher_t = teacher.probs(ft.detach(), "task").data
 
-    terms = [(1.0 / m, dc.classifier_loss + dc.extractor_loss)]
-    per_cls, per_ext = [dc.classifier_loss], [dc.extractor_loss]
+    terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
     distill_vals = []
     for mdl in batch.models[1:]:
         fs = mdl.features(xs, mode="train")
@@ -360,32 +328,24 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
         d_cls = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="heads", head="task")
         d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="extractor",
                                   head="task")
-        terms.append((1.0 / m, d_cls + d_ext))
-        per_cls.append(d_cls)
-        per_ext.append(d_ext)
+        terms += [("per_cls", 1.0 / m, d_cls), ("per_ext", 1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
-
-    grads = _fused_gradients(bank, terms)
-    p = dc.parts
-    parts = np.array([p.task_s, p.task_t, p.domain_disc, p.cat_confusion, p.dom_confusion,
-                      p.entropy_min])
-    metrics = _step_metrics(parts, float(np.mean(distill_vals)), cfg.mode)
-    if capture is not None:
-        capture.update(configs=configs, teacher_t=teacher_t)
-        _capture_grads(capture, bank, grads, {"per_cls": per_cls, "per_ext": per_ext})
-    _apply_update(bank, state, grads)
-    return metrics
+    return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode,
+                       capture, configs=configs, teacher_t=teacher_t)
 
 
-def _step_metrics(parts: np.ndarray, seed_val: float, mode: str) -> dict:
+def _step_metrics(parts, loss_seed: float, mode: str) -> dict:
+    """Mean of the models' loss parts; a non-finite value is a NumericError."""
+    mean = np.sum([astuple(p) for p in parts], axis=0) / len(parts)
     vals = dict(
-        loss_task=parts[0] + parts[1],
-        loss_dd=parts[2],
-        loss_conf=parts[3] + parts[4],
-        loss_ent=parts[5],
-        loss_seed=seed_val,
+        loss_task=mean[0] + mean[1],
+        loss_dd=mean[2],
+        loss_conf=mean[3] + mean[4],
+        loss_ent=mean[5],
+        loss_seed=loss_seed,
     )
-    _check_finite_losses(vals.values(), mode)
+    if not all(np.isfinite(v) for v in vals.values()):
+        raise NumericError(f"non-finite loss in {mode} step: {vals}")
     return vals
 
 

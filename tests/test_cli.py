@@ -208,6 +208,7 @@ class TestSearchEvalCorrelate:
     @pytest.mark.parametrize("argv, per_band", [
         (["correlate", "--n", "4"], 4),
         (["search", "--strategy", "random", "--reveal-labels"], CONFIG["search"]["n_random"]),
+        (["search", "--reveal-labels"], CONFIG["search"]["q"]),  # greedy: q candidates a rung
     ])
     def test_labelled_scoring_recalibrates_once_per_config(self, trained, monkeypatch, argv,
                                                            per_band):
@@ -223,12 +224,13 @@ class TestSearchEvalCorrelate:
         cfg_path, _ = trained
         assert run(["correlate", "--config", cfg_path, "--n", "0"]) == 2
 
-    def test_checkpoint_architecture_mismatch_is_config_error(self, trained, tmp_path):
+    @pytest.mark.parametrize("command", ["search", "correlate", "eval"])
+    def test_checkpoint_architecture_mismatch_is_config_error(self, trained, tmp_path, command):
         cfg_path, out = trained
         other = Architecture(input_dim=6, block_max_widths=(8, 8), layers_per_block=1,
                              class_count=3)
         save_checkpoint(out / "checkpoint.json", init_bank(other, 0), 0, 0, "slimda")
-        assert run(["search", "--config", cfg_path]) == 2
+        assert run([command, "--config", cfg_path]) == 2
 
 
 # Two blocks [16, 32] at tolerance 0.05: every config sampled in the

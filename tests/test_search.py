@@ -6,6 +6,8 @@ two-block architecture and compares greedy winners against the true
 optimum per budget.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,18 @@ class TestGreedy:
         plan = SearchPlan(q=4, seed=2, budget_ratios=(0.25, 0.5, 1.0))
         steps = inherited_greedy_search(bank, plan, ds.xt)
         assert [s.budget_ratio for s in steps] == [0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_labelled_ladder_reads_accuracy_without_changing_selection(self, trained, head):
+        bank, ds = trained
+        plan = SearchPlan(k=3, q=5, seed=3)
+        yt = ds.target_labels(evaluation=True)
+        blind = inherited_greedy_search(bank, plan, ds.xt)
+        labelled = inherited_greedy_search(bank, plan, ds.xt, target_y=yt, head=head)
+        assert all(s.accuracy is None for s in blind)
+        assert [dataclasses.replace(s, accuracy=None) for s in labelled] == blind
+        for step in labelled:
+            assert step.accuracy == config_accuracy(bank, step.config, ds.xt, yt, head)
 
     def test_bad_ratio_ladder_rejected(self):
         with pytest.raises(UsageError):
