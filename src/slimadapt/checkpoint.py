@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jsonio
-from .errors import ConfigError
+from .jsonio import field
 from .slimnet import Architecture, ParamStore
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -31,20 +31,14 @@ def save_checkpoint(path, bank: ParamStore, seed: int, step: int, mode: str) -> 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
     doc = jsonio.load(path)
-    for field in ("architecture", "params", "seed", "step"):
-        if field not in doc:
-            raise ConfigError(f"checkpoint missing field {field!r}")
-    a = doc["architecture"]
-    try:
-        arch = Architecture(
-            input_dim=a["input_dim"],
-            block_max_widths=tuple(a["block_max_widths"]),
-            layers_per_block=a["layers_per_block"],
-            class_count=a["class_count"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed checkpoint architecture: {exc}") from exc
+    arch = Architecture(
+        input_dim=field(doc, "architecture.input_dim", int),
+        block_max_widths=field(doc, "architecture.block_max_widths", lambda v: tuple(map(int, v))),
+        layers_per_block=field(doc, "architecture.layers_per_block", int),
+        class_count=field(doc, "architecture.class_count", int),
+    )
     bank = ParamStore(arch, np.random.default_rng(0))
-    bank.load_arrays({k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()})
-    meta = {"seed": doc["seed"], "step": doc["step"], "mode": doc.get("mode", "slimda")}
+    bank.load_arrays(field(doc, "params", dict))
+    meta = {"seed": field(doc, "seed", int), "step": field(doc, "step", int),
+            "mode": field(doc, "mode", str, "slimda")}
     return bank, meta

@@ -20,6 +20,7 @@ from . import jsonio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import ShiftSpec, load_dataset, make_dataset, save_dataset
 from .errors import ConfigError, NumericError, SearchError, UsageError
+from .jsonio import field
 from .search import (
     SearchPlan,
     _anchor_probs,
@@ -54,62 +55,53 @@ class Experiment:
     n_random: int
 
 
-def _require(doc: dict, field: str, where: str):
-    if field not in doc:
-        raise ConfigError(f"config missing field {where}.{field}" if where else
-                          f"config missing field {field}")
-    return doc[field]
-
-
 def parse_experiment(doc: dict, seed_override: int | None = None,
                      out_override: str | None = None,
                      mode_override: str | None = None) -> Experiment:
-    seed = int(seed_override if seed_override is not None else _require(doc, "seed", ""))
-    out_dir = Path(out_override if out_override is not None else _require(doc, "out_dir", ""))
+    seed = seed_override if seed_override is not None else field(doc, "seed", int)
+    out_dir = Path(out_override) if out_override is not None else field(doc, "out_dir", Path)
 
-    ds = _require(doc, "dataset", "")
     dataset_fields = dict(
-        spec=ShiftSpec(kind=_require(ds, "kind", "dataset"),
-                       magnitude=float(_require(ds, "magnitude", "dataset")),
-                       noise_std=float(ds.get("noise_std", 1.0))),
-        K=int(_require(ds, "K", "dataset")),
-        d=int(_require(ds, "d", "dataset")),
-        n_s=int(_require(ds, "n_s", "dataset")),
-        n_t=int(_require(ds, "n_t", "dataset")),
+        spec=ShiftSpec(kind=field(doc, "dataset.kind", str),
+                       magnitude=field(doc, "dataset.magnitude", float),
+                       noise_std=field(doc, "dataset.noise_std", float, 1.0)),
+        K=field(doc, "dataset.K", int),
+        d=field(doc, "dataset.d", int),
+        n_s=field(doc, "dataset.n_s", int),
+        n_t=field(doc, "dataset.n_t", int),
     )
 
-    a = _require(doc, "architecture", "")
     arch = Architecture(
-        input_dim=int(_require(a, "input_dim", "architecture")),
-        block_max_widths=tuple(_require(a, "block_max_widths", "architecture")),
-        layers_per_block=int(a.get("layers_per_block", 1)),
+        input_dim=field(doc, "architecture.input_dim", int),
+        block_max_widths=field(doc, "architecture.block_max_widths", lambda v: tuple(map(int, v))),
+        layers_per_block=field(doc, "architecture.layers_per_block", int, 1),
         class_count=dataset_fields["K"],
     )
 
-    t = _require(doc, "trainer", "")
-    policy = ConfidencePolicy(lam=float(t.get("lam", 0.5)), s=float(t.get("confidence_s", 0.0)),
-                              mode=t.get("confidence_mode", "hard"))
+    policy = ConfidencePolicy(lam=field(doc, "trainer.lam", float, 0.5),
+                              s=field(doc, "trainer.confidence_s", float, 0.0),
+                              mode=field(doc, "trainer.confidence_mode", str, "hard"))
     trainer_cfg = TrainerConfig(
-        mode=mode_override or t.get("mode", "slimda"),
-        epochs=int(_require(t, "epochs", "trainer")),
-        batch_size=int(_require(t, "batch_size", "trainer")),
-        model_batch_size=int(t.get("model_batch_size", 10)),
-        w_ent=float(t.get("w_ent", 0.1)),
-        tau=float(t.get("tau", 0.5)),
+        mode=mode_override or field(doc, "trainer.mode", str, "slimda"),
+        epochs=field(doc, "trainer.epochs", int),
+        batch_size=field(doc, "trainer.batch_size", int),
+        model_batch_size=field(doc, "trainer.model_batch_size", int, 10),
+        w_ent=field(doc, "trainer.w_ent", float, 0.1),
+        tau=field(doc, "trainer.tau", float, 0.5),
         policy=policy,
         seed=seed,
     )
 
-    s = doc.get("search", {})
     plan = SearchPlan(
-        k=int(s.get("k", 6)),
-        q=int(s.get("q", 20)),
+        k=field(doc, "search.k", int, 6),
+        q=field(doc, "search.q", int, 20),
         seed=seed,
-        tolerance=float(s.get("tolerance", 0.02)),
-        budget_ratios=tuple(s["budgets"]) if s.get("budgets") else None,
+        tolerance=field(doc, "search.tolerance", float, 0.02),
+        budget_ratios=field(doc, "search.budgets", lambda v: tuple(map(float, v or ())), ()),
     )
     return Experiment(seed=seed, out_dir=out_dir, dataset_fields=dataset_fields, arch=arch,
-                      trainer=trainer_cfg, plan=plan, n_random=int(s.get("n_random", 100)))
+                      trainer=trainer_cfg, plan=plan,
+                      n_random=field(doc, "search.n_random", int, 100))
 
 
 def _load_experiment(args) -> Experiment:

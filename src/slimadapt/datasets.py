@@ -22,6 +22,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigError, LabelLeakageError, UsageError
+from .jsonio import field
 
 __all__ = [
     "ShiftSpec",
@@ -195,7 +196,7 @@ def batches(dataset: DomainDataset, batch_size: int, rng: np.random.Generator):
         yield dataset.xs[idx_s], dataset.ys[idx_s], dataset.xt[idx_t]
 
 
-def save_dataset(path, dataset: DomainDataset, include_hidden: bool = True) -> None:
+def save_dataset(path, dataset: DomainDataset) -> None:
     doc = {
         "spec": asdict(dataset.spec),
         "seed": dataset.seed,
@@ -207,7 +208,7 @@ def save_dataset(path, dataset: DomainDataset, include_hidden: bool = True) -> N
         "ys": dataset.ys,
         "xt": dataset.xt,
     }
-    if include_hidden and dataset._yt is not None:
+    if dataset._yt is not None:
         doc["yt_hidden"] = dataset._yt
     jsonio.dump_exact(doc, path)
 
@@ -216,13 +217,10 @@ def load_dataset(path, evaluation: bool = False) -> DomainDataset:
     """Load a dataset file.  Unless `evaluation` is set, the hidden-label
     section is skipped entirely, so a training path cannot reach it."""
     doc = jsonio.load(path)
-    for field in ("spec", "seed", "K", "xs", "ys", "xt"):
-        if field not in doc:
-            raise ConfigError(f"dataset file missing field {field!r}")
-    spec = ShiftSpec(**doc["spec"])
     yt = doc.get("yt_hidden") if evaluation else None
-    return DomainDataset(doc["xs"], doc["ys"], doc["xt"], doc["K"], spec, doc["seed"],
-                         yt_hidden=yt)
+    return DomainDataset(field(doc, "xs", list), field(doc, "ys", list), field(doc, "xt", list),
+                         field(doc, "K", int), field(doc, "spec", lambda v: ShiftSpec(**v)),
+                         field(doc, "seed", int), yt_hidden=yt)
 
 
 # The default desk-scale task: big enough to show a clear source->target

@@ -1,4 +1,5 @@
-"""Exact JSON serialization for datasets and checkpoints.
+"""Exact JSON serialization for datasets and checkpoints, and the typed
+reader of loaded documents (checkpoints and experiment configs).
 
 Floats are written with 17 significant digits so every float64 round-trips
 bit for bit; key order follows insertion order, so a given object always
@@ -13,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
-__all__ = ["dump_exact", "load"]
+__all__ = ["dump_exact", "load", "field"]
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -31,7 +32,8 @@ def _emit(obj, out: list[str]) -> None:
         f = float(obj)
         if not math.isfinite(f):
             raise NumericError("cannot serialize non-finite float")
-        out.append(format(f, ".17g"))
+        text = format(f, ".17g")
+        out.append("-0.0" if text == "-0" else text)  # "-0" would load as the integer 0
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray):
@@ -63,5 +65,30 @@ def dump_exact(obj, path) -> None:
 
 
 def load(path) -> dict:
+    """The JSON object in `path`; anything else in the file is a ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level is {type(doc).__name__}, not an object")
+    return doc
+
+
+def field(doc: dict, path: str, kind, default=None):
+    """Field `path` ("section.name" or "name") of `doc` read through `kind`,
+    required unless a `default` is given.  A missing field, a section that is
+    not an object or a value `kind` rejects is a ConfigError naming it."""
+    section, _, name = path.rpartition(".")
+    doc = doc.get(section, {}) if section else doc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field {section} is not an object")
+    if name not in doc:
+        if default is None:
+            raise ConfigError(f"missing field {path}")
+        return default
+    try:
+        return kind(doc[name])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"field {path}: {exc}") from exc

@@ -80,7 +80,7 @@ class SearchPlan:
     slimmest model is too large for the lowest geometric rung, the FLOPs
     gap between the slimmest and the full model is divided into k equal
     increments instead.  An explicit `budget_ratios` list (fractions of
-    full FLOPs, strictly increasing) overrides both.
+    full FLOPs, strictly increasing) overrides both; an empty one does not.
     """
 
     k: int = 6
@@ -96,7 +96,7 @@ class SearchPlan:
     def budgets(self, arch: Architecture) -> list[float]:
         full = arch.full_config().flops
         lo = arch.smallest_config().flops / full
-        if self.budget_ratios is not None:
+        if self.budget_ratios:
             ratios = [float(r) for r in self.budget_ratios]
             if any(b <= a for a, b in zip(ratios, ratios[1:])):
                 raise UsageError("budget ratios must be strictly increasing")
@@ -116,10 +116,9 @@ def linear_budget_ladder(arch: Architecture, k: int) -> list[float]:
     return [lo + (i + 1) * (hi - lo) / k for i in range(k)]
 
 
-def recalibrated(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
-                 batch_size: int = 256) -> SlimModel:
+def recalibrated(bank: ParamStore, config: WidthConfig, target_x: np.ndarray) -> SlimModel:
     model = bank.slice(config)
-    adabn_recalibrate(model, target_x, batch_size=batch_size)
+    adabn_recalibrate(model, target_x)
     return model
 
 
@@ -168,9 +167,9 @@ def _anchor_probs(bank: ParamStore, target_x: np.ndarray) -> np.ndarray:
 
 
 def config_accuracy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
-                    target_y: np.ndarray, head: str = "a", batch_size: int = 256) -> float:
+                    target_y: np.ndarray, head: str = "a") -> float:
     """Target accuracy of one width after AdaBN (evaluation paths only)."""
-    model = recalibrated(bank, config, target_x, batch_size=batch_size)
+    model = recalibrated(bank, config, target_x)
     return _accuracy(model.predict(target_x, head=head), target_y)
 
 
@@ -262,7 +261,7 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
 
 
 def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
-                            max_tries: int = 200, target_y: np.ndarray | None = None,
+                            target_y: np.ndarray | None = None,
                             head: str = "a") -> list[SearchStep]:
     """Walk the budget ladder from the slimmest configuration upward.
 
@@ -287,7 +286,7 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
         hi_f = min(hi_f, full)
         candidates: list[tuple[WidthConfig, bool]] = []
         tries = 0
-        while len(candidates) < plan.q and tries < max_tries * plan.q:
+        while len(candidates) < plan.q and tries < 200 * plan.q:  # 200 tries per candidate
             tries += 1
             grown = _grow_candidate(rng, arch, current, lo_f, hi_f)
             if grown is not None:

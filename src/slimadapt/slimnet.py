@@ -1,13 +1,14 @@
 """Width-slimmable fully connected networks over a shared parameter store.
 
-One full-width parameter bank holds every layer's weights, biases and BN
-affine parameters, plus three disjoint classifier heads: two task heads
+One full-width parameter bank holds every layer's weights and BN affine
+parameters, plus three disjoint classifier heads: two task heads
 ("s" and "t") that carry the domain-confusion training, and a deployment
 head ("a") that receives distilled knowledge.  A sub-model of any legal
 width is a *view*: each layer uses the leading in_width x out_width corner
 of the full weight matrix, and classifiers use the leading feature
 columns.  Gradients flow back through those slices, so everything outside
-a sub-model's region receives exactly zero.
+a sub-model's region receives exactly zero.  Linear layers carry no bias:
+the BN after each one subtracts the mean of the same rows, cancelling it.
 
 BN statistics are never stored during training (train mode always uses
 batch statistics).  Before a sub-model is evaluated it must be
@@ -134,8 +135,8 @@ class ParamStore:
     """The full-width shared parameter bank.
 
     Parameter names:
-      f.b{i}.l{j}.w / .b / .bn_g / .bn_b   extractor block i, layer j
-      c.{s|t|a}.w / .b                      classifier heads
+      f.b{i}.l{j}.w / .bn_g / .bn_b   extractor block i, layer j (no bias)
+      c.{s|t|a}.w / .b                 classifier heads
     The three classifier heads are separate tensors and share nothing.
     """
 
@@ -150,7 +151,6 @@ class ParamStore:
                 fan_in = prev if j == 0 else width
                 base = f"f.b{i}.l{j}"
                 self._add(f"{base}.w", rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)))
-                self._add(f"{base}.b", np.zeros(width))
                 self._add(f"{base}.bn_g", np.ones(width))
                 self._add(f"{base}.bn_b", np.zeros(width))
             prev = width
@@ -168,8 +168,8 @@ class ParamStore:
     def classifier_params(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.params.items() if k.startswith("c.")}
 
-    def slice(self, config: WidthConfig, bn: BnStats | None = None) -> "SlimModel":
-        return SlimModel(self, self.arch.make_config(config.widths), bn=bn)
+    def slice(self, config: WidthConfig) -> "SlimModel":
+        return SlimModel(self, self.arch.make_config(config.widths))
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
@@ -194,10 +194,10 @@ class SlimModel:
     evaluation.  Eval mode requires recalibrated BN statistics.
     """
 
-    def __init__(self, store: ParamStore, config: WidthConfig, bn: BnStats | None = None):
+    def __init__(self, store: ParamStore, config: WidthConfig):
         self.store = store
         self.config = config
-        self.bn = bn
+        self.bn: BnStats | None = None  # set by adabn_recalibrate
 
     @property
     def arch(self) -> Architecture:
@@ -206,10 +206,6 @@ class SlimModel:
     @property
     def feature_width(self) -> int:
         return self.config.widths[-1]
-
-    @property
-    def flops_ratio(self) -> float:
-        return self.config.flops / self.arch.full_config().flops
 
     @property
     def n_bn_layers(self) -> int:
@@ -226,14 +222,13 @@ class SlimModel:
         return param if param.shape == shape else ad.leading_slice(param, shape)
 
     def layers(self):
-        """(weight, bias, gamma, beta) of each Linear -> BN -> ReLU layer in
-        order, sliced to the active widths."""
+        """(weight, gamma, beta) of each Linear -> BN -> ReLU layer in order,
+        sliced to the active widths."""
         prev_w = self.arch.input_dim
         for i, w in enumerate(self.config.widths):
             for j in range(self.arch.layers_per_block):
                 base = f"f.b{i}.l{j}"
                 yield (self._sliced(f"{base}.w", (prev_w if j == 0 else w, w)),
-                       self._sliced(f"{base}.b", (w,)),
                        self._sliced(f"{base}.bn_g", (w,)),
                        self._sliced(f"{base}.bn_b", (w,)))
             prev_w = w
@@ -243,9 +238,9 @@ class SlimModel:
         h = self._input(x)
         if mode == "eval" and self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
-        for k, (weight, bias, gamma, beta) in enumerate(self.layers()):
+        for k, (weight, gamma, beta) in enumerate(self.layers()):
             layer_stats = self.bn.layer(k) if mode == "eval" else None
-            h = ad.batchnorm(h @ weight + bias, gamma, beta, mode=mode, stats=layer_stats,
+            h = ad.batchnorm(h @ weight, gamma, beta, mode=mode, stats=layer_stats,
                              eps=BN_EPS)
             h = ad.relu(h)
         return h
@@ -326,8 +321,8 @@ def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 
     with ad.no_grad():
         acts = [model._input(target_x[lo:lo + batch_size])
                 for lo in range(0, len(target_x), batch_size)]
-        for k, (weight, bias, gamma, beta) in enumerate(model.layers()):
-            acts = [h @ weight + bias for h in acts]
+        for k, (weight, gamma, beta) in enumerate(model.layers()):
+            acts = [h @ weight for h in acts]
             count, mean, m2 = 0, 0.0, 0.0
             for h in acts:
                 h = h.data

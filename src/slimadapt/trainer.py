@@ -200,8 +200,8 @@ def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
 
 
 def distillation_loss(model: SlimModel, target_t: np.ndarray, feats_t: Tensor,
-                      feats_s: Tensor, target_s: np.ndarray, route: str,
-                      head: str = "a") -> Tensor:
+                      feats_s: Tensor, target_s: np.ndarray,
+                      head: str = "a") -> tuple[Tensor, Tensor]:
     """Cross-entropy of one head's prediction against constant targets on
     both domains: `target_t` on target features plus `target_s` on source
     features.
@@ -209,18 +209,15 @@ def distillation_loss(model: SlimModel, target_t: np.ndarray, feats_t: Tensor,
     slimda distils the ensemble target and the one-hot source labels into
     the deployment head ("a"); inplaced distils the teacher's detached
     task predictions into each student's task heads (head="task").
-    route='heads' detaches the features so only the head learns;
-    route='extractor' freezes the head so only the features learn.
+    Returns (classifier_loss, extractor_loss): one value, routed to the head
+    only (detached features) and to the features only (frozen head).
     """
-    if route == "heads":
-        ft, fs, frozen = feats_t.detach(), feats_s.detach(), False
-    elif route == "extractor":
-        ft, fs, frozen = feats_t, feats_s, True
-    else:
-        raise UsageError(f"unknown route {route!r}")
-    p_t = model.probs(ft, head, frozen=frozen)
-    p_s = model.probs(fs, head, frozen=frozen)
-    return ad.cross_entropy(_log(p_t), target_t) + ad.cross_entropy(_log(p_s), target_s)
+    def routed(ft, fs, frozen):
+        p_t = model.probs(ft, head, frozen=frozen)
+        p_s = model.probs(fs, head, frozen=frozen)
+        return ad.cross_entropy(_log(p_t), target_t) + ad.cross_entropy(_log(p_s), target_s)
+
+    return routed(feats_t.detach(), feats_s.detach(), False), routed(feats_t, feats_s, True)
 
 
 def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float, mode: str,
@@ -276,8 +273,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     terms, parts, seed_vals = [], [], []
     for j, (mdl, (fs, ft)) in enumerate(zip(batch.models, feats)):
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
-        seed_cls = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="heads")
-        seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot, route="extractor")
+        seed_cls, seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot)
         terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
                   ("per_dc_ext", w_dc[j], dc.extractor_loss), ("per_seed_ext", w_seed[j], seed_ext)]
         parts.append(dc.parts)
@@ -325,9 +321,7 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     for mdl in batch.models[1:]:
         fs = mdl.features(xs, mode="train")
         ft = mdl.features(xt, mode="train")
-        d_cls = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="heads", head="task")
-        d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, route="extractor",
-                                  head="task")
+        d_cls, d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, head="task")
         terms += [("per_cls", 1.0 / m, d_cls), ("per_ext", 1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
     return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode,

@@ -161,10 +161,9 @@ def _standalone_logits(store: ParamStore, widths, x):
             in_w = prev if j == 0 else w
             base = f"f.b{i}.l{j}"
             weight = store[f"{base}.w"].data[:in_w, :w].copy()
-            bias = store[f"{base}.b"].data[:w].copy()
             gamma = store[f"{base}.bn_g"].data[:w].copy()
             beta = store[f"{base}.bn_b"].data[:w].copy()
-            h = h @ weight + bias
+            h = h @ weight
             h = gamma * (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + 1e-5) + beta
             h = np.maximum(h, 0.0)
         prev = w

@@ -7,10 +7,15 @@ interfaces and reproducibility, not model quality.
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slimadapt
 from slimadapt import cli, search
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
 from slimadapt.errors import NumericError
@@ -231,6 +236,76 @@ class TestSearchEvalCorrelate:
                              class_count=3)
         save_checkpoint(out / "checkpoint.json", init_bank(other, 0), 0, 0, "slimda")
         assert run([command, "--config", cfg_path]) == 2
+
+
+def run_process(args):
+    """The CLI in its own process, as a user runs it: (exit code, stderr)."""
+    src = str(Path(slimadapt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "slimadapt.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+def assert_config_error(code, err):
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestMalformedInput:
+    def test_undecodable_config_is_config_error(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"seed": 3, "dataset": {"kind": ')
+        assert_config_error(*run_process(["gen-data", "--config", p]))
+
+    def test_mistyped_config_field_is_named(self, tmp_path):
+        cfg = dict(copy.deepcopy(CONFIG), out_dir=str(tmp_path / "x"))
+        cfg["trainer"]["epochs"] = "two"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        code, err = run_process(["gen-data", "--config", p])
+        assert_config_error(code, err)
+        assert "trainer.epochs" in err
+
+    @pytest.fixture
+    def initialised(self, workdir):
+        """A generated dataset and an untrained checkpoint of the config's
+        architecture."""
+        cfg_path, out = workdir
+        assert run(["gen-data", "--config", cfg_path]) == 0
+        arch = cli.parse_experiment(json.loads(cfg_path.read_text())).arch
+        save_checkpoint(out / "checkpoint.json", init_bank(arch, 0), 0, 0, "slimda")
+        return cfg_path, out, arch
+
+    @pytest.mark.parametrize("name,command", [("checkpoint.json", "search"),
+                                              ("dataset.json", "train")])
+    def test_truncated_file_is_config_error(self, initialised, name, command):
+        cfg_path, out, _ = initialised
+        text = (out / name).read_text()
+        (out / name).write_text(text[: len(text) // 2])
+        assert_config_error(*run_process([command, "--config", cfg_path]))
+
+    def test_missing_config_file_is_io_error(self, tmp_path):
+        code, err = run_process(["gen-data", "--config", tmp_path / "absent.json"])
+        assert code == 4 and err.startswith("io error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["search", "eval"])
+    def test_checkpoint_with_linear_biases_is_refused(self, initialised, capsys, command):
+        """Linear layers carry no bias; a checkpoint that still holds the
+        f.b*.l*.b entries is a parameter-name mismatch that lists them."""
+        cfg_path, out, arch = initialised
+        doc = json.loads((out / "checkpoint.json").read_text())
+        biases = [f"f.b{i}.l0.b" for i in range(arch.n_blocks)]
+        for i, name in enumerate(biases):
+            doc["params"][name] = [0.0] * arch.block_max_widths[i]
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert "parameter name mismatch" in err
+        assert all(repr(name) in err for name in biases)
 
 
 # Two blocks [16, 32] at tolerance 0.05: every config sampled in the

@@ -1,0 +1,68 @@
+"""Exact JSON serialization: every finite float64 survives a write and a
+read bit for bit, and undecodable files are named config errors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from slimadapt import jsonio
+from slimadapt.checkpoint import load_checkpoint, save_checkpoint
+from slimadapt.errors import ConfigError
+from slimadapt.slimnet import Architecture
+from slimadapt.trainer import init_bank
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, 2.0 ** 53 + 2, 1e16, 0.1]
+
+FLOAT64 = st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+                              width=64),
+                    st.sampled_from(EDGE_VALUES))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8), elements=FLOAT64))
+def test_finite_float64_arrays_round_trip_bit_for_bit(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("jsonio") / "a.json"
+    jsonio.dump_exact({"a": arr}, path)
+    assert same_bits(jsonio.load(path)["a"], arr)
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    path = tmp_path / "z.json"
+    jsonio.dump_exact({"z": -0.0, "a": np.array([-0.0, 0.0])}, path)
+    doc = jsonio.load(path)
+    assert np.signbit(doc["z"]) and isinstance(doc["z"], float)
+    assert same_bits(doc["a"], [-0.0, 0.0])
+
+
+def test_checkpoint_round_trip_is_bit_identical(tmp_path):
+    arch = Architecture(input_dim=5, block_max_widths=(8, 12), layers_per_block=2, class_count=3)
+    bank = init_bank(arch, 4)
+    edges = np.array(EDGE_VALUES)
+    for p in bank.params.values():
+        flat = p.data.reshape(-1)
+        flat[: len(edges)] = edges[: len(flat)]
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, bank, seed=4, step=7, mode="inplaced")
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"seed": 4, "step": 7, "mode": "inplaced"}
+    assert loaded.arch == arch
+    assert set(loaded.params) == set(bank.params)
+    for name, p in bank.params.items():
+        assert same_bits(loaded[name].data, p.data), name
+
+
+@pytest.mark.parametrize("text", ['{"seed": 1, "out', "", "[1, 2]", '"text"', "\xff"])
+def test_undecodable_or_non_object_file_is_config_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError):
+        jsonio.load(path)
+

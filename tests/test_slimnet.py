@@ -43,10 +43,9 @@ def standalone_forward(store, widths, x, head="s"):
             in_w = prev if j == 0 else w
             base = f"f.b{i}.l{j}"
             weight = store[f"{base}.w"].data[:in_w, :w].copy()
-            bias = store[f"{base}.b"].data[:w].copy()
             gamma = store[f"{base}.bn_g"].data[:w].copy()
             beta = store[f"{base}.bn_b"].data[:w].copy()
-            h = h @ weight + bias
+            h = h @ weight
             mu, var = h.mean(axis=0), h.var(axis=0)
             h = gamma * (h - mu) / np.sqrt(var + 1e-5) + beta
             h = np.maximum(h, 0.0)
@@ -67,19 +66,19 @@ def quadratic_adabn(store, widths, x, batch_size):
         for j in range(arch.layers_per_block):
             in_w = prev if j == 0 else w
             base = f"f.b{i}.l{j}"
-            layers.append((store[f"{base}.w"].data[:in_w, :w], store[f"{base}.b"].data[:w],
-                           store[f"{base}.bn_g"].data[:w], store[f"{base}.bn_b"].data[:w]))
+            layers.append((store[f"{base}.w"].data[:in_w, :w], store[f"{base}.bn_g"].data[:w],
+                           store[f"{base}.bn_b"].data[:w]))
         prev = w
     means, variances = [], []
-    for weight, bias, _, _ in layers:
+    for weight, _, _ in layers:
         count, mean, m2 = 0, 0.0, 0.0
         for lo in range(0, len(x), batch_size):
             h = x[lo:lo + batch_size]
-            for (w_j, b_j, g_j, beta_j), mu, var in zip(layers, means, variances):
-                xhat = (h @ w_j + b_j - mu) * (1.0 / np.sqrt(var + BN_EPS))
+            for (w_j, g_j, beta_j), mu, var in zip(layers, means, variances):
+                xhat = (h @ w_j - mu) * (1.0 / np.sqrt(var + BN_EPS))
                 h = g_j * xhat + beta_j
                 h = np.where(h > 0, h, 0.0)
-            h = h @ weight + bias
+            h = h @ weight
             count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], h.mean(axis=0),
                                                h.var(axis=0) * h.shape[0])
         means.append(np.asarray(mean))
@@ -110,6 +109,18 @@ class TestConfigs:
     def test_classifier_heads_are_disjoint_tensors(self, store):
         ids = {id(store[f"c.{h}.w"]) for h in ("s", "t", "a")}
         assert len(ids) == 3
+
+    def test_slimmable_layer_is_weight_gamma_beta(self, store):
+        """BN cancels a pre-BN bias, so the Linear layers carry none."""
+        names = {f"f.b{i}.l{j}.{p}" for i in range(ARCH.n_blocks)
+                 for j in range(ARCH.layers_per_block) for p in ("w", "bn_g", "bn_b")}
+        assert {n for n in store.params if n.startswith("f.")} == names
+        model = store.slice(ARCH.make_config((8, 12)))
+        layers = list(model.layers())
+        assert len(layers) == ARCH.n_blocks * ARCH.layers_per_block
+        for k, (weight, gamma, beta) in enumerate(layers):
+            width = 8 if k < ARCH.layers_per_block else 12
+            assert weight.shape[1] == gamma.shape[0] == beta.shape[0] == width
 
 
 class TestSlicing:

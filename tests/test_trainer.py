@@ -191,12 +191,11 @@ class TestDistillationLoss:
         g_seed = np.random.default_rng(1).dirichlet(np.ones(3), size=len(xt))
         fs = model.features(xs, mode="train")
         ft = model.features(xt, mode="train")
-        base = distillation_loss(model, g_seed, ft, fs, one_hot(ys, 3), route="heads").item()
+        base = distillation_loss(model, g_seed, ft, fs, one_hot(ys, 3))[0].item()
         perm = np.random.default_rng(2).permutation(len(xt))
         fs2 = model.features(xs[perm], mode="train")
         ft2 = model.features(xt[perm], mode="train")
-        again = distillation_loss(model, g_seed[perm], ft2, fs2, one_hot(ys[perm], 3),
-                                  route="heads").item()
+        again = distillation_loss(model, g_seed[perm], ft2, fs2, one_hot(ys[perm], 3))[0].item()
         assert abs(base - again) < 1e-9
 
 
