@@ -118,12 +118,21 @@ def _widths_str(config) -> str:
     return "|".join(str(w) for w in config.widths)
 
 
+def _flag_values(text: str, kind, flag: str) -> tuple:
+    """The comma-separated values of `flag` read through `kind`; a value
+    `kind` rejects is a config error naming the flag."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _parse_widths(text: str) -> list[tuple[int, ...]]:
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            out.append(tuple(int(w) for w in chunk.split(",")))
+            out.append(_flag_values(chunk, int, "--widths"))
     if not out:
         raise ConfigError("--widths given but empty")
     return out
@@ -216,7 +225,7 @@ def cmd_search(args) -> int:
     plan = exp.plan
     if args.budgets:
         plan = SearchPlan(k=plan.k, q=plan.q, seed=plan.seed, tolerance=plan.tolerance,
-                          budget_ratios=tuple(float(b) for b in args.budgets.split(",")))
+                          budget_ratios=_flag_values(args.budgets, float, "--budgets"))
 
     if args.strategy == "greedy":
         steps = inherited_greedy_search(bank, plan, ds.xt, target_y=labels, head=head)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -66,6 +67,12 @@ class DomainDataset:
         self.spec = spec
         self.seed = int(seed)
         self._yt = None if yt_hidden is None else np.asarray(yt_hidden, dtype=np.int64)
+        if self.xs.ndim != 2 or self.xt.shape[1:] != self.xs.shape[1:]:
+            raise ConfigError(f"dataset xs {self.xs.shape} and xt {self.xt.shape} "
+                              f"are not (n, d) arrays of one d")
+        for name, y, x in (("ys", self.ys, self.xs), ("yt_hidden", self._yt, self.xt)):
+            if y is not None and y.shape != (len(x),):
+                raise ConfigError(f"dataset array {name} has shape {y.shape}, not ({len(x)},)")
 
     @property
     def d(self) -> int:
@@ -217,8 +224,9 @@ def load_dataset(path, evaluation: bool = False) -> DomainDataset:
     """Load a dataset file.  Unless `evaluation` is set, the hidden-label
     section is skipped entirely, so a training path cannot reach it."""
     doc = jsonio.load(path)
-    yt = doc.get("yt_hidden") if evaluation else None
-    return DomainDataset(field(doc, "xs", list), field(doc, "ys", list), field(doc, "xt", list),
+    floats, ints = partial(np.asarray, dtype=np.float64), partial(np.asarray, dtype=np.int64)
+    yt = field(doc, "yt_hidden", ints) if evaluation and "yt_hidden" in doc else None
+    return DomainDataset(field(doc, "xs", floats), field(doc, "ys", ints), field(doc, "xt", floats),
                          field(doc, "K", int), field(doc, "spec", lambda v: ShiftSpec(**v)),
                          field(doc, "seed", int), yt_hidden=yt)
 

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .errors import SearchError, UsageError
-from .slimnet import Architecture, ParamStore, SlimModel, WidthConfig, adabn_recalibrate
+from .slimnet import (Architecture, ParamStore, SlimModel, WidthConfig, adabn_recalibrate,
+                      flops_per_sample, flops_step)
 
 __all__ = [
     "DiscrepancyScore",
@@ -131,12 +132,11 @@ def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == np.asarray(target_y)).mean())
 
 
-def discrepancy_between(candidate: SlimModel, anchor_probs: np.ndarray,
-                        target_x: np.ndarray) -> float:
-    """Squared output distance to the anchor's predictions, per sample."""
-    if candidate.bn is None:
-        raise UsageError("candidate must be AdaBN-recalibrated before scoring")
-    return _squared_distance(candidate.predict(target_x, head="a"), anchor_probs)
+def discrepancy_between(candidate: SlimModel, anchor_probs: np.ndarray) -> float:
+    """Squared output distance to the anchor's predictions, per sample,
+    on the target set the candidate was recalibrated on (a UsageError
+    before recalibration)."""
+    return _squared_distance(candidate.calibrated_probs("a"), anchor_probs)
 
 
 def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
@@ -144,7 +144,8 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
                        target_y: np.ndarray | None = None, head: str = "a") -> DiscrepancyScore:
     """Score one configuration against the full-width anchor.
 
-    Both the candidate and the anchor are recalibrated on `target_x`; pass
+    Both the candidate and the anchor are recalibrated on `target_x`, and
+    their predictions come from that recalibration pass; pass
     `anchor_probs` to reuse the anchor's predictions across many calls.
     With `target_y` (evaluation only), the score also carries the
     config's accuracy under `head`, read from the same recalibration.
@@ -152,10 +153,10 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
     candidate = recalibrated(bank, config, target_x)
-    probs = candidate.predict(target_x, head="a")
+    probs = candidate.calibrated_probs("a")
     accuracy = None
     if target_y is not None:
-        head_probs = probs if head == "a" else candidate.predict(target_x, head=head)
+        head_probs = probs if head == "a" else candidate.calibrated_probs(head)
         accuracy = _accuracy(head_probs, target_y)
     return DiscrepancyScore(config=config, delta=_squared_distance(probs, anchor_probs),
                             flops_ratio=config.flops / bank.arch.full_config().flops,
@@ -163,7 +164,7 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
 
 
 def _anchor_probs(bank: ParamStore, target_x: np.ndarray) -> np.ndarray:
-    return recalibrated(bank, bank.arch.full_config(), target_x).predict(target_x, head="a")
+    return recalibrated(bank, bank.arch.full_config(), target_x).calibrated_probs("a")
 
 
 def config_accuracy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
@@ -196,8 +197,9 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
     """A random legal config whose FLOPs land within ±tolerance of budget.
 
     Starts from a uniform random config and walks single-channel steps on
-    random blocks toward the budget; channel granularity is 1, so any
-    reachable band of this relative width is hit quickly.
+    random blocks toward the budget, tracking FLOPs step by step; channel
+    granularity is 1, so any reachable band of this relative width is hit
+    quickly.
     """
     lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
     lows, highs = arch.min_widths(), arch.block_max_widths
@@ -205,20 +207,19 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
         raise SearchError(f"budget {budget:.1f} outside the reachable FLOPs range")
     for _ in range(max_tries):
         widths = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(lows, highs)]
+        flops = flops_per_sample(arch, widths)
         for _ in range(4 * sum(highs)):
-            flops = arch.make_config(widths).flops
             if lo_f <= flops <= hi_f:
                 return arch.make_config(widths)
             if flops < lo_f:
-                grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
-                if not grow:
-                    break
-                widths[int(rng.choice(grow))] += 1
+                step, movable = 1, [b for b in range(len(widths)) if widths[b] < highs[b]]
             else:
-                shrink = [b for b in range(len(widths)) if widths[b] > lows[b]]
-                if not shrink:
-                    break
-                widths[int(rng.choice(shrink))] -= 1
+                step, movable = -1, [b for b in range(len(widths)) if widths[b] > lows[b]]
+            if not movable:
+                break
+            b = int(rng.choice(movable))
+            flops += flops_step(arch, widths, b, step)
+            widths[b] += step
     raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
 
 
@@ -246,10 +247,9 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
     """Widen `base` by single channels on random blocks until its FLOPs
     reach [lo_f, hi_f]; returns (config, saturated), or None when a step
     overshoots hi_f (the caller retries)."""
-    widths = list(base.widths)
+    widths, flops = list(base.widths), base.flops
     highs = arch.block_max_widths
     while True:
-        flops = arch.make_config(widths).flops
         if flops > hi_f:
             return None
         if flops >= lo_f:
@@ -257,7 +257,9 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
         grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
         if not grow:
             return arch.make_config(widths), True  # every block at its max
-        widths[int(rng.choice(grow))] += 1
+        b = int(rng.choice(grow))
+        flops += flops_step(arch, widths, b, 1)
+        widths[b] += 1
 
 
 def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
@@ -296,12 +298,11 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
         best = None  # (delta, config, saturated, model) of the first lowest delta
         for cfg, saturated in candidates:
             model = recalibrated(bank, cfg, target_x)
-            delta = discrepancy_between(model, anchor_probs, target_x)
+            delta = discrepancy_between(model, anchor_probs)
             if best is None or delta < best[0]:
                 best = (delta, cfg, saturated, model)
         delta, current, saturated, model = best
-        accuracy = None if target_y is None else _accuracy(model.predict(target_x, head=head),
-                                                             target_y)
+        accuracy = None if target_y is None else _accuracy(model.calibrated_probs(head), target_y)
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
                                 saturated=saturated, accuracy=accuracy))
     return steps

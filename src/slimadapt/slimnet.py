@@ -15,8 +15,12 @@ batch statistics).  Before a sub-model is evaluated it must be
 recalibrated on target data: `adabn_recalibrate` recomputes exact
 population statistics in one pass of L layer forwards (L = BN layers),
 carrying each batch's activations from layer to layer, which makes
-evaluation independent of sample order and batching.  `features` and the
-recalibration pass walk the same sliced layers (`SlimModel.layers`).
+evaluation independent of sample order and batching.  The pass keeps the
+target set's final features, so `SlimModel.calibrated_probs` reads any
+head's target predictions without a second forward; they equal
+`predict(target_x)` bit for bit, since both run the same ops on the same
+256-row batches.  `features` and the recalibration pass walk the same
+sliced layers (`SlimModel.layers`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "ParamStore",
     "SlimModel",
     "flops_per_sample",
+    "flops_step",
     "adabn_recalibrate",
 ]
 
@@ -119,6 +124,17 @@ def flops_per_sample(arch: Architecture, widths) -> float:
     return float(total)
 
 
+def flops_step(arch: Architecture, widths, block: int, step: int) -> int:
+    """Exact change of `flops_per_sample` when block `block` of `widths`
+    gains (step = +1) or loses (step = -1) one channel: its first layer's
+    input side, its inner layers' square terms and the next block's (or
+    the deployment head's) input side."""
+    w = widths[block]
+    in_w = arch.input_dim if block == 0 else widths[block - 1]
+    next_w = widths[block + 1] if block + 1 < len(widths) else arch.class_count
+    return step * (2 * in_w + (arch.layers_per_block - 1) * 2 * (2 * w + step) + 2 * next_w)
+
+
 @dataclass
 class BnStats:
     """Per-BN-layer running statistics at one sub-model's active widths."""
@@ -179,7 +195,10 @@ class ParamStore:
             missing = set(self.params) ^ set(arrays)
             raise ConfigError(f"parameter name mismatch: {sorted(missing)}")
         for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            try:
+                arr = np.asarray(arr, dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"parameter {name!r} is not a numeric array: {exc}") from exc
             if arr.shape != self.params[name].shape:
                 raise ConfigError(
                     f"shape mismatch for {name!r}: {arr.shape} != {self.params[name].shape}"
@@ -198,6 +217,7 @@ class SlimModel:
         self.store = store
         self.config = config
         self.bn: BnStats | None = None  # set by adabn_recalibrate
+        self._calibrated: list[Tensor] | None = None  # its final features, one per batch
 
     @property
     def arch(self) -> Architecture:
@@ -206,10 +226,6 @@ class SlimModel:
     @property
     def feature_width(self) -> int:
         return self.config.widths[-1]
-
-    @property
-    def n_bn_layers(self) -> int:
-        return self.arch.n_blocks * self.arch.layers_per_block
 
     def _input(self, x) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -278,7 +294,15 @@ class SlimModel:
             return (self.probs(feats, "s", frozen) + self.probs(feats, "t", frozen)) * 0.5
         raise ConfigError(f"unknown head {head!r}")
 
-    def predict(self, x: np.ndarray, head: str = "a", batch_size: int = 512) -> np.ndarray:
+    def calibrated_probs(self, head: str) -> np.ndarray:
+        """`head`'s probabilities on the recalibration's target set, read
+        from the features that `adabn_recalibrate` kept (no forward)."""
+        if self._calibrated is None:
+            raise UsageError("calibrated_probs needs AdaBN recalibration first")
+        with ad.no_grad():
+            return np.concatenate([self.probs(h, head).data for h in self._calibrated], axis=0)
+
+    def predict(self, x: np.ndarray, head: str = "a", batch_size: int = 256) -> np.ndarray:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
         if self.bn is None:
             raise UsageError("predict needs AdaBN recalibration first")
@@ -311,13 +335,14 @@ def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 
     then normalised with them (eval mode) before it enters layer k+1.
     The result is deterministic, idempotent, and (up to float summation
     order) independent of sample order and batch size.  Stores the stats
-    on the model and returns them.
+    on the model and returns them.  The last layer is normalised and
+    ReLU'd too, and the model keeps those per-batch features for
+    `calibrated_probs`.
     """
     target_x = np.asarray(target_x, dtype=np.float64)
     if target_x.ndim != 2 or target_x.shape[0] < 2:
         raise UsageError("AdaBN recalibration needs at least 2 target samples")
     stats = BnStats(means=[], variances=[], count=target_x.shape[0])
-    last = model.n_bn_layers - 1
     with ad.no_grad():
         acts = [model._input(target_x[lo:lo + batch_size])
                 for lo in range(0, len(target_x), batch_size)]
@@ -331,8 +356,7 @@ def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 
                 count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], b_mean, b_m2)
             stats.means.append(np.asarray(mean))
             stats.variances.append(np.maximum(np.asarray(m2) / count, 0.0))
-            if k < last:
-                acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=stats.layer(k),
-                                             eps=BN_EPS)) for h in acts]
-    model.bn = stats
+            acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=stats.layer(k),
+                                         eps=BN_EPS)) for h in acts]
+    model.bn, model._calibrated = stats, acts
     return stats

@@ -19,7 +19,7 @@ import slimadapt
 from slimadapt import cli, search
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
 from slimadapt.errors import NumericError
-from slimadapt.slimnet import Architecture
+from slimadapt.slimnet import Architecture, SlimModel
 from slimadapt.trainer import init_bank
 
 CONFIG = {
@@ -217,13 +217,18 @@ class TestSearchEvalCorrelate:
     ])
     def test_labelled_scoring_recalibrates_once_per_config(self, trained, monkeypatch, argv,
                                                            per_band):
+        """Each score and accuracy is read from its config's one AdaBN pass,
+        so no command runs a second forward through `SlimModel.predict`."""
         cfg_path, _ = trained
-        calls = []
-        original = search.adabn_recalibrate
+        calls, predicts = [], []
+        original, predict = search.adabn_recalibrate, SlimModel.predict
         monkeypatch.setattr(search, "adabn_recalibrate",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
+        monkeypatch.setattr(SlimModel, "predict",
+                            lambda *a, **k: predicts.append(1) or predict(*a, **k))
         assert run(argv + ["--config", cfg_path]) == 0
         assert len(calls) == CONFIG["search"]["k"] * per_band + 1  # configs plus the anchor
+        assert predicts == []
 
     def test_correlate_rejects_n_below_one(self, trained):
         cfg_path, _ = trained
@@ -286,6 +291,45 @@ class TestMalformedInput:
         text = (out / name).read_text()
         (out / name).write_text(text[: len(text) // 2])
         assert_config_error(*run_process([command, "--config", cfg_path]))
+
+    @pytest.mark.parametrize("argv,flag", [(["search", "--budgets", "0.5,x"], "--budgets"),
+                                           (["eval", "--widths", "8,a"], "--widths")])
+    def test_non_numeric_flag_value_is_config_error(self, initialised, argv, flag):
+        cfg_path, _, _ = initialised
+        code, err = run_process(argv + ["--config", cfg_path])
+        assert_config_error(code, err)
+        assert flag in err
+
+    def test_non_numeric_checkpoint_array_is_config_error(self, initialised):
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["params"]["c.a.b"] = ["x", "x", "x"]
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        code, err = run_process(["search", "--config", cfg_path])
+        assert_config_error(code, err)
+        assert "'c.a.b'" in err
+
+    @pytest.mark.parametrize("name,row", [("xs", [0.5, "x", 0.5, 0.5, 0.5, 0.5]),  # non-numeric
+                                          ("xt", [0.5, 0.5]),                      # ragged
+                                          ("ys", "x")])
+    def test_malformed_dataset_array_is_config_error(self, initialised, name, row):
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "dataset.json").read_text())
+        doc[name][1] = row
+        (out / "dataset.json").write_text(json.dumps(doc))
+        code, err = run_process(["train", "--config", cfg_path])
+        assert_config_error(code, err)
+        assert f"field {name}" in err
+
+    @pytest.mark.parametrize("name", ["ys", "xt"])
+    def test_dataset_array_of_wrong_shape_is_config_error(self, initialised, name):
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "dataset.json").read_text())
+        doc[name] = doc[name][:-10] if name == "ys" else [row[:-1] for row in doc[name]]
+        (out / "dataset.json").write_text(json.dumps(doc))
+        code, err = run_process(["train", "--config", cfg_path])
+        assert_config_error(code, err)
+        assert "dataset" in err
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, err = run_process(["gen-data", "--config", tmp_path / "absent.json"])

@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimadapt import search
 from slimadapt.datasets import ShiftSpec, make_dataset
@@ -29,7 +31,7 @@ from slimadapt.search import (
     sample_config_at_budget,
     sample_configs_spanning,
 )
-from slimadapt.slimnet import Architecture
+from slimadapt.slimnet import Architecture, SlimModel
 from slimadapt.trainer import TrainerConfig, init_bank, train
 
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
@@ -61,10 +63,10 @@ class TestDiscrepancy:
         bank, ds = trained
         a = recalibrated(bank, ARCH.make_config((8, 12)), ds.xt)
         b_probs = recalibrated(bank, ARCH.make_config((12, 20)), ds.xt).predict(ds.xt, head="a")
-        d1 = discrepancy_between(a, b_probs, ds.xt)
+        d1 = discrepancy_between(a, b_probs)
         a_probs = a.predict(ds.xt, head="a")
         b = recalibrated(bank, ARCH.make_config((12, 20)), ds.xt)
-        d2 = discrepancy_between(b, a_probs, ds.xt)
+        d2 = discrepancy_between(b, a_probs)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_invariant_to_target_order(self, trained):
@@ -79,7 +81,7 @@ class TestDiscrepancy:
         bank, ds = trained
         model = bank.slice(ARCH.make_config((8, 12)))
         with pytest.raises(UsageError):
-            discrepancy_between(model, np.zeros((len(ds.xt), 3)), ds.xt)
+            discrepancy_between(model, np.zeros((len(ds.xt), 3)))
 
 
 class TestBudgetSampling:
@@ -105,6 +107,22 @@ class TestBudgetSampling:
         with pytest.raises(SearchError):
             sample_config_at_budget(rng, ARCH, ARCH.smallest_config().flops * 0.5,
                                     tolerance=0.02)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), layers_per_block=st.integers(1, 3),
+           maxes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           ratio=st.floats(0.0, 1.1), tolerance=st.floats(0.001, 0.2))
+    def test_lands_in_band_or_raises(self, seed, layers_per_block, maxes, ratio, tolerance):
+        arch = Architecture(input_dim=5, block_max_widths=tuple(maxes),
+                            layers_per_block=layers_per_block, class_count=3)
+        budget = ratio * arch.full_config().flops
+        try:
+            cfg = sample_config_at_budget(np.random.default_rng(seed), arch, budget,
+                                          tolerance=tolerance, max_tries=10)
+        except SearchError:
+            return
+        assert budget * (1 - tolerance) <= cfg.flops <= budget * (1 + tolerance)
+        assert cfg == arch.make_config(cfg.widths)
 
     def test_linear_ladder_endpoints(self):
         budgets = linear_budget_ladder(ARCH, 6)
@@ -182,6 +200,41 @@ class TestGreedy:
             SearchPlan(budget_ratios=(0.5, 0.5)).budgets(ARCH)
         with pytest.raises(UsageError):
             SearchPlan(budget_ratios=(0.5, 1.5)).budgets(ARCH)
+
+
+class TestScoringPasses:
+    """Scores and accuracies come from each config's own recalibration
+    pass: no second forward through `SlimModel.predict`, and one AdaBN
+    pass per scored config plus one for the anchor."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"predict": [], "adabn": []}
+        predict, adabn = SlimModel.predict, search.adabn_recalibrate
+        monkeypatch.setattr(SlimModel, "predict",
+                            lambda *a, **k: calls["predict"].append(1) or predict(*a, **k))
+        monkeypatch.setattr(search, "adabn_recalibrate",
+                            lambda *a, **k: calls["adabn"].append(1) or adabn(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_greedy_ladder(self, trained, counted, labelled):
+        bank, ds = trained
+        plan = SearchPlan(k=3, q=4, seed=0, tolerance=0.05)
+        yt = ds.target_labels(evaluation=True) if labelled else None
+        steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
+        assert len(steps) == plan.k
+        assert len(counted["predict"]) == 0
+        assert len(counted["adabn"]) == plan.k * plan.q + 1
+
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_anchor_discrepancy(self, trained, counted, head):
+        bank, ds = trained
+        score = anchor_discrepancy(bank, ARCH.make_config((8, 12)), ds.xt,
+                                   target_y=ds.target_labels(evaluation=True), head=head)
+        assert score.accuracy is not None
+        assert len(counted["predict"]) == 0
+        assert len(counted["adabn"]) == 2
 
 
 class TestCorrelationTools:

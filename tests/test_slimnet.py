@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
@@ -22,6 +22,7 @@ from slimadapt.slimnet import (
     _combine_moments,
     adabn_recalibrate,
     flops_per_sample,
+    flops_step,
 )
 
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=2, class_count=3)
@@ -243,6 +244,23 @@ class TestFlops:
             widths[b] += 1
             assert ARCH.make_config(widths).flops > base.flops
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_channel_step_is_the_flops_difference(self, data):
+        maxes = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))
+        arch = Architecture(input_dim=data.draw(st.integers(1, 32)),
+                            block_max_widths=tuple(maxes),
+                            layers_per_block=data.draw(st.integers(1, 3)),
+                            class_count=data.draw(st.integers(2, 10)))
+        widths = [data.draw(st.integers(lo, hi)) for lo, hi in zip(arch.min_widths(), maxes)]
+        block = data.draw(st.integers(0, len(maxes) - 1))
+        step = data.draw(st.sampled_from([1, -1]))
+        after = list(widths)
+        after[block] += step
+        assume(arch.min_widths()[block] <= after[block] <= maxes[block])
+        want = flops_per_sample(arch, after) - flops_per_sample(arch, widths)
+        assert flops_step(arch, widths, block, step) == want
+
 
 class TestAdaBN:
     def test_single_batch_consistency_with_train_forward(self, store):
@@ -330,6 +348,24 @@ class TestAdaBN:
                                 batch_size=batch_size)
         for a, b in zip(ref.means + ref.variances, got.means + got.variances):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("head", ["a", "st", "task"])
+    @pytest.mark.parametrize("layers_per_block", [1, 2])
+    @pytest.mark.parametrize("widths", [(16, 24), (5, 9)])
+    @pytest.mark.parametrize("n", [512, 300])
+    def test_calibrated_probs_equal_predict_bit_for_bit(self, head, layers_per_block, widths, n):
+        arch = Architecture(input_dim=6, block_max_widths=(16, 24),
+                            layers_per_block=layers_per_block, class_count=3)
+        store = ParamStore(arch, np.random.default_rng(layers_per_block))
+        x = np.random.default_rng(15).normal(size=(n, arch.input_dim)) * 2.0 + 0.3
+        model = store.slice(arch.make_config(widths))
+        adabn_recalibrate(model, x)
+        np.testing.assert_array_equal(model.calibrated_probs(head),
+                                      model.predict(x, head=head, batch_size=256))
+
+    def test_calibrated_probs_need_recalibration(self, store):
+        with pytest.raises(UsageError):
+            store.slice(ARCH.make_config((8, 12))).calibrated_probs("a")
 
     def test_predict_shape_and_normalization(self, store):
         rng = np.random.default_rng(13)
