@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
     ckpt_tmp = exp.out_dir / (CHECKPOINT_FILE + ".tmp")
     try:
         log = train(bank, ds, exp.trainer, eval_labels=labels)
-        steps = exp.trainer.epochs * max(1, -(-max(ds.n_s, ds.n_t) // exp.trainer.batch_size))
+        steps = sum(row["steps"] for row in log)
         save_checkpoint(ckpt_tmp, bank, exp.seed, steps, exp.trainer.mode)
         os.replace(ckpt_tmp, exp.out_dir / CHECKPOINT_FILE)
     finally:
@@ -221,6 +221,8 @@ def _random_bands(exp: Experiment, plan: SearchPlan, bank, ds, n: int, labels, h
 
 def cmd_search(args) -> int:
     exp = _load_experiment(args)
+    if args.strategy == "random" and exp.n_random < 1:
+        raise ConfigError(f"search.n_random must be at least 1, got {exp.n_random}")
     bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
     plan = exp.plan
     if args.budgets:

@@ -185,7 +185,8 @@ def batches(dataset: DomainDataset, batch_size: int, rng: np.random.Generator):
 
     The epoch has ceil(max(n_s, n_t) / batch_size) batches; the smaller
     domain wraps around its shuffled order so both domains are fully
-    covered every epoch.
+    covered every epoch.  A lone last row joins the batch before it
+    (train-mode BN needs two rows), which leaves one batch fewer.
     """
     if batch_size < 2:
         raise UsageError("batch_size must be >= 2")
@@ -196,8 +197,11 @@ def batches(dataset: DomainDataset, batch_size: int, rng: np.random.Generator):
     longest = max(dataset.n_s, dataset.n_t)
     perm_s = rng.permutation(dataset.n_s)
     perm_t = rng.permutation(dataset.n_t)
-    for lo in range(0, longest, batch_size):
-        sel = np.arange(lo, min(lo + batch_size, longest))
+    bounds = list(range(0, longest, batch_size)) + [longest]
+    if bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        sel = np.arange(lo, hi)
         idx_s = perm_s[sel % dataset.n_s]
         idx_t = perm_t[sel % dataset.n_t]
         yield dataset.xs[idx_s], dataset.ys[idx_s], dataset.xt[idx_t]

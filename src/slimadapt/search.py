@@ -11,6 +11,13 @@ Search strategies: random sampling inside a FLOPs band, and an inherited
 greedy ladder that walks from the slimmest configuration to the full one,
 at each budget widening the previous winner by randomly distributed
 channel increments and keeping the lowest-discrepancy candidate.
+
+Every scored config is recalibrated once, and its score (and accuracy,
+with labels) is read from that calibration.  A rung's candidates all grow
+from one winner and share long width prefixes, so the ladder calibrates
+them in one shared `adabn_pass` per rung.  Random search and `correlate`
+sample unrelated configs, which share only the input layer; they
+recalibrate config by config.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .errors import SearchError, UsageError
-from .slimnet import (Architecture, ParamStore, SlimModel, WidthConfig, adabn_recalibrate,
-                      flops_per_sample, flops_step)
+from .slimnet import (Architecture, ParamStore, SlimModel, WidthConfig, adabn_pass,
+                      adabn_recalibrate, flops_per_sample, flops_step)
 
 __all__ = [
     "DiscrepancyScore",
@@ -231,6 +238,8 @@ def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
     """Sample n configs inside the budget band, return the lowest-score one
     together with the whole score list (with accuracies when `target_y`
     is given, as in `anchor_discrepancy`)."""
+    if n < 1:
+        raise UsageError(f"random search needs n >= 1 configs, got {n}")
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
     scores = []
@@ -269,8 +278,9 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
 
     At each budget, q candidates are grown out of the previous winner by
     adding channels to random blocks until the budget band is reached;
-    the lowest-discrepancy candidate wins and seeds the next budget, so
-    winners are blockwise non-decreasing along the ladder.  With
+    one shared AdaBN pass calibrates them all, and the lowest-discrepancy
+    candidate (the first grown on a tie) wins and seeds the next budget,
+    so winners are blockwise non-decreasing along the ladder.  With
     `target_y` (evaluation only), each step also carries its winner's
     accuracy under `head`, read from the model the ladder recalibrated;
     selection never reads the labels.
@@ -295,13 +305,13 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
                 candidates.append(grown)
         if not candidates:
             raise SearchError(f"could not grow candidates into budget ratio {ratio:.4f}")
-        best = None  # (delta, config, saturated, model) of the first lowest delta
-        for cfg, saturated in candidates:
-            model = recalibrated(bank, cfg, target_x)
+        best = None  # (delta, index, model) of the first candidate with the lowest delta
+        for i, model in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x):
             delta = discrepancy_between(model, anchor_probs)
-            if best is None or delta < best[0]:
-                best = (delta, cfg, saturated, model)
-        delta, current, saturated, model = best
+            if best is None or (delta, i) < best[:2]:
+                best = (delta, i, model)
+        delta, i, model = best
+        current, saturated = candidates[i]
         accuracy = None if target_y is None else _accuracy(model.calibrated_probs(head), target_y)
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
                                 saturated=saturated, accuracy=accuracy))

@@ -12,15 +12,19 @@ the BN after each one subtracts the mean of the same rows, cancelling it.
 
 BN statistics are never stored during training (train mode always uses
 batch statistics).  Before a sub-model is evaluated it must be
-recalibrated on target data: `adabn_recalibrate` recomputes exact
-population statistics in one pass of L layer forwards (L = BN layers),
-carrying each batch's activations from layer to layer, which makes
-evaluation independent of sample order and batching.  The pass keeps the
-target set's final features, so `SlimModel.calibrated_probs` reads any
-head's target predictions without a second forward; they equal
-`predict(target_x)` bit for bit, since both run the same ops on the same
-256-row batches.  `features` and the recalibration pass walk the same
-sliced layers (`SlimModel.layers`).
+recalibrated on target data: `adabn_pass` recomputes exact population
+statistics for a list of configs, carrying each batch's activations from
+layer to layer, which makes evaluation independent of sample order and
+batching.  BN is per channel, so a layer's channels depend only on the
+widths of the layers before it: the pass walks the configs' width
+prefixes depth first, runs each distinct prefix's layer once at the
+widest width a config below it needs, and gives each config the leading
+columns.  `adabn_recalibrate` is its one-config case (L layer forwards
+for L BN layers, no slicing).  Each recalibrated model keeps the target
+set's final features, so `SlimModel.calibrated_probs` reads any head's
+target predictions without a second forward; after `adabn_recalibrate`
+they equal `predict(target_x)` bit for bit, since both run the same ops
+on the same 256-row batches.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "SlimModel",
     "flops_per_sample",
     "flops_step",
+    "adabn_pass",
     "adabn_recalibrate",
 ]
 
@@ -206,6 +211,18 @@ class ParamStore:
             self.params[name] = Tensor(arr, requires_grad=True, name=name)
 
 
+def _checked_input(arch: Architecture, x) -> Tensor:
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ConfigError(f"input shape {x.shape} != (n, {arch.input_dim})")
+    return x
+
+
+def _leading(param: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """`param`'s leading corner of `shape` (itself when it has that shape)."""
+    return param if param.shape == shape else ad.leading_slice(param, shape)
+
+
 class SlimModel:
     """A width-configured view of the parameter store.
 
@@ -227,31 +244,21 @@ class SlimModel:
     def feature_width(self) -> int:
         return self.config.widths[-1]
 
-    def _input(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ConfigError(f"input shape {x.shape} != (n, {self.arch.input_dim})")
-        return x
-
-    def _sliced(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        param = self.store[name]
-        return param if param.shape == shape else ad.leading_slice(param, shape)
-
     def layers(self):
         """(weight, gamma, beta) of each Linear -> BN -> ReLU layer in order,
         sliced to the active widths."""
-        prev_w = self.arch.input_dim
+        store, prev_w = self.store, self.arch.input_dim
         for i, w in enumerate(self.config.widths):
             for j in range(self.arch.layers_per_block):
                 base = f"f.b{i}.l{j}"
-                yield (self._sliced(f"{base}.w", (prev_w if j == 0 else w, w)),
-                       self._sliced(f"{base}.bn_g", (w,)),
-                       self._sliced(f"{base}.bn_b", (w,)))
+                yield (_leading(store[f"{base}.w"], (prev_w if j == 0 else w, w)),
+                       _leading(store[f"{base}.bn_g"], (w,)),
+                       _leading(store[f"{base}.bn_b"], (w,)))
             prev_w = w
 
     def features(self, x, mode: str = "train") -> Tensor:
         """Per-block Linear -> BN -> ReLU chain at the active widths."""
-        h = self._input(x)
+        h = _checked_input(self.arch, x)
         if mode == "eval" and self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
         for k, (weight, gamma, beta) in enumerate(self.layers()):
@@ -325,38 +332,90 @@ def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):
     return total, mean, m2
 
 
-def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 256) -> BnStats:
-    """Recompute BN statistics for this width on target data.
+def _moments(acts: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and variance per column over every batch of `acts`,
+    merged batch by batch."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for h in acts:
+        h = h.data
+        b_mean = h.mean(axis=0)
+        b_m2 = h.var(axis=0) * h.shape[0]
+        count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], b_mean, b_m2)
+    return np.asarray(mean), np.maximum(np.asarray(m2) / count, 0.0)
 
-    One pass of L layer forwards: the target set is split into batches,
-    and each batch's activations are carried from layer to layer.  The
-    statistics of BN layer k are the exact population moments of its
-    input over the whole dataset, merged batch by batch; each batch is
-    then normalised with them (eval mode) before it enters layer k+1.
-    The result is deterministic, idempotent, and (up to float summation
-    order) independent of sample order and batch size.  Stores the stats
-    on the model and returns them.  The last layer is normalised and
-    ReLU'd too, and the model keeps those per-batch features for
-    `calibrated_probs`.
+
+def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
+             members: list[int], acts: list[Tensor], path: list, k: int):
+    """Layer k of every config in `members`, which share the widths of
+    layers 0..k-1 and so the per-batch input `acts`.  The layer runs once
+    at the widest width a member needs; each member takes its leading
+    columns.  Yields (member, [(mean, var) per layer], final features)."""
+    width, base = max(layer_widths[i][k] for i in members), names[k]
+    with ad.no_grad():  # not held across a yield, where the caller runs
+        weight = _leading(store[f"{base}.w"], (acts[0].shape[1], width))
+        gamma = _leading(store[f"{base}.bn_g"], (width,))
+        beta = _leading(store[f"{base}.bn_b"], (width,))
+        acts = [h @ weight for h in acts]
+        mean, var = _moments(acts)
+        acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=(mean, var),
+                                     eps=BN_EPS)) for h in acts]
+    groups: dict[int, list[int]] = {}
+    for i in members:
+        groups.setdefault(layer_widths[i][k], []).append(i)
+    for w, group in groups.items():
+        child = acts if w == width else [ad.slice_cols(h, 0, w) for h in acts]
+        child_path = path + [(mean[:w], var[:w])]
+        if k + 1 == len(names):
+            for i in group:
+                yield i, child_path, child
+        else:
+            yield from _descend(store, names, layer_widths, group, child, child_path, k + 1)
+
+
+def adabn_pass(store: ParamStore, configs, target_x: np.ndarray, batch_size: int = 256):
+    """Recalibrate the BN statistics of every config in `configs` on
+    target data, yielding (index into configs, recalibrated SlimModel)
+    one model at a time.
+
+    The target set is split into batches, and each batch's activations
+    are carried from layer to layer.  The statistics of BN layer k are the
+    exact population moments of its input over the whole dataset, merged
+    batch by batch; each batch is then normalised with them (eval mode)
+    before it enters layer k+1.  The result is deterministic, idempotent,
+    and (up to float summation order) independent of sample order and
+    batch size.  The last layer is normalised and ReLU'd too, and each
+    model keeps those per-batch features for `calibrated_probs`.
+
+    BN is per channel, so a layer's channels depend only on the widths of
+    the layers before it.  Configs are walked as a prefix tree, depth
+    first: each distinct width prefix runs its layer once, at the widest
+    width a config below it needs, and each config takes its leading
+    columns.  Only one root-to-leaf path of activations is live at a
+    time.  A lone config is never sliced: its pass is L layer forwards at
+    its own widths.
     """
     target_x = np.asarray(target_x, dtype=np.float64)
     if target_x.ndim != 2 or target_x.shape[0] < 2:
         raise UsageError("AdaBN recalibration needs at least 2 target samples")
-    stats = BnStats(means=[], variances=[], count=target_x.shape[0])
-    with ad.no_grad():
-        acts = [model._input(target_x[lo:lo + batch_size])
-                for lo in range(0, len(target_x), batch_size)]
-        for k, (weight, gamma, beta) in enumerate(model.layers()):
-            acts = [h @ weight for h in acts]
-            count, mean, m2 = 0, 0.0, 0.0
-            for h in acts:
-                h = h.data
-                b_mean = h.mean(axis=0)
-                b_m2 = h.var(axis=0) * h.shape[0]
-                count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], b_mean, b_m2)
-            stats.means.append(np.asarray(mean))
-            stats.variances.append(np.maximum(np.asarray(m2) / count, 0.0))
-            acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=stats.layer(k),
-                                         eps=BN_EPS)) for h in acts]
-    model.bn, model._calibrated = stats, acts
-    return stats
+    arch = store.arch
+    configs = list(configs)
+    names = [f"f.b{i}.l{j}" for i in range(arch.n_blocks) for j in range(arch.layers_per_block)]
+    layer_widths = [[w for w in c.widths for _ in range(arch.layers_per_block)] for c in configs]
+    acts = [_checked_input(arch, target_x[lo:lo + batch_size])
+            for lo in range(0, len(target_x), batch_size)]
+    for i, path, feats in _descend(store, names, layer_widths, list(range(len(configs))),
+                                   acts, [], 0):
+        model = SlimModel(store, configs[i])
+        model.bn = BnStats(means=[m for m, _ in path], variances=[v for _, v in path],
+                           count=target_x.shape[0])
+        model._calibrated = feats
+        yield i, model
+
+
+def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 256) -> BnStats:
+    """Recompute BN statistics for this width on target data: the
+    one-config `adabn_pass`.  Stores the stats and the target set's final
+    features on the model and returns the stats."""
+    for _, calibrated in adabn_pass(model.store, [model.config], target_x, batch_size):
+        model.bn, model._calibrated = calibrated.bn, calibrated._calibrated
+    return model.bn

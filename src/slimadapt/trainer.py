@@ -360,8 +360,8 @@ def train(bank: ParamStore, dataset: DomainDataset, cfg: TrainerConfig,
           eval_labels: np.ndarray | None = None) -> list[dict]:
     """Run the configured mode for cfg.epochs epochs over the dataset.
 
-    Returns one metrics dict per epoch (mean loss parts over the epoch's
-    steps, wall seconds, and — when `eval_labels` is supplied for
+    Returns one metrics dict per epoch (its step count, mean loss parts
+    over those steps, wall seconds, and — when `eval_labels` is supplied for
     diagnostics — target accuracies of the full-width and smallest probe
     models after AdaBN).  The labels are used for probing only and never
     feed back into any update.
@@ -387,7 +387,7 @@ def train(bank: ParamStore, dataset: DomainDataset, cfg: TrainerConfig,
             for k in METRIC_KEYS:
                 sums[k] += metrics[k]
             steps += 1
-        row = {"epoch": epoch, "mode": cfg.mode}
+        row = {"epoch": epoch, "mode": cfg.mode, "steps": steps}
         row.update({k: sums[k] / max(steps, 1) for k in METRIC_KEYS})
         if eval_labels is not None:
             row["probe_acc_1"] = config_accuracy(bank, probes[0], dataset.xt, eval_labels, head)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt.errors import ConfigError, NumericError, UsageError
@@ -315,3 +317,29 @@ class TestLrSchedule:
             ad.lr_schedule(1.5)
         with pytest.raises(UsageError):
             ad.lr_schedule(-0.1)
+
+
+class TestLeadingSliceScatter:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gradient_is_upstream_in_the_corner_and_zero_outside(self, data):
+        """Backward through a leading-corner slice scatters the upstream
+        gradient into the corner and leaves exactly 0 everywhere else."""
+        shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+        sizes = tuple(data.draw(st.integers(1, d)) for d in shape)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        x = rng.normal(size=shape)
+        upstream = rng.normal(size=sizes)
+
+        def build(t):
+            return (ad.leading_slice(t, sizes) * ad.Tensor(upstream)).sum()
+
+        t = ad.Tensor(x, requires_grad=True)
+        grad = ad.backward(build(t))[t]
+        corner = tuple(slice(0, s) for s in sizes)
+        assert grad.shape == shape
+        np.testing.assert_array_equal(grad[corner], upstream)
+        outside = np.ones(shape, dtype=bool)
+        outside[corner] = False
+        assert np.all(grad[outside] == 0.0)
+        check_grads(build, [x])

@@ -217,17 +217,34 @@ class TestSearchEvalCorrelate:
     ])
     def test_labelled_scoring_recalibrates_once_per_config(self, trained, monkeypatch, argv,
                                                            per_band):
-        """Each score and accuracy is read from its config's one AdaBN pass,
-        so no command runs a second forward through `SlimModel.predict`."""
+        """Each score and accuracy is read from its config's one AdaBN
+        calibration, so no command runs a second forward through
+        `SlimModel.predict`.  Random search and correlate recalibrate config
+        by config; the greedy ladder calibrates each rung's candidates in
+        one shared pass."""
         cfg_path, _ = trained
-        calls, predicts = [], []
-        original, predict = search.adabn_recalibrate, SlimModel.predict
+        calls, predicts, passes = [], [], []
+        original, predict, shared = search.adabn_recalibrate, SlimModel.predict, search.adabn_pass
         monkeypatch.setattr(search, "adabn_recalibrate",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         monkeypatch.setattr(SlimModel, "predict",
                             lambda *a, **k: predicts.append(1) or predict(*a, **k))
+
+        def counted_pass(*args, **kwargs):
+            passes.append(0)
+            for item in shared(*args, **kwargs):
+                passes[-1] += 1
+                yield item
+
+        monkeypatch.setattr(search, "adabn_pass", counted_pass)
         assert run(argv + ["--config", cfg_path]) == 0
-        assert len(calls) == CONFIG["search"]["k"] * per_band + 1  # configs plus the anchor
+        k = CONFIG["search"]["k"]
+        if argv[0] == "correlate" or "random" in argv:
+            assert len(calls) == k * per_band + 1  # configs plus the anchor
+            assert passes == []
+        else:  # the anchor, then one shared pass per rung yielding each candidate once
+            assert len(calls) == 1
+            assert passes == [per_band] * k
         assert predicts == []
 
     def test_correlate_rejects_n_below_one(self, trained):
@@ -330,6 +347,16 @@ class TestMalformedInput:
         code, err = run_process(["train", "--config", cfg_path])
         assert_config_error(code, err)
         assert "dataset" in err
+
+    @pytest.mark.parametrize("n_random", [0, -3])
+    def test_random_search_without_samples_is_config_error(self, initialised, n_random):
+        cfg_path, _, _ = initialised
+        doc = json.loads(cfg_path.read_text())
+        doc["search"]["n_random"] = n_random
+        cfg_path.write_text(json.dumps(doc))
+        code, err = run_process(["search", "--strategy", "random", "--config", cfg_path])
+        assert_config_error(code, err)
+        assert "search.n_random" in err
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, err = run_process(["gen-data", "--config", tmp_path / "absent.json"])

@@ -136,6 +136,30 @@ class TestBatches:
         got = list(batches(ds, 32, np.random.default_rng(1)))
         assert len(got) == int(np.ceil(100 / 32))
 
+    @pytest.mark.parametrize("n_s, n_t, batch_size", [
+        (65, 40, 32), (257, 257, 128), (100, 80, 33), (100, 80, 32), (100, 80, 2), (9, 9, 4),
+        (10, 10, 10)])
+    def test_no_batch_of_one_row(self, n_s, n_t, batch_size):
+        """Batches are the consecutive batch_size-row chunks of one shuffled
+        epoch, except that a lone last row joins the batch before it."""
+        ds = self.make(n_s, n_t)
+        got = list(batches(ds, batch_size, np.random.default_rng(4)))
+        longest = max(n_s, n_t)
+        rng = np.random.default_rng(4)
+        perm_s, perm_t = rng.permutation(n_s), rng.permutation(n_t)
+        chunks = [np.arange(lo, min(lo + batch_size, longest))
+                  for lo in range(0, longest, batch_size)]
+        if len(chunks[-1]) == 1:
+            chunks[-2:] = [np.concatenate(chunks[-2:])]
+        assert len(got) == len(chunks)
+        for (xs, ys, xt), sel in zip(got, chunks):
+            assert len(xs) >= 2
+            np.testing.assert_array_equal(xs, ds.xs[perm_s[sel % n_s]])
+            np.testing.assert_array_equal(ys, ds.ys[perm_s[sel % n_s]])
+            np.testing.assert_array_equal(xt, ds.xt[perm_t[sel % n_t]])
+        if longest % batch_size == 1:
+            assert [len(b[0]) for b in got[-2:]] == [batch_size, batch_size + 1]
+
     def test_epoch_covers_both_domains(self):
         ds = self.make()
         seen_s, seen_t = set(), set()

@@ -18,6 +18,7 @@ from slimadapt.datasets import ShiftSpec, make_dataset
 from slimadapt.errors import SearchError, UsageError
 from slimadapt.search import (
     SearchPlan,
+    SearchStep,
     anchor_discrepancy,
     config_accuracy,
     correlate,
@@ -37,13 +38,59 @@ from slimadapt.trainer import TrainerConfig, init_bank, train
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
 
 
-@pytest.fixture(scope="module")
-def trained():
+def trained_bank(arch):
     ds = make_dataset(ShiftSpec("MIXED", 0.8, noise_std=1.0), K=3, d=6,
                       n_s=400, n_t=400, seed=0)
-    bank = init_bank(ARCH, 0)
+    bank = init_bank(arch, 0)
     train(bank, ds, TrainerConfig(epochs=4, batch_size=64, model_batch_size=4, seed=0))
     return bank, ds
+
+
+@pytest.fixture(scope="module")
+def trained():
+    return trained_bank(ARCH)
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["1-layer-blocks", "2-layer-blocks"])
+def trained_deep(request, trained):
+    """The trained bank, and a three-block bank with 2 layers per block
+    (whose slimmest config can still grow into the lowest rung's band)."""
+    if request.param == 1:
+        return trained
+    return trained_bank(Architecture(input_dim=6, block_max_widths=(16, 24, 32),
+                                     layers_per_block=2, class_count=3))
+
+
+def per_candidate_ladder(bank, plan, target_x, target_y=None, head="a"):
+    """The greedy ladder with every candidate recalibrated on its own, one
+    AdaBN pass each: the reference the shared-prefix pass must match."""
+    arch = bank.arch
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(11,)))
+    anchor_probs = recalibrated(bank, arch.full_config(), target_x).calibrated_probs("a")
+    full = arch.full_config().flops
+    current, steps = arch.smallest_config(), []
+    for ratio in plan.budgets(arch):
+        budget = ratio * full
+        lo_f, hi_f = budget * (1 - plan.tolerance), min(budget * (1 + plan.tolerance), full)
+        candidates, tries = [], 0
+        while len(candidates) < plan.q and tries < 200 * plan.q:
+            tries += 1
+            grown = search._grow_candidate(rng, arch, current, lo_f, hi_f)
+            if grown is not None:
+                candidates.append(grown)
+        best = None
+        for cfg, saturated in candidates:
+            model = recalibrated(bank, cfg, target_x)
+            delta = discrepancy_between(model, anchor_probs)
+            if best is None or delta < best[0]:
+                best = (delta, cfg, saturated, model)
+        delta, current, saturated, model = best
+        accuracy = None
+        if target_y is not None:
+            accuracy = float((model.calibrated_probs(head).argmax(axis=1) == target_y).mean())
+        steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
+                                saturated=saturated, accuracy=accuracy))
+    return steps
 
 
 class TestDiscrepancy:
@@ -139,6 +186,13 @@ class TestRandomSearch:
         assert len(scores) == 1
         assert best == scores[0].config
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_rejected(self, trained, n):
+        bank, ds = trained
+        with pytest.raises(UsageError, match="n >= 1"):
+            random_search(bank, 0.5 * ARCH.full_config().flops, n, ds.xt,
+                          np.random.default_rng(3))
+
     def test_all_results_within_band(self, trained):
         bank, ds = trained
         budget = 0.4 * ARCH.full_config().flops
@@ -195,6 +249,35 @@ class TestGreedy:
         for step in labelled:
             assert step.accuracy == config_accuracy(bank, step.config, ds.xt, yt, head)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_shared_pass_ladder_matches_per_candidate_reference(self, trained_deep, seed,
+                                                                labelled):
+        bank, ds = trained_deep
+        plan = SearchPlan(seed=seed)
+        yt = ds.target_labels(evaluation=True) if labelled else None
+        got = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
+        want = per_candidate_ladder(bank, plan, ds.xt, target_y=yt)
+        assert [(s.budget_ratio, s.config, s.saturated, s.accuracy) for s in got] == \
+            [(s.budget_ratio, s.config, s.saturated, s.accuracy) for s in want]
+        np.testing.assert_allclose([s.delta for s in got], [s.delta for s in want],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("yield_order", [list, lambda items: list(items)[::-1]])
+    def test_duplicate_candidates_go_to_the_first_grown(self, trained, monkeypatch, yield_order):
+        """Duplicates score alike, so the first in grow order wins, in
+        whatever order the shared pass yields them.  Here the full config
+        (delta 0) is grown three times, and only the first copy is
+        unsaturated."""
+        bank, ds = trained
+        narrow, full = ARCH.make_config((8, 12)), ARCH.full_config()
+        grown = iter([(narrow, False), (full, False), (full, True), (full, True)])
+        monkeypatch.setattr(search, "_grow_candidate", lambda *args: next(grown))
+        shared = search.adabn_pass
+        monkeypatch.setattr(search, "adabn_pass", lambda *a, **k: yield_order(shared(*a, **k)))
+        step, = inherited_greedy_search(bank, SearchPlan(q=4, budget_ratios=(1.0,)), ds.xt)
+        assert (step.config, step.delta, step.saturated) == (full, 0.0, False)
+
     def test_bad_ratio_ladder_rejected(self):
         with pytest.raises(UsageError):
             SearchPlan(budget_ratios=(0.5, 0.5)).budgets(ARCH)
@@ -203,18 +286,28 @@ class TestGreedy:
 
 
 class TestScoringPasses:
-    """Scores and accuracies come from each config's own recalibration
-    pass: no second forward through `SlimModel.predict`, and one AdaBN
-    pass per scored config plus one for the anchor."""
+    """Scores and accuracies come from each config's own calibration: no
+    second forward through `SlimModel.predict`.  `anchor_discrepancy` runs
+    one AdaBN pass per scored config plus one for the anchor; the greedy
+    ladder recalibrates the anchor, then each rung's candidates in one
+    shared pass that yields every candidate once."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"predict": [], "adabn": []}
-        predict, adabn = SlimModel.predict, search.adabn_recalibrate
+        calls = {"predict": [], "adabn": [], "passes": []}
+        predict, adabn, shared = SlimModel.predict, search.adabn_recalibrate, search.adabn_pass
         monkeypatch.setattr(SlimModel, "predict",
                             lambda *a, **k: calls["predict"].append(1) or predict(*a, **k))
         monkeypatch.setattr(search, "adabn_recalibrate",
                             lambda *a, **k: calls["adabn"].append(1) or adabn(*a, **k))
+
+        def counted_pass(*args, **kwargs):
+            calls["passes"].append(0)
+            for item in shared(*args, **kwargs):
+                calls["passes"][-1] += 1
+                yield item
+
+        monkeypatch.setattr(search, "adabn_pass", counted_pass)
         return calls
 
     @pytest.mark.parametrize("labelled", [False, True])
@@ -225,7 +318,8 @@ class TestScoringPasses:
         steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
         assert len(steps) == plan.k
         assert len(counted["predict"]) == 0
-        assert len(counted["adabn"]) == plan.k * plan.q + 1
+        assert len(counted["adabn"]) == 1  # the anchor
+        assert counted["passes"] == [plan.q] * plan.k
 
     @pytest.mark.parametrize("head", ["a", "task"])
     def test_anchor_discrepancy(self, trained, counted, head):

@@ -20,6 +20,7 @@ from slimadapt.slimnet import (
     Architecture,
     ParamStore,
     _combine_moments,
+    adabn_pass,
     adabn_recalibrate,
     flops_per_sample,
     flops_step,
@@ -362,6 +363,63 @@ class TestAdaBN:
         adabn_recalibrate(model, x)
         np.testing.assert_array_equal(model.calibrated_probs(head),
                                       model.predict(x, head=head, batch_size=256))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shared_pass_matches_each_config_recalibrated_alone(self, data):
+        """The slicing oracle for the shared pass: configs that share
+        leading widths (and duplicates) get the statistics and predictions
+        of their own one-config pass, to 1e-12."""
+        maxes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        arch = Architecture(input_dim=data.draw(st.integers(1, 6)), block_max_widths=tuple(maxes),
+                            layers_per_block=data.draw(st.integers(1, 3)), class_count=3)
+        legal = [st.integers(lo, hi) for lo, hi in zip(arch.min_widths(), maxes)]
+        base = data.draw(st.tuples(*legal))
+        configs = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            keep = data.draw(st.integers(0, len(maxes)))  # leading blocks shared with base
+            configs.append(arch.make_config(base[:keep] + data.draw(st.tuples(*legal[keep:]))))
+        configs += data.draw(st.lists(st.sampled_from(configs), max_size=3))
+        n = data.draw(st.integers(2, 40))
+        batch_size = data.draw(st.integers(1, n + 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        store = ParamStore(arch, rng)
+        x = rng.normal(size=(n, arch.input_dim)) * 2.0 + 0.3
+        seen = []
+        for i, model in adabn_pass(store, configs, x, batch_size):
+            seen.append(i)
+            assert model.config == configs[i]
+            alone = store.slice(configs[i])
+            adabn_recalibrate(alone, x, batch_size)
+            assert model.bn.count == alone.bn.count == n
+            got, want = model.bn.means + model.bn.variances, alone.bn.means + alone.bn.variances
+            assert [g.shape for g in got] == [w.shape for w in want]
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.calibrated_probs("a"), alone.calibrated_probs("a"),
+                                       rtol=0, atol=1e-12)
+        assert sorted(seen) == list(range(len(configs)))
+
+    def test_shared_pass_of_one_config_is_the_recalibration(self, store):
+        x = np.random.default_rng(16).normal(size=(300, ARCH.input_dim))
+        config = ARCH.make_config((5, 9))
+        (i, model), = adabn_pass(store, [config], x)
+        alone = store.slice(config)
+        adabn_recalibrate(alone, x)
+        assert i == 0
+        for got, want in zip(model.bn.means + model.bn.variances,
+                             alone.bn.means + alone.bn.variances):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(model.calibrated_probs("task"),
+                                      alone.calibrated_probs("task"))
+
+    def test_shared_pass_keeps_gradients_on_between_models(self, store):
+        """The pass disables graph building only while it computes, not
+        while the caller holds a yielded model."""
+        x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
+        configs = [ARCH.make_config((8, 12)), ARCH.make_config((8, 20))]
+        for _, model in adabn_pass(store, configs, x):
+            assert model.features(x[:4]).requires_grad
 
     def test_calibrated_probs_need_recalibration(self, store):
         with pytest.raises(UsageError):

@@ -392,9 +392,17 @@ class TestTrainLoop:
                                                         model_batch_size=2))
         assert len(log) == 2
         for row in log:
-            for key in ("epoch", "mode", "loss_task", "loss_dd", "loss_conf", "loss_ent",
+            for key in ("epoch", "mode", "steps", "loss_task", "loss_dd", "loss_conf", "loss_ent",
                         "loss_seed", "probe_acc_1", "probe_acc_64th", "seconds"):
                 assert key in row
+
+    def test_epoch_with_one_row_left_over(self):
+        """257 rows at batch 128 leave one row over; it joins the last batch
+        instead of reaching train-mode BN alone."""
+        bank = init_bank(ARCH, 22)
+        log = train(bank, tiny_dataset(n=257), TrainerConfig(epochs=1, batch_size=128,
+                                                             model_batch_size=2))
+        assert log[0]["steps"] == 2
 
     def test_bitwise_deterministic_parameter_trajectory(self):
         cfg = TrainerConfig(epochs=2, batch_size=16, model_batch_size=3, seed=5)
