@@ -84,11 +84,13 @@ class SearchPlan:
 
     The default ladder is geometric, halving from full FLOPs k times
     (k = 6 gives 1/32, 1/16, ..., 1/2, 1), which concentrates budgets in
-    the capacity region where accuracy actually varies.  When the
-    slimmest model is too large for the lowest geometric rung, the FLOPs
-    gap between the slimmest and the full model is divided into k equal
-    increments instead.  An explicit `budget_ratios` list (fractions of
-    full FLOPs, strictly increasing) overrides both; an empty one does not.
+    the capacity region where accuracy actually varies.  When no legal
+    config can land in the lowest geometric rung's band (the slimmest
+    model is too large for it, or its cheapest one-channel step jumps past
+    it), the FLOPs gap between the slimmest and the full model is divided
+    into k equal increments instead.  An explicit `budget_ratios` list
+    (fractions of full FLOPs, strictly increasing) overrides both; an
+    empty one does not.
     """
 
     k: int = 6
@@ -112,9 +114,23 @@ class SearchPlan:
                 raise UsageError(f"budget ratios must lie in ({lo:.4f}, 1]")
             return ratios
         geometric = [2.0 ** -(self.k - 1 - i) for i in range(self.k)]
-        if geometric[0] * (1 + self.tolerance) > lo:
+        if _may_land_in_band(arch, geometric[0] * full, self.tolerance):
             return geometric
         return [r / full for r in linear_budget_ladder(arch, self.k)]
+
+
+def _may_land_in_band(arch: Architecture, budget: float, tolerance: float) -> bool:
+    """False when no legal config lands within ±tolerance of `budget`
+    because the band lies below the slimmest config, or between it and the
+    cheapest one-channel step from it: FLOPs grow with every width, so
+    every other config costs at least that step more than the slimmest."""
+    smallest = arch.smallest_config()
+    lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
+    if smallest.flops >= lo_f:
+        return smallest.flops <= hi_f
+    steps = [flops_step(arch, smallest.widths, b, 1) for b in range(arch.n_blocks)
+             if smallest.widths[b] < arch.block_max_widths[b]]
+    return bool(steps) and smallest.flops + min(steps) <= hi_f
 
 
 def linear_budget_ladder(arch: Architecture, k: int) -> list[float]:
@@ -224,7 +240,7 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
                 step, movable = -1, [b for b in range(len(widths)) if widths[b] > lows[b]]
             if not movable:
                 break
-            b = int(rng.choice(movable))
+            b = movable[int(rng.integers(len(movable)))]
             flops += flops_step(arch, widths, b, step)
             widths[b] += step
     raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
@@ -266,7 +282,7 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
         grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
         if not grow:
             return arch.make_config(widths), True  # every block at its max
-        b = int(rng.choice(grow))
+        b = grow[int(rng.integers(len(grow)))]
         flops += flops_step(arch, widths, b, 1)
         widths[b] += 1
 

@@ -25,6 +25,11 @@ set's final features, so `SlimModel.calibrated_probs` reads any head's
 target predictions without a second forward; after `adabn_recalibrate`
 they equal `predict(target_x)` bit for bit, since both run the same ops
 on the same 256-row batches.
+
+The pass and the eval-mode forward run on plain arrays, not autodiff
+tensors: `_eval_layer` normalises each fresh matmul output in place with
+the ufuncs of eval-mode `autodiff.batchnorm` and `relu`, in their order,
+and checks each layer once for NaN/Inf (before the ReLU).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 
 __all__ = [
     "Architecture",
@@ -223,18 +228,40 @@ def _leading(param: Tensor, shape: tuple[int, ...]) -> Tensor:
     return param if param.shape == shape else ad.leading_slice(param, shape)
 
 
+def _corner(param: Tensor, shape: tuple[int, ...]) -> np.ndarray:
+    """`param`'s leading corner of `shape` as a plain view of its data."""
+    return param.data[tuple(slice(0, s) for s in shape)]
+
+
+def _eval_layer(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+                var: np.ndarray) -> np.ndarray:
+    """Eval-mode BN with statistics (mean, var), then ReLU, of a fresh
+    matmul output `z`, in place.  It runs the ufuncs of
+    `ad.relu(ad.batchnorm(z, gamma, beta, mode="eval", stats=(mean, var)))`
+    in the same order (`z *= gamma` is `gamma * z`: multiplication
+    commutes exactly), so the result is bit-identical.  One NaN/Inf check
+    runs before the ReLU, which would clip an overflow to -inf away."""
+    z -= mean
+    z *= 1.0 / np.sqrt(var + BN_EPS)
+    z *= gamma
+    z += beta
+    if not np.isfinite(z).all():
+        raise NumericError("non-finite activations in the eval forward")
+    return np.maximum(z, 0.0, out=z)
+
+
 class SlimModel:
     """A width-configured view of the parameter store.
 
-    Forward passes build autodiff graphs; wrap calls in `ad.no_grad()` for
-    evaluation.  Eval mode requires recalibrated BN statistics.
+    Train-mode forwards build autodiff graphs.  Eval mode requires
+    recalibrated BN statistics and runs on plain arrays (no graph).
     """
 
     def __init__(self, store: ParamStore, config: WidthConfig):
         self.store = store
         self.config = config
         self.bn: BnStats | None = None  # set by adabn_recalibrate
-        self._calibrated: list[Tensor] | None = None  # its final features, one per batch
+        self._calibrated: list[np.ndarray] | None = None  # its final features, one per batch
 
     @property
     def arch(self) -> Architecture:
@@ -244,29 +271,34 @@ class SlimModel:
     def feature_width(self) -> int:
         return self.config.widths[-1]
 
-    def layers(self):
+    def layers(self, arrays: bool = False):
         """(weight, gamma, beta) of each Linear -> BN -> ReLU layer in order,
-        sliced to the active widths."""
+        sliced to the active widths: graph nodes, or with `arrays` plain
+        views of the stored data."""
         store, prev_w = self.store, self.arch.input_dim
+        corner = _corner if arrays else _leading
         for i, w in enumerate(self.config.widths):
             for j in range(self.arch.layers_per_block):
                 base = f"f.b{i}.l{j}"
-                yield (_leading(store[f"{base}.w"], (prev_w if j == 0 else w, w)),
-                       _leading(store[f"{base}.bn_g"], (w,)),
-                       _leading(store[f"{base}.bn_b"], (w,)))
+                yield (corner(store[f"{base}.w"], (prev_w if j == 0 else w, w)),
+                       corner(store[f"{base}.bn_g"], (w,)),
+                       corner(store[f"{base}.bn_b"], (w,)))
             prev_w = w
 
     def features(self, x, mode: str = "train") -> Tensor:
-        """Per-block Linear -> BN -> ReLU chain at the active widths."""
+        """Per-block Linear -> BN -> ReLU chain at the active widths.  Eval
+        mode runs `_eval_layer` on arrays and returns a graph-free tensor."""
         h = _checked_input(self.arch, x)
-        if mode == "eval" and self.bn is None:
+        if mode != "eval":
+            for weight, gamma, beta in self.layers():
+                h = ad.relu(ad.batchnorm(h @ weight, gamma, beta, mode=mode, eps=BN_EPS))
+            return h
+        if self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
-        for k, (weight, gamma, beta) in enumerate(self.layers()):
-            layer_stats = self.bn.layer(k) if mode == "eval" else None
-            h = ad.batchnorm(h @ weight, gamma, beta, mode=mode, stats=layer_stats,
-                             eps=BN_EPS)
-            h = ad.relu(h)
-        return h
+        h = h.data
+        for k, (weight, gamma, beta) in enumerate(self.layers(arrays=True)):
+            h = _eval_layer(h @ weight, gamma, beta, *self.bn.layer(k))
+        return Tensor(h, _check=False)  # checked before its ReLU
 
     def head_logits(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:
         """Classifier logits from features; `frozen` detaches the head's
@@ -307,7 +339,8 @@ class SlimModel:
         if self._calibrated is None:
             raise UsageError("calibrated_probs needs AdaBN recalibration first")
         with ad.no_grad():
-            return np.concatenate([self.probs(h, head).data for h in self._calibrated], axis=0)
+            return np.concatenate([self.probs(Tensor(h, _check=False), head).data
+                                   for h in self._calibrated], axis=0)
 
     def predict(self, x: np.ndarray, head: str = "a", batch_size: int = 256) -> np.ndarray:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
@@ -332,38 +365,38 @@ def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):
     return total, mean, m2
 
 
-def _moments(acts: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+def _moments(acts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Population mean and variance per column over every batch of `acts`,
     merged batch by batch."""
     count, mean, m2 = 0, 0.0, 0.0
     for h in acts:
-        h = h.data
+        n = h.shape[0]
         b_mean = h.mean(axis=0)
-        b_m2 = h.var(axis=0) * h.shape[0]
-        count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], b_mean, b_m2)
+        sq = h - b_mean
+        sq *= sq
+        b_m2 = sq.sum(axis=0) / n * n  # `h.var(axis=0) * n`, without its second mean
+        count, mean, m2 = _combine_moments(count, mean, m2, n, b_mean, b_m2)
     return np.asarray(mean), np.maximum(np.asarray(m2) / count, 0.0)
 
 
 def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
-             members: list[int], acts: list[Tensor], path: list, k: int):
+             members: list[int], acts: list[np.ndarray], path: list, k: int):
     """Layer k of every config in `members`, which share the widths of
     layers 0..k-1 and so the per-batch input `acts`.  The layer runs once
     at the widest width a member needs; each member takes its leading
     columns.  Yields (member, [(mean, var) per layer], final features)."""
     width, base = max(layer_widths[i][k] for i in members), names[k]
-    with ad.no_grad():  # not held across a yield, where the caller runs
-        weight = _leading(store[f"{base}.w"], (acts[0].shape[1], width))
-        gamma = _leading(store[f"{base}.bn_g"], (width,))
-        beta = _leading(store[f"{base}.bn_b"], (width,))
-        acts = [h @ weight for h in acts]
-        mean, var = _moments(acts)
-        acts = [ad.relu(ad.batchnorm(h, gamma, beta, mode="eval", stats=(mean, var),
-                                     eps=BN_EPS)) for h in acts]
+    weight = _corner(store[f"{base}.w"], (acts[0].shape[1], width))
+    acts = [h @ weight for h in acts]
+    mean, var = _moments(acts)
+    gamma = _corner(store[f"{base}.bn_g"], (width,))
+    beta = _corner(store[f"{base}.bn_b"], (width,))
+    acts = [_eval_layer(z, gamma, beta, mean, var) for z in acts]
     groups: dict[int, list[int]] = {}
     for i in members:
         groups.setdefault(layer_widths[i][k], []).append(i)
     for w, group in groups.items():
-        child = acts if w == width else [ad.slice_cols(h, 0, w) for h in acts]
+        child = acts if w == width else [h[:, :w] for h in acts]
         child_path = path + [(mean[:w], var[:w])]
         if k + 1 == len(names):
             for i in group:
@@ -401,8 +434,8 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray, batch_size: int
     configs = list(configs)
     names = [f"f.b{i}.l{j}" for i in range(arch.n_blocks) for j in range(arch.layers_per_block)]
     layer_widths = [[w for w in c.widths for _ in range(arch.layers_per_block)] for c in configs]
-    acts = [_checked_input(arch, target_x[lo:lo + batch_size])
-            for lo in range(0, len(target_x), batch_size)]
+    target_x = _checked_input(arch, target_x).data
+    acts = [target_x[lo:lo + batch_size] for lo in range(0, len(target_x), batch_size)]
     for i, path, feats in _descend(store, names, layer_widths, list(range(len(configs))),
                                    acts, [], 0):
         model = SlimModel(store, configs[i])

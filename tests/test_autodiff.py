@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
@@ -248,6 +248,61 @@ def test_random_graphs_match_finite_differences():
     for _ in range(30):
         build, arrays = _random_graph(rng)
         check_grads(build, arrays, rtol=1e-4)
+
+
+GRAPH_OPS = ("matmul", "add", "mul", "relu", "softmax", "log_softmax", "batchnorm",
+             "leading_slice", "concat")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ops=st.lists(st.sampled_from(GRAPH_OPS), min_size=2, max_size=4))
+def test_random_op_compositions_match_finite_differences(seed, ops):
+    """2-4 ops composed in any order over five parameters.  Each op that
+    needs a second operand carves it out of a parameter with
+    `leading_slice`, so every parameter's gradient outside the used
+    corner must come back exactly zero."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    top = d * 5  # widest a graph gets: each concat adds d columns
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(top, d)) / np.sqrt(d),
+              rng.normal(size=(n, top)), rng.uniform(0.5, 1.5, size=top),
+              rng.normal(size=top) * 0.1]
+    relu_inputs = []
+
+    def forward(x, w, y, gamma, beta):
+        h = x
+        for op in ops:
+            width = h.shape[1]
+            if op == "matmul":
+                h = h @ ad.leading_slice(w, (width, d))
+            elif op == "add":
+                h = h + ad.leading_slice(y, (n, width))
+            elif op == "mul":
+                h = h * ad.leading_slice(y, (n, width))
+            elif op == "relu":
+                relu_inputs.append(h.data)
+                h = ad.relu(h)
+            elif op == "softmax":
+                h = ad.softmax(h, axis=1)
+            elif op == "log_softmax":
+                h = ad.log_softmax(h, axis=1)
+            elif op == "batchnorm":
+                h = ad.batchnorm(h, ad.leading_slice(gamma, (width,)),
+                                 ad.leading_slice(beta, (width,)), mode="train")
+            elif op == "leading_slice":
+                h = ad.leading_slice(h, (n, max(1, width - 1)))
+            else:
+                h = ad.concat([h, x], axis=1)
+        return h
+
+    with ad.no_grad():
+        shape = forward(*[ad.Tensor(a) for a in arrays]).shape
+    # Central differences step 1e-5 across every input; a ReLU input that
+    # close to its kink has no derivative there to compare.
+    assume(all(np.abs(r).min() > 1e-3 for r in relu_inputs))
+    project = rng.normal(size=shape)
+    check_grads(lambda *ts: (forward(*ts) * project).sum(), arrays, rtol=1e-4)
 
 
 class TestSgd:

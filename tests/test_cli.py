@@ -379,6 +379,20 @@ class TestMalformedInput:
         assert all(repr(name) in err for name in biases)
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["search", "eval"])
+    def test_overflowing_checkpoint_is_numeric_error(self, initialised, capsys, command):
+        """A finite weight of 1e308 overflows the first layer's activations;
+        the eval path stops with a NumericError (exit 3)."""
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["params"]["f.b0.l0.w"][0][0] = 1e308
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 3
+        assert capsys.readouterr().err.startswith("numeric error: non-finite")
+
+
 # Two blocks [16, 32] at tolerance 0.05: every config sampled in the
 # full-FLOPs band lies within one channel of full width, and on this seed
 # all of them reach the same target accuracy.

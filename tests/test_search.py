@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimadapt import search
-from slimadapt.datasets import ShiftSpec, make_dataset
+from slimadapt.datasets import DEFAULT_TASK, ShiftSpec, make_dataset
 from slimadapt.errors import SearchError, UsageError
 from slimadapt.search import (
     SearchPlan,
@@ -32,7 +32,7 @@ from slimadapt.search import (
     sample_config_at_budget,
     sample_configs_spanning,
 )
-from slimadapt.slimnet import Architecture, SlimModel
+from slimadapt.slimnet import Architecture, ParamStore, SlimModel, flops_per_sample, flops_step
 from slimadapt.trainer import TrainerConfig, init_bank, train
 
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
@@ -91,6 +91,49 @@ def per_candidate_ladder(bank, plan, target_x, target_y=None, head="a"):
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
                                 saturated=saturated, accuracy=accuracy))
     return steps
+
+
+def choice_sample_config_at_budget(rng, arch, budget, tolerance=0.02, max_tries=200):
+    """`sample_config_at_budget` as it was when each step's block came from
+    `rng.choice`: the reference for the configs it returns and the
+    generator state it leaves."""
+    lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
+    lows, highs = arch.min_widths(), arch.block_max_widths
+    if hi_f < arch.smallest_config().flops or lo_f > arch.full_config().flops:
+        raise SearchError(f"budget {budget:.1f} outside the reachable FLOPs range")
+    for _ in range(max_tries):
+        widths = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(lows, highs)]
+        flops = flops_per_sample(arch, widths)
+        for _ in range(4 * sum(highs)):
+            if lo_f <= flops <= hi_f:
+                return arch.make_config(widths)
+            if flops < lo_f:
+                step, movable = 1, [b for b in range(len(widths)) if widths[b] < highs[b]]
+            else:
+                step, movable = -1, [b for b in range(len(widths)) if widths[b] > lows[b]]
+            if not movable:
+                break
+            b = int(rng.choice(movable))
+            flops += flops_step(arch, widths, b, step)
+            widths[b] += step
+    raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
+
+
+def choice_grow_candidate(rng, arch, base, lo_f, hi_f):
+    """`search._grow_candidate` as it was with `rng.choice` (see above)."""
+    widths, flops = list(base.widths), base.flops
+    highs = arch.block_max_widths
+    while True:
+        if flops > hi_f:
+            return None
+        if flops >= lo_f:
+            return arch.make_config(widths), False
+        grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
+        if not grow:
+            return arch.make_config(widths), True
+        b = int(rng.choice(grow))
+        flops += flops_step(arch, widths, b, 1)
+        widths[b] += 1
 
 
 class TestDiscrepancy:
@@ -176,6 +219,93 @@ class TestBudgetSampling:
         assert len(budgets) == 6
         assert budgets[-1] == pytest.approx(ARCH.full_config().flops)
         assert budgets[0] > ARCH.smallest_config().flops
+
+
+class TestOneIntegerDraw:
+    """Each growth step picks its block with one integer draw; that gives
+    the draws and the generator state of the `rng.choice` walk it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), layers_per_block=st.integers(1, 3),
+           maxes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           ratio=st.floats(0.0, 1.1), tolerance=st.floats(0.001, 0.2))
+    def test_budget_sampler_draws_as_choice_did(self, seed, layers_per_block, maxes, ratio,
+                                                tolerance):
+        arch = Architecture(input_dim=5, block_max_widths=tuple(maxes),
+                            layers_per_block=layers_per_block, class_count=3)
+        budget = ratio * arch.full_config().flops
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = []
+        for sampler, rng in ((sample_config_at_budget, got_rng),
+                             (choice_sample_config_at_budget, want_rng)):
+            try:
+                outcomes.append(sampler(rng, arch, budget, tolerance, max_tries=5))
+            except SearchError:
+                outcomes.append(SearchError)
+        assert outcomes[0] == outcomes[1]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), layers_per_block=st.integers(1, 3),
+           maxes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           ratio=st.floats(0.0, 1.1), tolerance=st.floats(0.001, 0.2))
+    def test_grow_candidate_draws_as_choice_did(self, data, seed, layers_per_block, maxes,
+                                                ratio, tolerance):
+        arch = Architecture(input_dim=5, block_max_widths=tuple(maxes),
+                            layers_per_block=layers_per_block, class_count=3)
+        base = arch.make_config(data.draw(st.tuples(
+            *[st.integers(lo, hi) for lo, hi in zip(arch.min_widths(), maxes)])))
+        budget = ratio * arch.full_config().flops
+        lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert search._grow_candidate(got_rng, arch, base, lo_f, hi_f) == \
+                choice_grow_candidate(want_rng, arch, base, lo_f, hi_f)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+GEOMETRIC = [1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]
+
+
+class TestDefaultLadder:
+    # Slimmest config (2, 3): 80 FLOPs.  The 1/32 band is [84.8, 88.2] at
+    # ±2%, [82.2, 90.8] at ±5%, and the cheapest one-channel step costs 24.
+    GAPPED = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=2,
+                          class_count=3)
+
+    @pytest.mark.parametrize("tolerance", [0.02, 0.05])
+    def test_unreachable_lowest_band_falls_back_to_linear(self, tolerance):
+        arch = self.GAPPED
+        assert arch.smallest_config().flops == 80
+        assert min(flops_step(arch, arch.min_widths(), b, 1) for b in range(2)) == 24
+        full = arch.full_config().flops
+        assert SearchPlan(tolerance=tolerance).budgets(arch) == \
+            [b / full for b in linear_budget_ladder(arch, 6)]
+
+    def test_ladder_completes_on_the_gapped_architecture(self):
+        """The geometric ladder raised SearchError on its first rung here."""
+        bank = ParamStore(self.GAPPED, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(50, self.GAPPED.input_dim))
+        plan = SearchPlan(tolerance=0.05)
+        steps = inherited_greedy_search(bank, plan, x)
+        assert [s.budget_ratio for s in steps] == plan.budgets(self.GAPPED)
+        full = self.GAPPED.full_config().flops
+        for step in steps:
+            budget = step.budget_ratio * full
+            assert budget * 0.95 <= step.config.flops <= budget * 1.05
+
+    @pytest.mark.parametrize("blocks", [(32, 64, 128, 256), (8, 16, 32, 64)])
+    @pytest.mark.parametrize("layers_per_block", [1, 2])
+    def test_benchmark_architectures_keep_the_geometric_ladder(self, blocks, layers_per_block):
+        arch = Architecture(input_dim=DEFAULT_TASK["d"], block_max_widths=blocks,
+                            layers_per_block=layers_per_block, class_count=DEFAULT_TASK["K"])
+        assert SearchPlan().budgets(arch) == GEOMETRIC
+
+    def test_slimmest_config_inside_the_band_keeps_the_geometric_ladder(self):
+        arch = Architecture(input_dim=5, block_max_widths=(8,), class_count=3)
+        full = arch.full_config().flops
+        assert arch.smallest_config().flops / full == 1 / 8
+        assert SearchPlan(k=4).budgets(arch) == GEOMETRIC[2:]
 
 
 class TestRandomSearch:

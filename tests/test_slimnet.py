@@ -14,12 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
-from slimadapt.errors import ConfigError, UsageError
+from slimadapt.errors import ConfigError, NumericError, UsageError
 from slimadapt.slimnet import (
     BN_EPS,
     Architecture,
     ParamStore,
     _combine_moments,
+    _eval_layer,
     adabn_pass,
     adabn_recalibrate,
     flops_per_sample,
@@ -414,8 +415,8 @@ class TestAdaBN:
                                       alone.calibrated_probs("task"))
 
     def test_shared_pass_keeps_gradients_on_between_models(self, store):
-        """The pass disables graph building only while it computes, not
-        while the caller holds a yielded model."""
+        """The pass never disables graph building, so a caller holding a
+        yielded model still builds graphs."""
         x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
         configs = [ARCH.make_config((8, 12)), ARCH.make_config((8, 20))]
         for _, model in adabn_pass(store, configs, x):
@@ -433,3 +434,75 @@ class TestAdaBN:
         p = model.predict(x, head="a", batch_size=7)
         assert p.shape == (25, ARCH.class_count)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestEvalLayer:
+    """`_eval_layer` is the array form of eval-mode BN then ReLU; the
+    autodiff ops stay the reference."""
+
+    @staticmethod
+    def reference(z, gamma, beta, mean, var):
+        return ad.relu(ad.batchnorm(ad.Tensor(z), ad.Tensor(gamma), ad.Tensor(beta),
+                                    mode="eval", stats=(mean, var), eps=BN_EPS)).data
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), width=st.integers(1, 12),
+           z_scale=st.sampled_from([1e-3, 1.0, 1e3, 1e150]),
+           var_scale=st.sampled_from([0.0, 1e-8, 1.0, 1e6, 1e300]),
+           affine_scale=st.sampled_from([0.0, 1.0, 1e3, 1e200]))
+    def test_equals_autodiff_batchnorm_then_relu_bit_for_bit(self, seed, n, width, z_scale,
+                                                              var_scale, affine_scale):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, width)) * z_scale
+        mean = rng.normal(size=width) * z_scale
+        var = rng.uniform(0.0, 2.0, size=width) * var_scale
+        gamma = rng.normal(size=width) * affine_scale
+        beta = rng.normal(size=width) * affine_scale
+        with np.errstate(all="ignore"):
+            try:
+                want = self.reference(z, gamma, beta, mean, var)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    _eval_layer(z.copy(), gamma, beta, mean, var)
+                return
+            got = _eval_layer(z.copy(), gamma, beta, mean, var)
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflow_to_minus_inf_raises_before_the_relu(self):
+        """ReLU would turn -inf into 0; the check runs before it."""
+        z = np.array([[-1.0], [1.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            _eval_layer(z, np.array([1e308]), np.array([-1e308]), np.zeros(1), np.ones(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteEval:
+    """An overflowing weight raises NumericError on every eval path."""
+
+    @staticmethod
+    def overflowing_store(name):
+        store = ParamStore(ARCH, np.random.default_rng(0))
+        store[name].data[0, 0] = 1e308
+        return store
+
+    @pytest.mark.parametrize("name", ["f.b0.l0.w", "f.b1.l1.w"])
+    def test_recalibration_raises(self, name):
+        x = np.random.default_rng(18).normal(size=(40, ARCH.input_dim)) * 3.0
+        model = self.overflowing_store(name).slice(ARCH.full_config())
+        with pytest.raises(NumericError):
+            adabn_recalibrate(model, x)
+
+    @pytest.mark.parametrize("name", ["f.b0.l0.w", "f.b1.l1.w"])
+    def test_shared_pass_raises(self, name):
+        x = np.random.default_rng(19).normal(size=(40, ARCH.input_dim)) * 3.0
+        configs = [ARCH.make_config(w) for w in ((8, 12), (8, 20), (16, 24), (4, 3))]
+        with pytest.raises(NumericError):
+            list(adabn_pass(self.overflowing_store(name), configs, x))
+
+    def test_predict_raises(self, store):
+        x = np.random.default_rng(20).normal(size=(40, ARCH.input_dim)) * 3.0
+        model = store.slice(ARCH.full_config())
+        adabn_recalibrate(model, x)
+        store["f.b1.l0.w"].data[0, 0] = 1e308
+        with pytest.raises(NumericError):
+            model.predict(x)
