@@ -7,13 +7,13 @@ order and returns gradients in a per-call map, so independent losses may
 share forward subgraphs without corrupting each other's accumulation.
 
 Everything is float64: models here are desk-scale and exact gradient
-checks matter more than speed.  Tensors built from outside data and the
-outputs of arithmetic ops are checked for NaN/Inf; a non-finite value
-raises NumericError instead of propagating.  Selection ops (slices,
-concat, relu, clip, neg, detach) and softmax skip the check: their output
-is a subset, clamp or sign flip of already-checked finite data, or lies in
-[0, 1].  matmul's VJP computes no gradient for an operand that needs
-none (input data, detached features, frozen heads).
+checks matter more than speed.  Ops do not check their outputs for
+NaN/Inf, except `log` (finite input may give -inf); `check_finite` runs at
+the graph's boundaries: model inputs, checkpoint parameters, eval
+activations and eval head probabilities (`slimnet`), step losses
+(`trainer`) and updated parameters (`sgd_step`).  matmul's VJP computes no
+gradient for an operand that needs none (input data, detached features,
+frozen heads).
 
 Also hosts the SGD-with-momentum optimizer and the inverse-decay learning
 rate schedule used by the trainer.
@@ -32,6 +32,7 @@ from .errors import ConfigError, NumericError, UsageError
 __all__ = [
     "Tensor",
     "no_grad",
+    "check_finite",
     "matmul",
     "relu",
     "log",
@@ -65,7 +66,8 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _finite_or_raise(arr: np.ndarray, what: str) -> None:
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NumericError naming `what` when `arr` holds a NaN or an Inf."""
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
 
@@ -75,12 +77,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None, *,
-                 _check: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
-        if _check:
-            _finite_or_raise(arr, name or "tensor")
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
@@ -106,7 +104,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A graph-free view sharing this tensor's data (stop-gradient)."""
-        return Tensor(self.data, requires_grad=False, name=self.name, _check=False)
+        return Tensor(self.data, requires_grad=False, name=self.name)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -149,10 +147,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str,
-          check: bool = True) -> Tensor:
-    """Wrap an op output; `check=False` only where finite inputs give finite output."""
-    out = Tensor(data, name=what, _check=check)
+def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str) -> Tensor:
+    """Wrap an op output; record its parents and VJP if a gradient may flow."""
+    out = Tensor(data, name=what)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -206,7 +203,7 @@ def _neg(a: Tensor) -> Tensor:
     def vjp(g):
         return (-g,)
 
-    return _node(-a.data, (a,), vjp, "neg", check=False)
+    return _node(-a.data, (a,), vjp, "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -231,13 +228,14 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.maximum(x.data, 0.0), (x,), vjp, "relu", check=False)
+    return _node(np.maximum(x.data, 0.0), (x,), vjp, "relu")
 
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
+    check_finite(data, "log")
     x_data = x.data
 
     def vjp(g):
@@ -254,7 +252,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.clip(x.data, lo, hi), (x,), vjp, "clip", check=False)
+    return _node(np.clip(x.data, lo, hi), (x,), vjp, "clip")
 
 
 def _sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -293,7 +291,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def vjp(g):
         return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _node(s, (x,), vjp, "softmax", check=False)
+    return _node(s, (x,), vjp, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -345,7 +343,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
             start += s
         return tuple(outs)
 
-    return _node(data, ts, vjp, "concat", check=False)
+    return _node(data, ts, vjp, "concat")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -360,7 +358,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _node(x.data[:, start:stop], (x,), vjp, "slice_cols", check=False)
+    return _node(x.data[:, start:stop], (x,), vjp, "slice_cols")
 
 
 def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
@@ -384,7 +382,7 @@ def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _node(x.data[idx], (x,), vjp, "leading_slice", check=False)
+    return _node(x.data[idx], (x,), vjp, "leading_slice")
 
 
 def batchnorm(
@@ -545,7 +543,7 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], stat
         buf = state.buffers.get(name)
         buf = g.copy() if buf is None else state.momentum * buf + g
         data = p.data - state.lr * buf
-        _finite_or_raise(data, f"parameter {name!r} after sgd_step")
+        check_finite(data, f"parameter {name!r} after sgd_step")
         staged.append((name, p, buf, data))
     for name, p, buf, data in staged:
         state.buffers[name] = buf

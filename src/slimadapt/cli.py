@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +128,8 @@ def _flag_values(text: str, kind, flag: str) -> tuple:
 
 
 def _parse_widths(text: str) -> list[tuple[int, ...]]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(_flag_values(chunk, int, "--widths"))
+    out = [_flag_values(chunk.strip(), int, "--widths") for chunk in text.split(";")
+           if chunk.strip()]
     if not out:
         raise ConfigError("--widths given but empty")
     return out
@@ -226,12 +223,14 @@ def cmd_search(args) -> int:
     bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
     plan = exp.plan
     if args.budgets:
-        plan = SearchPlan(k=plan.k, q=plan.q, seed=plan.seed, tolerance=plan.tolerance,
-                          budget_ratios=_flag_values(args.budgets, float, "--budgets"))
+        plan = replace(plan, budget_ratios=_flag_values(args.budgets, float, "--budgets"))
 
     if args.strategy == "greedy":
         steps = inherited_greedy_search(bank, plan, ds.xt, target_y=labels, head=head)
-        found = [(i, step.budget_ratio, step) for i, step in enumerate(steps)]
+        budgets, reached = plan.budgets(bank.arch), {s.budget_ratio: s for s in steps}
+        for ratio in (r for r in budgets if r not in reached):
+            print(f"skipped budget ratio {ratio:.4f}: no candidate grows into it", file=sys.stderr)
+        found = [(i, r, reached[r]) for i, r in enumerate(budgets) if r in reached]
     else:
         bands = _random_bands(exp, plan, bank, ds, exp.n_random, labels, head)
         found = [(i, ratio, s) for i, (ratio, scores) in enumerate(bands) for s in scores]

@@ -296,8 +296,9 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
     adding channels to random blocks until the budget band is reached;
     one shared AdaBN pass calibrates them all, and the lowest-discrepancy
     candidate (the first grown on a tie) wins and seeds the next budget,
-    so winners are blockwise non-decreasing along the ladder.  With
-    `target_y` (evaluation only), each step also carries its winner's
+    so winners are blockwise non-decreasing along the ladder.  A budget no
+    candidate grows into gets no step (SearchError if no budget is reached).
+    With `target_y` (evaluation only), each step also carries its winner's
     accuracy under `head`, read from the model the ladder recalibrated;
     selection never reads the labels.
     """
@@ -320,7 +321,7 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
             if grown is not None:
                 candidates.append(grown)
         if not candidates:
-            raise SearchError(f"could not grow candidates into budget ratio {ratio:.4f}")
+            continue
         best = None  # (delta, index, model) of the first candidate with the lowest delta
         for i, model in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x):
             delta = discrepancy_between(model, anchor_probs)
@@ -331,6 +332,8 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
         accuracy = None if target_y is None else _accuracy(model.calibrated_probs(head), target_y)
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
                                 saturated=saturated, accuracy=accuracy))
+    if not steps:
+        raise SearchError("could not grow candidates into any budget of the ladder")
     return steps
 
 

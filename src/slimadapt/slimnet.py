@@ -28,8 +28,10 @@ on the same 256-row batches.
 
 The pass and the eval-mode forward run on plain arrays, not autodiff
 tensors: `_eval_layer` normalises each fresh matmul output in place with
-the ufuncs of eval-mode `autodiff.batchnorm` and `relu`, in their order,
-and checks each layer once for NaN/Inf (before the ReLU).
+the ufuncs of eval-mode `autodiff.batchnorm` and `relu`, in their order.
+NaN/Inf is checked at the model's boundaries: every input (batch, target
+set, `predict` input), every loaded parameter, each eval layer before its
+ReLU, and the eval heads' probabilities per `predict`/`calibrated_probs`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, UsageError
 
 __all__ = [
     "Architecture",
@@ -213,6 +215,7 @@ class ParamStore:
                 raise ConfigError(
                     f"shape mismatch for {name!r}: {arr.shape} != {self.params[name].shape}"
                 )
+            ad.check_finite(arr, f"parameter {name!r}")
             self.params[name] = Tensor(arr, requires_grad=True, name=name)
 
 
@@ -220,6 +223,7 @@ def _checked_input(arch: Architecture, x) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ConfigError(f"input shape {x.shape} != (n, {arch.input_dim})")
+    ad.check_finite(x.data, "model input")
     return x
 
 
@@ -245,8 +249,7 @@ def _eval_layer(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.nda
     z *= 1.0 / np.sqrt(var + BN_EPS)
     z *= gamma
     z += beta
-    if not np.isfinite(z).all():
-        raise NumericError("non-finite activations in the eval forward")
+    ad.check_finite(z, "eval forward activations")
     return np.maximum(z, 0.0, out=z)
 
 
@@ -298,7 +301,7 @@ class SlimModel:
         h = h.data
         for k, (weight, gamma, beta) in enumerate(self.layers(arrays=True)):
             h = _eval_layer(h @ weight, gamma, beta, *self.bn.layer(k))
-        return Tensor(h, _check=False)  # checked before its ReLU
+        return Tensor(h)
 
     def head_logits(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:
         """Classifier logits from features; `frozen` detaches the head's
@@ -333,25 +336,26 @@ class SlimModel:
             return (self.probs(feats, "s", frozen) + self.probs(feats, "t", frozen)) * 0.5
         raise ConfigError(f"unknown head {head!r}")
 
+    def _head_probs(self, feats, head: str) -> np.ndarray:
+        """`head`'s probabilities over per-batch features, checked once for NaN/Inf."""
+        with ad.no_grad():
+            probs = np.concatenate([self.probs(Tensor(h), head).data for h in feats], axis=0)
+        ad.check_finite(probs, f"head {head!r} probabilities")
+        return probs
+
     def calibrated_probs(self, head: str) -> np.ndarray:
         """`head`'s probabilities on the recalibration's target set, read
         from the features that `adabn_recalibrate` kept (no forward)."""
         if self._calibrated is None:
             raise UsageError("calibrated_probs needs AdaBN recalibration first")
-        with ad.no_grad():
-            return np.concatenate([self.probs(Tensor(h, _check=False), head).data
-                                   for h in self._calibrated], axis=0)
+        return self._head_probs(self._calibrated, head)
 
     def predict(self, x: np.ndarray, head: str = "a", batch_size: int = 256) -> np.ndarray:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
         if self.bn is None:
             raise UsageError("predict needs AdaBN recalibration first")
-        outs = []
-        with ad.no_grad():
-            for lo in range(0, len(x), batch_size):
-                feats = self.features(x[lo:lo + batch_size], mode="eval")
-                outs.append(self.probs(feats, head).data)
-        return np.concatenate(outs, axis=0)
+        return self._head_probs((self.features(x[lo:lo + batch_size], mode="eval").data
+                                 for lo in range(0, len(x), batch_size)), head)
 
 
 def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):

@@ -183,11 +183,17 @@ def _weighted_mixture(prob_list, weights) -> np.ndarray:
     return out
 
 
+def _task_probs(model: SlimModel, feats: Tensor) -> np.ndarray:
+    """`model`'s task prediction on `feats` as a constant array (no graph)."""
+    with ad.no_grad():
+        return model.probs(feats, "task").data
+
+
 def ensemble(batch: ModelBatch, confidences, xt: np.ndarray) -> np.ndarray:
     """Confidence-weighted mixture of the sampled models' task predictions
     on target data (train-mode forward, no gradients)."""
     with ad.no_grad():
-        probs = [mdl.probs(mdl.features(xt, mode="train"), "task").data for mdl in batch.models]
+        probs = [_task_probs(mdl, mdl.features(xt, mode="train")) for mdl in batch.models]
     return _weighted_mixture(probs, confidences)
 
 
@@ -235,8 +241,8 @@ def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: floa
             continue
         term = loss * w
         total = term if total is None else total + term
-    grads = ad.gradients(total, bank.params)
     metrics = _step_metrics(parts, loss_seed, mode)
+    grads = ad.gradients(total, bank.params)
     if capture is not None:
         capture.update(record, **{key: [] for key, _, _ in terms})
         for key, _, loss in terms:
@@ -266,8 +272,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
 
     # Ensemble target: confidence-weighted task predictions, sharpened,
     # then treated as a constant (no gradient reaches its sources).
-    with ad.no_grad():
-        prob_list = [mdl.probs(ft.detach(), "task").data for mdl, (_, ft) in zip(batch.models, feats)]
+    prob_list = [_task_probs(mdl, ft) for mdl, (_, ft) in zip(batch.models, feats)]
     g_seed = sharpen(_weighted_mixture(prob_list, conf), cfg.tau)
 
     terms, parts, seed_vals = [], [], []
@@ -312,9 +317,7 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
 
     fs, ft = teacher.features(xs, mode="train"), teacher.features(xt, mode="train")
     dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
-    with ad.no_grad():
-        teacher_s = teacher.probs(fs.detach(), "task").data
-        teacher_t = teacher.probs(ft.detach(), "task").data
+    teacher_s, teacher_t = _task_probs(teacher, fs), _task_probs(teacher, ft)
 
     terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
     distill_vals = []
@@ -331,15 +334,9 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
 def _step_metrics(parts, loss_seed: float, mode: str) -> dict:
     """Mean of the models' loss parts; a non-finite value is a NumericError."""
     mean = np.sum([astuple(p) for p in parts], axis=0) / len(parts)
-    vals = dict(
-        loss_task=mean[0] + mean[1],
-        loss_dd=mean[2],
-        loss_conf=mean[3] + mean[4],
-        loss_ent=mean[5],
-        loss_seed=loss_seed,
-    )
-    if not all(np.isfinite(v) for v in vals.values()):
-        raise NumericError(f"non-finite loss in {mode} step: {vals}")
+    vals = dict(loss_task=mean[0] + mean[1], loss_dd=mean[2], loss_conf=mean[3] + mean[4],
+                loss_ent=mean[5], loss_seed=loss_seed)
+    ad.check_finite(np.array(list(vals.values())), f"the {mode} step's losses {vals}")
     return vals
 
 
@@ -389,12 +386,9 @@ def train(bank: ParamStore, dataset: DomainDataset, cfg: TrainerConfig,
             steps += 1
         row = {"epoch": epoch, "mode": cfg.mode, "steps": steps}
         row.update({k: sums[k] / max(steps, 1) for k in METRIC_KEYS})
-        if eval_labels is not None:
-            row["probe_acc_1"] = config_accuracy(bank, probes[0], dataset.xt, eval_labels, head)
-            row["probe_acc_64th"] = config_accuracy(bank, probes[1], dataset.xt, eval_labels, head)
-        else:
-            row["probe_acc_1"] = None
-            row["probe_acc_64th"] = None
+        for key, probe in zip(("probe_acc_1", "probe_acc_64th"), probes):
+            row[key] = (None if eval_labels is None
+                        else config_accuracy(bank, probe, dataset.xt, eval_labels, head))
         row["seconds"] = time.perf_counter() - t0
         log.append(row)
     return log

@@ -380,17 +380,65 @@ class TestMalformedInput:
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["search", "eval"])
-    def test_overflowing_checkpoint_is_numeric_error(self, initialised, capsys, command):
-        """A finite weight of 1e308 overflows the first layer's activations;
-        the eval path stops with a NumericError (exit 3)."""
+    @pytest.mark.parametrize("command,name", [("search", "f.b0.l0.w"), ("eval", "f.b0.l0.w"),
+                                              ("search", "c.a.w"), ("eval", "c.a.w")],
+                             ids=["search", "eval", "search-head", "eval-head"])
+    def test_overflowing_checkpoint_is_numeric_error(self, initialised, capsys, command, name):
+        """A finite weight of 1e308 overflows the first layer's activations
+        or the deployment head's logits; the eval path stops with a
+        NumericError (exit 3)."""
         cfg_path, out, _ = initialised
         doc = json.loads((out / "checkpoint.json").read_text())
-        doc["params"]["f.b0.l0.w"][0][0] = 1e308
+        doc["params"][name][0][0] = 1e308
         (out / "checkpoint.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run([command, "--config", cfg_path]) == 3
         assert capsys.readouterr().err.startswith("numeric error: non-finite")
+
+    def test_nan_checkpoint_parameter_is_numeric_error(self, initialised, capsys):
+        """A JSON NaN in one parameter fails the load with an error that
+        names the parameter (exit 3)."""
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["params"]["f.b1.l0.bn_g"][2] = float("nan")
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["search", "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: non-finite") and "f.b1.l0.bn_g" in err
+
+    def test_nan_in_target_data_fails_train_and_keeps_the_checkpoint(self, initialised):
+        cfg_path, out, _ = initialised
+        checkpoint = (out / "checkpoint.json").read_bytes()
+        doc = json.loads((out / "dataset.json").read_text())
+        doc["xt"][5][0] = float("nan")
+        (out / "dataset.json").write_text(json.dumps(doc))
+        assert run(["train", "--config", cfg_path]) == 3
+        assert (out / "checkpoint.json").read_bytes() == checkpoint
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "dataset.json"]
+
+
+class TestGreedyLadderSkips:
+    def test_unreachable_rungs_are_named_and_left_out(self, workdir, capsys):
+        """With two layers per block at tolerance 0.02, two rungs of this
+        untrained bank's ladder lie where no candidate grows from the
+        previous winner: `search` names them on stderr, writes the reached
+        rungs under their ladder index, and exits 0."""
+        cfg_path, out = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc["architecture"]["layers_per_block"] = 2
+        doc["search"].update(k=6, tolerance=0.02)
+        cfg_path.write_text(json.dumps(doc))
+        assert run(["gen-data", "--config", cfg_path]) == 0
+        arch = cli.parse_experiment(doc).arch
+        save_checkpoint(out / "checkpoint.json", init_bank(arch, 0), 0, 0, "slimda")
+        capsys.readouterr()
+        assert run(["search", "--config", cfg_path]) == 0
+        err = capsys.readouterr().err
+        assert "skipped budget ratio 0.3526" in err and "skipped budget ratio 0.6763" in err
+        rows = (out / "search.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["0", "0.190751"], ["2", "0.514451"],
+                                                    ["4", "0.838150"], ["5", "1.000000"]]
 
 
 # Two blocks [16, 32] at tolerance 0.05: every config sampled in the

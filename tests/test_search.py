@@ -294,6 +294,32 @@ class TestDefaultLadder:
             budget = step.budget_ratio * full
             assert budget * 0.95 <= step.config.flops <= budget * 1.05
 
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_rungs_no_candidate_grows_into_are_skipped(self, seed):
+        """At tolerance 0.02 the 0.5145 rung's winner, (15, 13) or (16, 12),
+        is wider in block 0 than every config in the 0.6763 and 0.8382
+        bands: those rungs get no step, and the ladder goes on from that
+        winner to full width."""
+        bank = ParamStore(self.GAPPED, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(50, self.GAPPED.input_dim))
+        plan = SearchPlan(seed=seed)
+        budgets = plan.budgets(self.GAPPED)
+        steps = inherited_greedy_search(bank, plan, x)
+        assert [s.budget_ratio for s in steps] == [budgets[i] for i in (0, 1, 2, 5)]
+        assert steps[2].config.widths in ((15, 13), (16, 12))
+        assert steps[-1].config == self.GAPPED.full_config()
+
+    def test_a_ladder_with_no_reachable_rung_is_a_search_error(self):
+        """85 FLOPs lies between the slimmest config (80) and its cheapest
+        one-channel step (104), so no candidate lands in its ±2% band."""
+        bank = ParamStore(self.GAPPED, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(50, self.GAPPED.input_dim))
+        gap = 85 / self.GAPPED.full_config().flops
+        steps = inherited_greedy_search(bank, SearchPlan(budget_ratios=(gap, 1.0)), x)
+        assert [s.budget_ratio for s in steps] == [1.0]
+        with pytest.raises(SearchError):
+            inherited_greedy_search(bank, SearchPlan(budget_ratios=(gap,)), x)
+
     @pytest.mark.parametrize("blocks", [(32, 64, 128, 256), (8, 16, 32, 64)])
     @pytest.mark.parametrize("layers_per_block", [1, 2])
     def test_benchmark_architectures_keep_the_geometric_ladder(self, blocks, layers_per_block):

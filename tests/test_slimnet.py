@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt.errors import ConfigError, NumericError, UsageError
+from slimadapt.search import anchor_discrepancy
 from slimadapt.slimnet import (
     BN_EPS,
     Architecture,
@@ -442,8 +443,13 @@ class TestEvalLayer:
 
     @staticmethod
     def reference(z, gamma, beta, mean, var):
-        return ad.relu(ad.batchnorm(ad.Tensor(z), ad.Tensor(gamma), ad.Tensor(beta),
-                                    mode="eval", stats=(mean, var), eps=BN_EPS)).data
+        """The autodiff ops, with NaN/Inf in the batchnorm output (before
+        the ReLU could clip -inf to 0) raised as NumericError."""
+        normed = ad.batchnorm(ad.Tensor(z), ad.Tensor(gamma), ad.Tensor(beta),
+                              mode="eval", stats=(mean, var), eps=BN_EPS)
+        if not np.isfinite(normed.data).all():
+            raise NumericError("non-finite batchnorm output")
+        return ad.relu(normed).data
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), width=st.integers(1, 12),
@@ -477,12 +483,19 @@ class TestEvalLayer:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFiniteEval:
-    """An overflowing weight raises NumericError on every eval path."""
+    """An overflowing weight raises NumericError on every eval path: a
+    feature weight in the eval forward, a head weight in the heads'
+    probabilities."""
 
     @staticmethod
     def overflowing_store(name):
+        """One weight of `name` at 1e308; for a head its first column, so
+        that its logits overflow wherever the features sum past ~1.8."""
         store = ParamStore(ARCH, np.random.default_rng(0))
-        store[name].data[0, 0] = 1e308
+        if name.startswith("c."):
+            store[name].data[:, 0] = 1e308
+        else:
+            store[name].data[0, 0] = 1e308
         return store
 
     @pytest.mark.parametrize("name", ["f.b0.l0.w", "f.b1.l1.w"])
@@ -506,3 +519,32 @@ class TestNonFiniteEval:
         store["f.b1.l0.w"].data[0, 0] = 1e308
         with pytest.raises(NumericError):
             model.predict(x)
+
+    def test_overflowing_head_raises_in_calibrated_probs(self):
+        """Recalibration never reads a head; the head's probabilities raise,
+        in a lone recalibration and in a shared pass alike."""
+        x = np.random.default_rng(18).normal(size=(40, ARCH.input_dim)) * 3.0
+        store = self.overflowing_store("c.a.w")
+        model = store.slice(ARCH.full_config())
+        adabn_recalibrate(model, x)
+        model.calibrated_probs("s")  # the other heads stay finite
+        with pytest.raises(NumericError):
+            model.calibrated_probs("a")
+        configs = [ARCH.make_config(w) for w in ((8, 12), (8, 20), (16, 24), (4, 3))]
+        for _, model in adabn_pass(store, configs, x):
+            with pytest.raises(NumericError):
+                model.calibrated_probs("a")
+
+    def test_predict_raises_on_an_overflowing_head(self, store):
+        x = np.random.default_rng(20).normal(size=(40, ARCH.input_dim)) * 3.0
+        model = store.slice(ARCH.full_config())
+        adabn_recalibrate(model, x)
+        store["c.a.w"].data[:, 0] = 1e308
+        with pytest.raises(NumericError):
+            model.predict(x)
+
+    @pytest.mark.parametrize("name", ["f.b0.l0.w", "f.b1.l1.w", "c.a.w"])
+    def test_anchor_discrepancy_raises(self, name):
+        x = np.random.default_rng(21).normal(size=(40, ARCH.input_dim)) * 3.0
+        with pytest.raises(NumericError):
+            anchor_discrepancy(self.overflowing_store(name), ARCH.make_config((8, 12)), x)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt.datasets import DomainDataset, ShiftSpec, make_dataset
-from slimadapt.errors import ConfigError, UsageError
+from slimadapt.errors import ConfigError, NumericError, UsageError
 from slimadapt.losses import _log, domain_confusion_targets, one_hot
 from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore
@@ -346,6 +346,30 @@ class TestFusedStep:
         xs, ys, xt = small_batch(43)
         STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(6, "model"))
         assert len(calls) == 1
+
+
+class TestNonFiniteStep:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["f.b0.l0.w", "c.s.w"])
+    @pytest.mark.parametrize("mode", sorted(STEP_FNS))
+    def test_overflowing_weights_fail_the_step_and_change_nothing(self, mode, name):
+        """A weight column at 1e308.  No op checks its output: the overflow
+        surfaces at the step's boundaries (log, loss values, updated
+        parameters), and the failed step leaves every parameter and
+        momentum buffer as it was."""
+        bank = init_bank(ARCH, 50)
+        cfg = TrainerConfig(mode=mode, model_batch_size=4)
+        state, rng = ad.SgdState(lr=0.01), named_rng(8, "model")
+        xs, ys, xt = small_batch(51)
+        STEP_FNS[mode](bank, state, xs, ys, xt, cfg, rng)  # fills the momentum buffers
+        bank[name].data[:, 0] = 1e308
+        params = {n: p.data.tobytes() for n, p in bank.params.items()}
+        buffers = {n: b.tobytes() for n, b in state.buffers.items()}
+        assert set(buffers) == set(params)
+        with pytest.raises(NumericError):
+            STEP_FNS[mode](bank, state, xs, ys, xt, cfg, rng)
+        assert {n: p.data.tobytes() for n, p in bank.params.items()} == params
+        assert {n: b.tobytes() for n, b in state.buffers.items()} == buffers
 
 
 class TestInplaced:
