@@ -27,11 +27,9 @@ from .errors import (
     UsageError,
 )
 from .losses import (
-    DcGradTargets,
     DcLossParts,
     domain_confusion_targets,
     domain_discrimination_loss,
-    entropy_min_loss,
     task_discrimination_loss,
 )
 from .search import (
@@ -58,9 +56,7 @@ from .slimnet import (
 )
 from .trainer import (
     ConfidencePolicy,
-    ModelBatch,
     TrainerConfig,
-    build_model_batch,
     confidence,
     deploy_head,
     distillation_loss,

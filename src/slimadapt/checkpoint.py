@@ -1,5 +1,5 @@
 """Checkpoint files: one JSON document holding the architecture, every
-parameter array (17 significant digits, exact float64 round-trip), the
+parameter array (shortest round-trip repr, exact float64 round-trip), the
 training seed, the step count, and the training mode."""
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ error, 3 numeric error, 4 IO error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import jsonio
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import ShiftSpec, load_dataset, make_dataset, save_dataset
+from .datasets import DomainDataset, ShiftSpec, load_dataset, make_dataset, save_dataset
 from .errors import ConfigError, NumericError, SearchError, UsageError
 from .jsonio import field
 from .search import (
@@ -136,13 +135,7 @@ def _parse_widths(text: str) -> list[tuple[int, ...]]:
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    """Write through a temporary file, so a failed write leaves the old file."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text("\n".join([header] + rows) + "\n", encoding="utf-8", newline="\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    jsonio.write_atomic(path, "\n".join([header] + rows) + "\n")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -163,22 +156,17 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     exp = _load_experiment(args)
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    ds = load_dataset(exp.out_dir / DATASET_FILE)  # blind: no label section
+    full = load_dataset(exp.out_dir / DATASET_FILE, evaluation=True)
     try:
-        labels = load_dataset(exp.out_dir / DATASET_FILE, evaluation=True) \
-            .target_labels(evaluation=True)
+        labels = full.target_labels(evaluation=True)  # probe diagnostics only
     except UsageError:
         labels = None
+    ds = DomainDataset(full.xs, full.ys, full.xt, full.K, full.spec, full.seed)  # label-free
 
     bank = init_bank(exp.arch, exp.seed)
-    ckpt_tmp = exp.out_dir / (CHECKPOINT_FILE + ".tmp")
-    try:
-        log = train(bank, ds, exp.trainer, eval_labels=labels)
-        steps = sum(row["steps"] for row in log)
-        save_checkpoint(ckpt_tmp, bank, exp.seed, steps, exp.trainer.mode)
-        os.replace(ckpt_tmp, exp.out_dir / CHECKPOINT_FILE)
-    finally:
-        ckpt_tmp.unlink(missing_ok=True)
+    log = train(bank, ds, exp.trainer, eval_labels=labels)
+    steps = sum(row["steps"] for row in log)
+    save_checkpoint(exp.out_dir / CHECKPOINT_FILE, bank, exp.seed, steps, exp.trainer.mode)
     rows = [
         ",".join([str(r["epoch"]), r["mode"], _f(r["loss_task"]), _f(r["loss_dd"]),
                   _f(r["loss_conf"]), _f(r["loss_ent"]), _f(r["loss_seed"]),

@@ -1,67 +1,48 @@
-"""Exact JSON serialization for datasets and checkpoints, and the typed
-reader of loaded documents (checkpoints and experiment configs).
+"""Exact JSON serialization for datasets and checkpoints, atomic output
+files, and the typed reader of loaded documents (checkpoints and
+experiment configs).
 
-Floats are written with 17 significant digits so every float64 round-trips
-bit for bit; key order follows insertion order, so a given object always
-serializes to the same bytes.
+Floats are written as Python's shortest round-trip repr, so every float64
+loads back bit for bit; key order follows insertion order, so a given
+object always serializes to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-__all__ = ["dump_exact", "load", "field"]
+__all__ = ["dump_exact", "write_atomic", "load", "field"]
 
 
-def _emit(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if not math.isfinite(f):
-            raise NumericError("cannot serialize non-finite float")
-        text = format(f, ".17g")
-        out.append("-0.0" if text == "-0" else text)  # "-0" would load as the integer 0
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _to_builtin(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def write_atomic(path, text: str) -> None:
+    """Write `text` through a temporary file, so a failed write leaves the old file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def dump_exact(obj, path) -> None:
-    out: list[str] = []
-    _emit(obj, out)
-    Path(path).write_text("".join(out) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(obj, default=_to_builtin, allow_nan=False, separators=(",", ":"))
+    except ValueError as exc:  # the encoder's refusal of NaN/Inf
+        raise NumericError(f"cannot serialize non-finite float: {exc}") from exc
+    write_atomic(path, text + "\n")
 
 
 def load(path) -> dict:

@@ -32,10 +32,8 @@ from .slimnet import SlimModel
 __all__ = [
     "PROB_FLOOR",
     "DcLossParts",
-    "DcGradTargets",
     "task_discrimination_loss",
     "domain_discrimination_loss",
-    "entropy_min_loss",
     "domain_confusion_targets",
     "one_hot",
 ]
@@ -142,13 +140,6 @@ def _dom_confusion(model: SlimModel, feats_t: Tensor) -> Tensor:
 def _entropy(model: SlimModel, feats_t: Tensor) -> Tensor:
     p = model.probs(feats_t, "task", frozen=True)
     return -(p * _log(p)).sum(axis=1).mean()
-
-
-def entropy_min_loss(model: SlimModel, xt: np.ndarray) -> Tensor:
-    """Mean entropy of the task prediction on target data (extractor only)."""
-    if len(xt) == 0:
-        raise UsageError("entropy loss needs a non-empty target batch")
-    return _entropy(model, model.features(xt, mode="train"))
 
 
 # -- combined per-model objective -----------------------------------------

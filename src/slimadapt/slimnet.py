@@ -155,9 +155,6 @@ class BnStats:
     variances: list[np.ndarray]
     count: int
 
-    def layer(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.means[idx], self.variances[idx]
-
 
 class ParamStore:
     """The full-width shared parameter bank.
@@ -192,9 +189,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def classifier_params(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.params.items() if k.startswith("c.")}
 
     def slice(self, config: WidthConfig) -> "SlimModel":
         return SlimModel(self, self.arch.make_config(config.widths))
@@ -300,7 +294,7 @@ class SlimModel:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
         h = h.data
         for k, (weight, gamma, beta) in enumerate(self.layers(arrays=True)):
-            h = _eval_layer(h @ weight, gamma, beta, *self.bn.layer(k))
+            h = _eval_layer(h @ weight, gamma, beta, self.bn.means[k], self.bn.variances[k])
         return Tensor(h)
 
     def head_logits(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:

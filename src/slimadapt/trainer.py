@@ -46,10 +46,8 @@ __all__ = [
     "MODES",
     "ConfidencePolicy",
     "TrainerConfig",
-    "ModelBatch",
     "init_bank",
     "sample_width_configs",
-    "build_model_batch",
     "confidence",
     "ensemble",
     "sharpen",
@@ -112,22 +110,6 @@ class TrainerConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
 
 
-@dataclass
-class ModelBatch:
-    """The sub-models sampled for one step, capacity-descending."""
-
-    models: list[SlimModel]
-    confidences: np.ndarray | None = None
-
-    @property
-    def m(self) -> int:
-        return len(self.models)
-
-    @property
-    def configs(self) -> list[WidthConfig]:
-        return [mdl.config for mdl in self.models]
-
-
 def init_bank(arch: Architecture, seed: int) -> ParamStore:
     """Fresh parameter bank initialized from the named 'init' stream."""
     return ParamStore(arch, named_rng(seed, "init"))
@@ -148,27 +130,14 @@ def sample_width_configs(rng: np.random.Generator, arch: Architecture, m: int) -
     return configs
 
 
-def confidence(configs_or_batch, policy: ConfidencePolicy, arch: Architecture | None = None) -> np.ndarray:
+def confidence(configs, policy: ConfidencePolicy, arch: Architecture) -> np.ndarray:
     """Confidence weights from capacity ratios r_j = FLOPs_j / FLOPs_full."""
-    if isinstance(configs_or_batch, ModelBatch):
-        configs = configs_or_batch.configs
-        arch = configs_or_batch.models[0].arch
-    else:
-        configs = list(configs_or_batch)
-        if arch is None:
-            raise UsageError("confidence over raw configs needs the architecture")
     full = arch.full_config().flops
     r = np.array([c.flops / full for c in configs])
     if policy.mode == "hard":
         return (r >= policy.lam).astype(np.float64)
     a = 2.0 * r - 1.0
     return 0.5 * np.sign(a) * np.abs(a) ** policy.s + 0.5
-
-
-def build_model_batch(bank: ParamStore, configs, policy: ConfidencePolicy | None = None) -> ModelBatch:
-    models = [bank.slice(c) for c in configs]
-    conf = confidence(configs, policy, bank.arch) if policy is not None else None
-    return ModelBatch(models=models, confidences=conf)
 
 
 def _weighted_mixture(prob_list, weights) -> np.ndarray:
@@ -189,11 +158,11 @@ def _task_probs(model: SlimModel, feats: Tensor) -> np.ndarray:
         return model.probs(feats, "task").data
 
 
-def ensemble(batch: ModelBatch, confidences, xt: np.ndarray) -> np.ndarray:
+def ensemble(models: list[SlimModel], confidences, xt: np.ndarray) -> np.ndarray:
     """Confidence-weighted mixture of the sampled models' task predictions
     on target data (train-mode forward, no gradients)."""
     with ad.no_grad():
-        probs = [_task_probs(mdl, mdl.features(xt, mode="train")) for mdl in batch.models]
+        probs = [_task_probs(mdl, mdl.features(xt, mode="train")) for mdl in models]
     return _weighted_mixture(probs, confidences)
 
 
@@ -259,24 +228,24 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     """One slimda update over a freshly sampled model batch."""
     arch = bank.arch
     configs = sample_width_configs(rng_model, arch, cfg.model_batch_size)
-    batch = build_model_batch(bank, configs, cfg.policy)
-    conf = batch.confidences
-    m = batch.m
+    models = [bank.slice(c) for c in configs]
+    conf = confidence(configs, cfg.policy, arch)
+    m = len(models)
     w_dc = conf / conf.sum()
     anti = 1.0 - conf
     w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros(m)
     ys_onehot = one_hot(ys, arch.class_count)
 
     feats = [(mdl.features(xs, mode="train"), mdl.features(xt, mode="train"))
-             for mdl in batch.models]
+             for mdl in models]
 
     # Ensemble target: confidence-weighted task predictions, sharpened,
     # then treated as a constant (no gradient reaches its sources).
-    prob_list = [_task_probs(mdl, ft) for mdl, (_, ft) in zip(batch.models, feats)]
+    prob_list = [_task_probs(mdl, ft) for mdl, (_, ft) in zip(models, feats)]
     g_seed = sharpen(_weighted_mixture(prob_list, conf), cfg.tau)
 
     terms, parts, seed_vals = [], [], []
-    for j, (mdl, (fs, ft)) in enumerate(zip(batch.models, feats)):
+    for j, (mdl, (fs, ft)) in enumerate(zip(models, feats)):
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
         seed_cls, seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot)
         terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
@@ -291,11 +260,11 @@ def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
                         rng_model: np.random.Generator, capture: dict | None = None) -> dict:
     """One step of plain model-batch averaging of the confusion losses."""
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
-    batch = build_model_batch(bank, configs, cfg.policy)
-    m = batch.m
+    models = [bank.slice(c) for c in configs]
+    m = len(models)
 
     terms, parts = [], []
-    for mdl in batch.models:
+    for mdl in models:
         dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent)
         terms += [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
         parts.append(dc.parts)
@@ -311,9 +280,9 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     gradient reaching its task heads and its features alike.
     """
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
-    batch = build_model_batch(bank, configs, cfg.policy)
-    teacher = batch.models[0]
-    m = batch.m
+    models = [bank.slice(c) for c in configs]
+    teacher = models[0]
+    m = len(models)
 
     fs, ft = teacher.features(xs, mode="train"), teacher.features(xt, mode="train")
     dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
@@ -321,7 +290,7 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
 
     terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
     distill_vals = []
-    for mdl in batch.models[1:]:
+    for mdl in models[1:]:
         fs = mdl.features(xs, mode="train")
         ft = mdl.features(xt, mode="train")
         d_cls, d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, head="task")

@@ -37,7 +37,6 @@ from slimadapt.slimnet import Architecture, ParamStore, WidthConfig
 from slimadapt.trainer import (
     ConfidencePolicy,
     TrainerConfig,
-    build_model_batch,
     confidence,
     deploy_head,
     ensemble,
@@ -235,11 +234,11 @@ def test_criterion_04_distillation_mechanics():
 
     arch = Architecture(input_dim=5, block_max_widths=(8, 8), layers_per_block=1, class_count=3)
     bank = ParamStore(arch, np.random.default_rng(3))
-    batch = build_model_batch(bank, [arch.full_config(), arch.make_config((4, 6))])
+    models = [bank.slice(c) for c in (arch.full_config(), arch.make_config((4, 6)))]
     xt = rng.normal(size=(12, 5))
-    mix = ensemble(batch, np.array([1.0, 1.0]), xt)
+    mix = ensemble(models, np.array([1.0, 1.0]), xt)
     with ad.no_grad():
-        parts = [m.probs(m.features(xt, mode="train"), "task").data for m in batch.models]
+        parts = [m.probs(m.features(xt, mode="train"), "task").data for m in models]
     pair_err = float(np.abs(mix - (parts[0] + parts[1]) / 2).max())
 
     full = arch.full_config().flops

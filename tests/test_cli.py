@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import slimadapt
-from slimadapt import cli, search
+from slimadapt import cli, jsonio, search
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
 from slimadapt.errors import NumericError
 from slimadapt.slimnet import Architecture, SlimModel
@@ -118,6 +118,35 @@ class TestTrain:
         assert (out / "metrics.csv").read_bytes() == metrics
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "dataset.json",
                                                          "metrics.csv"]
+
+    def test_train_parses_config_and_dataset_once_each(self, workdir, monkeypatch):
+        cfg_path, _ = workdir
+        run(["gen-data", "--config", cfg_path])
+        loaded = []
+        real_load = jsonio.load
+        monkeypatch.setattr(jsonio, "load", lambda path: loaded.append(path) or real_load(path))
+        assert run(["train", "--config", cfg_path]) == 0
+        assert [Path(p).name for p in loaded] == ["config.json", "dataset.json"]
+
+    @pytest.mark.parametrize("command,name", [("gen-data", "dataset.json"),
+                                              ("train", "checkpoint.json")])
+    def test_failed_write_keeps_the_previous_file(self, workdir, monkeypatch, command, name):
+        """A write that fails halfway (disk full) leaves every output file as
+        it was and no temporary file behind."""
+        cfg_path, out = workdir
+        run(["gen-data", "--config", cfg_path])
+        run(["train", "--config", cfg_path])
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_write = Path.write_text
+
+        def disk_full(path, text, *args, **kwargs):
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert run([command, "--config", cfg_path, "--seed", "9"]) == 4
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert name in before
 
     def test_mode_flag_changes_mode_column(self, workdir):
         cfg_path, out = workdir

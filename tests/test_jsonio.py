@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from slimadapt import jsonio
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
-from slimadapt.errors import ConfigError
+from slimadapt.errors import ConfigError, NumericError
 from slimadapt.slimnet import Architecture
 from slimadapt.trainer import init_bank
 
@@ -40,6 +40,15 @@ def test_negative_zero_keeps_its_sign(tmp_path):
     doc = jsonio.load(path)
     assert np.signbit(doc["z"]) and isinstance(doc["z"], float)
     assert same_bits(doc["a"], [-0.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.inf, np.array([1.0, -np.inf])],
+                         ids=["nan", "inf", "array"])
+def test_non_finite_value_is_numeric_error_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "x.json"
+    with pytest.raises(NumericError):
+        jsonio.dump_exact({"ok": 1.0, "x": value}, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):

@@ -1,0 +1,41 @@
+"""The public surface stays whole: every name a module lists in `__all__`
+exists, and so does every name the demos import from slimadapt.  The demos
+are parsed, not run."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import slimadapt
+
+MODULES = sorted(f"slimadapt.{m.name}" for m in pkgutil.iter_modules(slimadapt.__path__))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def demo_imports(path: Path):
+    """(module, name) for each `from slimadapt... import name` in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "slimadapt":
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing objects: {missing}"
+
+
+def test_demos_are_found():
+    assert DEMOS and all(list(demo_imports(p)) for p in DEMOS)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_every_name_a_demo_imports_exists(demo):
+    missing = [f"{module}.{name}" for module, name in demo_imports(demo)
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"{demo.name} imports missing names: {missing}"

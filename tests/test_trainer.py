@@ -17,7 +17,6 @@ from slimadapt.slimnet import Architecture, ParamStore
 from slimadapt.trainer import (
     ConfidencePolicy,
     TrainerConfig,
-    build_model_batch,
     confidence,
     distillation_loss,
     ensemble,
@@ -83,9 +82,8 @@ class TestSampling:
 
 class TestConfidence:
     def test_hard_values(self):
-        bank = init_bank(ARCH, 0)
-        batch = build_model_batch(bank, [ARCH.full_config(), ARCH.smallest_config()])
-        conf = confidence(batch, ConfidencePolicy(lam=0.5, mode="hard"))
+        configs = [ARCH.full_config(), ARCH.smallest_config()]
+        conf = confidence(configs, ConfidencePolicy(lam=0.5, mode="hard"), ARCH)
         assert conf[0] == 1.0  # ratio 1.0 >= lam
         assert conf[1] == 0.0  # tiny ratio
 
@@ -93,8 +91,7 @@ class TestConfidence:
         # Synthetic ratio exactly at lam: covered through a config whose
         # flops hit exactly half of full.
         policy = ConfidencePolicy(lam=1.0, mode="hard")
-        bank = init_bank(ARCH, 0)
-        conf = confidence(build_model_batch(bank, [ARCH.full_config()]), policy)
+        conf = confidence([ARCH.full_config()], policy, ARCH)
         assert conf[0] == 1.0
 
     def test_general_s1_equals_ratio(self):
@@ -118,29 +115,30 @@ class TestConfidence:
 class TestEnsembleAndSharpen:
     def test_single_confident_model(self):
         bank = init_bank(ARCH, 1)
-        batch = build_model_batch(bank, [ARCH.full_config(), ARCH.smallest_config()])
+        models = [bank.slice(c) for c in (ARCH.full_config(), ARCH.smallest_config())]
         xt = np.random.default_rng(2).normal(size=(8, ARCH.input_dim))
-        g = ensemble(batch, np.array([1.0, 0.0]), xt)
+        g = ensemble(models, np.array([1.0, 0.0]), xt)
         with ad.no_grad():
-            model = batch.models[0]
+            model = models[0]
             want = model.probs(model.features(xt, mode="train"), "task").data
         np.testing.assert_allclose(g, want, atol=1e-12)
 
     def test_two_equal_weights_average(self):
         bank = init_bank(ARCH, 1)
         cfgs = [ARCH.full_config(), ARCH.make_config((8, 12))]
-        batch = build_model_batch(bank, cfgs)
+        models = [bank.slice(c) for c in cfgs]
         xt = np.random.default_rng(3).normal(size=(5, ARCH.input_dim))
-        g = ensemble(batch, np.array([1.0, 1.0]), xt)
+        g = ensemble(models, np.array([1.0, 1.0]), xt)
         with ad.no_grad():
-            parts = [m.probs(m.features(xt, mode="train"), "task").data for m in batch.models]
+            parts = [m.probs(m.features(xt, mode="train"), "task").data for m in models]
         np.testing.assert_allclose(g, (parts[0] + parts[1]) / 2, atol=1e-12)
 
     def test_ensemble_rows_are_distributions(self):
         bank = init_bank(ARCH, 4)
-        batch = build_model_batch(bank, sample_width_configs(np.random.default_rng(0), ARCH, 5))
+        configs = sample_width_configs(np.random.default_rng(0), ARCH, 5)
+        models = [bank.slice(c) for c in configs]
         xt = np.random.default_rng(5).normal(size=(6, ARCH.input_dim))
-        g = ensemble(batch, np.array([1.0, 1.0, 0.5, 0.0, 0.0]), xt)
+        g = ensemble(models, np.array([1.0, 1.0, 0.5, 0.0, 0.0]), xt)
         assert np.all(g >= 0)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
 
@@ -263,9 +261,8 @@ class TestStepRouting:
         bank = init_bank(ARCH, 12)
         xs, ys, xt = small_batch(13)
         narrow = [ARCH.make_config((4, 6)), ARCH.make_config((8, 6))]
-        batch = build_model_batch(bank, narrow)
         losses = []
-        for mdl in batch.models:
+        for mdl in (bank.slice(c) for c in narrow):
             t = domain_confusion_targets(mdl, xs, ys, xt)
             losses += [t.classifier_loss, t.extractor_loss]
         grads = ad.gradients(sum(loss * 0.25 for loss in losses), bank.params)
