@@ -26,12 +26,7 @@ from .errors import (
     SlimAdaptError,
     UsageError,
 )
-from .losses import (
-    DcLossParts,
-    domain_confusion_targets,
-    domain_discrimination_loss,
-    task_discrimination_loss,
-)
+from .losses import DcLossParts, domain_confusion_targets
 from .search import (
     CorrelationReport,
     DiscrepancyScore,

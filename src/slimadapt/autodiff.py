@@ -12,8 +12,9 @@ NaN/Inf, except `log` (finite input may give -inf); `check_finite` runs at
 the graph's boundaries: model inputs, checkpoint parameters, eval
 activations and eval head probabilities (`slimnet`), step losses
 (`trainer`) and updated parameters (`sgd_step`).  matmul's VJP computes no
-gradient for an operand that needs none (input data, detached features,
-frozen heads).
+gradient for an operand that needs none (input data).  `affine_routes`
+computes one affine product and returns it as two nodes that split its
+gradient between the operands: the heads' two optimization roles.
 
 Also hosts the SGD-with-momentum optimizer and the inverse-decay learning
 rate schedule used by the trainer.
@@ -34,6 +35,7 @@ __all__ = [
     "no_grad",
     "check_finite",
     "matmul",
+    "affine_routes",
     "relu",
     "log",
     "clip",
@@ -221,6 +223,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a_data @ b_data, (a, b), vjp, "matmul")
 
 
+def affine_routes(x: Tensor, w: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """`x @ w + b` computed once, as two nodes over that one array.
+
+    The first passes gradient to `(w, b)` only (`x` is a constant to it),
+    the second to `x` only (`w` and `b` are constants to it).  Each node's
+    VJP is the one of `matmul` then a broadcast add for its operands.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ConfigError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    x_data, w_data = x.data, w.data
+    data = x_data @ w_data + b.data
+
+    def to_params(g):
+        return x_data.T @ g, g.sum(axis=0)
+
+    def to_x(g):
+        return (g @ w_data.T,)
+
+    return _node(data, (w, b), to_params, "affine"), _node(data, (x,), to_x, "affine")
+
+
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0
@@ -385,62 +409,32 @@ def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
     return _node(x.data[idx], (x,), vjp, "leading_slice")
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mode: str = "train",
-    stats: tuple[np.ndarray, np.ndarray] | None = None,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalization over axis 0 with affine scale/shift.
-
-    TRAIN mode normalizes by the batch's own mean and (population)
-    variance; EVAL mode uses the supplied running `stats = (mean, var)`.
-    """
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Training-mode batch normalization over axis 0 with affine
+    scale/shift: each column is normalized by the batch's own mean and
+    (population) variance.  The eval form, with running statistics, is
+    `slimnet._eval_layer` on plain arrays."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.ndim != 2:
         raise ConfigError(f"batchnorm input must be 2-D, got {x.shape}")
-    width = x.shape[1]
+    n, width = x.shape
     if gamma.shape != (width,) or beta.shape != (width,):
         raise ConfigError(
             f"batchnorm affine shapes {gamma.shape}/{beta.shape} do not match width {width}"
         )
+    if n < 2:
+        raise UsageError("batchnorm needs batch size >= 2")
 
-    if mode == "train":
-        n = x.shape[0]
-        if n < 2:
-            raise UsageError("batchnorm in train mode needs batch size >= 2")
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-    elif mode == "eval":
-        if stats is None:
-            raise UsageError("batchnorm in eval mode needs running stats")
-        mu, var = np.asarray(stats[0]), np.asarray(stats[1])
-        if mu.shape != (width,) or var.shape != (width,):
-            raise ConfigError(f"batchnorm stats shapes {mu.shape}/{var.shape} != width {width}")
-    else:
-        raise UsageError(f"unknown batchnorm mode {mode!r}")
-
-    inv = 1.0 / np.sqrt(var + eps)
+    mu = x.data.mean(axis=0)
+    inv = 1.0 / np.sqrt(x.data.var(axis=0) + eps)
     xhat = (x.data - mu) * inv
     data = gamma.data * xhat + beta.data
     gamma_data = gamma.data
 
-    if mode == "train":
-        n = x.shape[0]
-
-        def vjp(g):
-            dxhat = g * gamma_data
-            dx = (inv / n) * (
-                n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-            )
-            return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
-
-    else:
-
-        def vjp(g):
-            return g * gamma_data * inv, (g * xhat).sum(axis=0), g.sum(axis=0)
+    def vjp(g):
+        dxhat = g * gamma_data
+        dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _node(data, (x, gamma, beta), vjp, "batchnorm")
 

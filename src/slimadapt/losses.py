@@ -10,9 +10,11 @@ The loss family couples two task heads ("s", "t") and their shared-neuron
   domain confusion      -mean log src-half(x^t) - mean log tgt-half(x^t)
   entropy minimization   mean Shannon entropy of the task prediction on x^t
 
-Routing is structural, not a sign trick: classifier-side losses see
-*detached features* so they can never move the extractor; extractor-side
-losses see *frozen heads* so they can never move the classifiers.
+Routing is structural, not a sign trick: the losses read the two routes of
+`SlimModel.routed_probs`.  Classifier-side losses read `to_heads`, whose
+gradient reaches only the heads, so they can never move the extractor;
+extractor-side losses read `to_features`, whose gradient reaches only the
+features, so they can never move the classifiers.
 
 Probabilities are clamped to [1e-12, 1] inside every log, since the raw
 objectives diverge as any referenced probability reaches zero.
@@ -32,8 +34,6 @@ from .slimnet import SlimModel
 __all__ = [
     "PROB_FLOOR",
     "DcLossParts",
-    "task_discrimination_loss",
-    "domain_discrimination_loss",
     "domain_confusion_targets",
     "one_hot",
 ]
@@ -58,6 +58,12 @@ def _picked_log_prob(probs: Tensor, labels: np.ndarray, classes: int) -> Tensor:
     return _log((probs * mask).sum(axis=1))
 
 
+def _half_log_mean(gst: Tensor, k: int, half: int) -> Tensor:
+    """Mean log mass of the joint head's source (half 0) or target (half 1)
+    half."""
+    return _log(ad.slice_cols(gst, half * k, (half + 1) * k).sum(axis=1)).mean()
+
+
 @dataclass
 class DcLossParts:
     """Scalar values of the individual confusion-loss terms (all >= 0)."""
@@ -74,75 +80,15 @@ class DcLossParts:
 class DcGradTargets:
     """The two optimization roles of one model's confusion losses.
 
-    classifier_loss drives the task heads only (features are detached
-    inside); extractor_loss drives the feature extractor only (head
-    parameters are frozen inside).  Backward on one never touches the
-    other's parameters.
+    classifier_loss drives the task heads only (it reads the `to_heads`
+    route); extractor_loss drives the feature extractor only (it reads the
+    `to_features` route).  Backward on one never touches the other's
+    parameters.
     """
 
     classifier_loss: Tensor
     extractor_loss: Tensor
     parts: DcLossParts
-
-
-# -- classifier-side losses ----------------------------------------------
-
-
-def _task_terms(model: SlimModel, feats_s: Tensor, ys: np.ndarray) -> tuple[Tensor, Tensor]:
-    k = model.arch.class_count
-    term_s = -_picked_log_prob(model.probs(feats_s, "s"), ys, k).mean()
-    term_t = -_picked_log_prob(model.probs(feats_s, "t"), ys, k).mean()
-    return term_s, term_t
-
-
-def _domain_disc(model: SlimModel, feats_s: Tensor, feats_t: Tensor) -> Tensor:
-    k = model.arch.class_count
-    src_half = ad.slice_cols(model.probs(feats_s, "st"), 0, k).sum(axis=1)
-    tgt_half = ad.slice_cols(model.probs(feats_t, "st"), k, 2 * k).sum(axis=1)
-    return -_log(src_half).mean() - _log(tgt_half).mean()
-
-
-def task_discrimination_loss(model: SlimModel, xs: np.ndarray, ys: np.ndarray) -> Tensor:
-    """Both task heads' cross-entropy on labelled source data (heads only)."""
-    feats = model.features(xs, mode="train").detach()
-    a, b = _task_terms(model, feats, ys)
-    return a + b
-
-
-def domain_discrimination_loss(model: SlimModel, xs: np.ndarray, xt: np.ndarray) -> Tensor:
-    """Joint-softmax domain discrimination (heads only)."""
-    fs = model.features(xs, mode="train").detach()
-    ft = model.features(xt, mode="train").detach()
-    return _domain_disc(model, fs, ft)
-
-
-# -- extractor-side losses ------------------------------------------------
-
-
-def _cat_confusion(model: SlimModel, feats_s: Tensor, ys: np.ndarray) -> Tensor:
-    k = model.arch.class_count
-    gst = model.probs(feats_s, "st", frozen=True)
-    src_pick = _picked_log_prob(gst, ys, 2 * k)
-    tgt_pick = _picked_log_prob(gst, np.asarray(ys) + k, 2 * k)
-    return -0.5 * (src_pick.mean() + tgt_pick.mean())
-
-
-def _dom_confusion(model: SlimModel, feats_t: Tensor) -> Tensor:
-    # Per target row this is -log a - log(1-a) over the source-half mass a,
-    # minimized at 2 ln 2 when each domain half holds exactly 1/2.
-    k = model.arch.class_count
-    gst = model.probs(feats_t, "st", frozen=True)
-    src_half = ad.slice_cols(gst, 0, k).sum(axis=1)
-    tgt_half = ad.slice_cols(gst, k, 2 * k).sum(axis=1)
-    return -(_log(src_half).mean() + _log(tgt_half).mean())
-
-
-def _entropy(model: SlimModel, feats_t: Tensor) -> Tensor:
-    p = model.probs(feats_t, "task", frozen=True)
-    return -(p * _log(p)).sum(axis=1).mean()
-
-
-# -- combined per-model objective -----------------------------------------
 
 
 def domain_confusion_targets(
@@ -151,28 +97,34 @@ def domain_confusion_targets(
     ys: np.ndarray,
     xt: np.ndarray,
     w_ent: float = 0.1,
-    feats_s: Tensor | None = None,
-    feats_t: Tensor | None = None,
+    routed: tuple | None = None,
 ) -> DcGradTargets:
-    """Build both routed loss roles from one pair of feature forwards.
+    """Build both routed loss roles of one model's confusion losses.
 
-    Precomputed features may be injected so a caller evaluating several
-    losses per model pays for each forward pass once.
+    `routed` is the pair `(model.routed_probs(<features of xs>),
+    model.routed_probs(<features of xt>))`, which a caller that reads the
+    heads for other losses too passes in; without it one feature forward
+    per domain builds it here.
     """
-    if feats_s is None:
-        feats_s = model.features(xs, mode="train")
-    if feats_t is None:
-        feats_t = model.features(xt, mode="train")
+    if routed is None:
+        routed = [model.routed_probs(model.features(x)) for x in (xs, xt)]
+    (cls_s, ext_s), (cls_t, ext_t) = routed
+    k = model.arch.class_count
 
-    fs_d, ft_d = feats_s.detach(), feats_t.detach()
-    task_s, task_t = _task_terms(model, fs_d, ys)
-    disc = _domain_disc(model, fs_d, ft_d)
+    task_s = -_picked_log_prob(cls_s["s"], ys, k).mean()
+    task_t = -_picked_log_prob(cls_s["t"], ys, k).mean()
+    disc = -_half_log_mean(cls_s["st"], k, 0) - _half_log_mean(cls_t["st"], k, 1)
     classifier_loss = task_s + task_t + disc
 
-    cat = _cat_confusion(model, feats_s, ys)
-    dom = _dom_confusion(model, feats_t)
+    src_pick = _picked_log_prob(ext_s["st"], ys, 2 * k)
+    tgt_pick = _picked_log_prob(ext_s["st"], np.asarray(ys) + k, 2 * k)
+    cat = -0.5 * (src_pick.mean() + tgt_pick.mean())
+    # Per target row this is -log a - log(1-a) over the source-half mass a,
+    # minimized at 2 ln 2 when each domain half holds exactly 1/2.
+    dom = -(_half_log_mean(ext_t["st"], k, 0) + _half_log_mean(ext_t["st"], k, 1))
     extractor_loss = cat + dom
-    ent = _entropy(model, feats_t)
+    p = ext_t["task"]
+    ent = -(p * _log(p)).sum(axis=1).mean()
     if w_ent:
         extractor_loss = extractor_loss + w_ent * ent
 

@@ -28,10 +28,17 @@ on the same 256-row batches.
 
 The pass and the eval-mode forward run on plain arrays, not autodiff
 tensors: `_eval_layer` normalises each fresh matmul output in place with
-the ufuncs of eval-mode `autodiff.batchnorm` and `relu`, in their order.
-NaN/Inf is checked at the model's boundaries: every input (batch, target
-set, `predict` input), every loaded parameter, each eval layer before its
-ReLU, and the eval heads' probabilities per `predict`/`calibrated_probs`.
+running statistics, then applies the ReLU.  NaN/Inf is checked at the
+model's boundaries: every input (batch, target set, `predict` input),
+every loaded parameter, each eval layer before its ReLU, and the eval
+heads' probabilities per `predict`/`calibrated_probs`.
+
+In training a head serves two optimization roles: the classifier role
+moves the head's parameters and must not move the extractor, the
+extractor role moves the features and must not move the head.
+`SlimModel.routed_probs` computes each requested head's logits on one
+batch of features once and returns every probability head in both
+routes, so a training step evaluates each (head, domain) once per model.
 """
 
 from __future__ import annotations
@@ -234,11 +241,10 @@ def _corner(param: Tensor, shape: tuple[int, ...]) -> np.ndarray:
 def _eval_layer(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
                 var: np.ndarray) -> np.ndarray:
     """Eval-mode BN with statistics (mean, var), then ReLU, of a fresh
-    matmul output `z`, in place.  It runs the ufuncs of
-    `ad.relu(ad.batchnorm(z, gamma, beta, mode="eval", stats=(mean, var)))`
-    in the same order (`z *= gamma` is `gamma * z`: multiplication
-    commutes exactly), so the result is bit-identical.  One NaN/Inf check
-    runs before the ReLU, which would clip an overflow to -inf away."""
+    matmul output `z`, in place:
+    `max(gamma * ((z - mean) * (1 / sqrt(var + eps))) + beta, 0)`.  One
+    NaN/Inf check runs before the ReLU, which would clip an overflow to
+    -inf away."""
     z -= mean
     z *= 1.0 / np.sqrt(var + BN_EPS)
     z *= gamma
@@ -283,12 +289,15 @@ class SlimModel:
             prev_w = w
 
     def features(self, x, mode: str = "train") -> Tensor:
-        """Per-block Linear -> BN -> ReLU chain at the active widths.  Eval
-        mode runs `_eval_layer` on arrays and returns a graph-free tensor."""
+        """Per-block Linear -> BN -> ReLU chain at the active widths.  Train
+        mode builds a graph with batch statistics; eval mode runs
+        `_eval_layer` on arrays and returns a graph-free tensor."""
+        if mode not in ("train", "eval"):
+            raise UsageError(f"unknown forward mode {mode!r}")
         h = _checked_input(self.arch, x)
-        if mode != "eval":
+        if mode == "train":
             for weight, gamma, beta in self.layers():
-                h = ad.relu(ad.batchnorm(h @ weight, gamma, beta, mode=mode, eps=BN_EPS))
+                h = ad.relu(ad.batchnorm(h @ weight, gamma, beta, eps=BN_EPS))
             return h
         if self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
@@ -297,38 +306,41 @@ class SlimModel:
             h = _eval_layer(h @ weight, gamma, beta, self.bn.means[k], self.bn.variances[k])
         return Tensor(h)
 
-    def head_logits(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:
-        """Classifier logits from features; `frozen` detaches the head's
-        parameters so gradients stop at the feature extractor boundary."""
+    def _head_params(self, head: str) -> tuple[Tensor, Tensor]:
+        """Classifier `head`'s weight (its rows at the active feature width)
+        and bias."""
         if head not in self.store.HEADS:
             raise ConfigError(f"unknown head {head!r}")
-        w, b = self.store[f"c.{head}.w"], self.store[f"c.{head}.b"]
-        if frozen:
-            w, b = w.detach(), b.detach()
-        fw = self.feature_width
-        if fw != self.arch.feature_dim_full:
-            w = ad.leading_slice(w, (fw, self.arch.class_count))
+        w = _leading(self.store[f"c.{head}.w"], (self.feature_width, self.arch.class_count))
+        return w, self.store[f"c.{head}.b"]
+
+    def head_logits(self, feats: Tensor, head: str) -> Tensor:
+        """Classifier logits from features."""
+        w, b = self._head_params(head)
         return feats @ w + b
 
-    def probs(self, feats: Tensor, head: str, frozen: bool = False) -> Tensor:
-        """Probability output of one head.
-
-        "s"/"t"/"a" are K-way softmaxes; "st" is the shared-neuron 2K-way
-        softmax over the concatenated s and t logits (first K entries =
-        source half, last K = target half); "task" is the mean of the "s"
-        and "t" distributions, the bank's task-level prediction.
-        """
+    def probs(self, feats: Tensor, head: str) -> Tensor:
+        """Probability output of one head (see `_probs_of`)."""
         if head in self.store.HEADS:
-            return ad.softmax(self.head_logits(feats, head, frozen), axis=1)
-        if head == "st":
-            joint = ad.concat(
-                [self.head_logits(feats, "s", frozen), self.head_logits(feats, "t", frozen)],
-                axis=1,
-            )
-            return ad.softmax(joint, axis=1)
-        if head == "task":
-            return (self.probs(feats, "s", frozen) + self.probs(feats, "t", frozen)) * 0.5
-        raise ConfigError(f"unknown head {head!r}")
+            return ad.softmax(self.head_logits(feats, head), axis=1)
+        if head not in ("st", "task"):
+            raise ConfigError(f"unknown head {head!r}")
+        return _probs_of({h: self.head_logits(feats, h) for h in ("s", "t")})[head]
+
+    def routed_probs(self, feats: Tensor,
+                     heads: tuple[str, ...] = ("s", "t")) -> tuple[dict, dict]:
+        """Every probability head of `probs` over `heads` (which holds "s"
+        and "t"; "a" if asked) on one batch of features, each head's logits
+        computed once, in two routes: `(to_heads, to_features)`.  A loss
+        on `to_heads` moves only the heads' parameters, one on
+        `to_features` only the features; both hold the values of `probs`.
+        """
+        if not {"s", "t"} <= set(heads):
+            raise ConfigError(f"routed heads {heads!r} must include 's' and 't'")
+        to_heads, to_features = {}, {}
+        for head in heads:
+            to_heads[head], to_features[head] = ad.affine_routes(feats, *self._head_params(head))
+        return _probs_of(to_heads), _probs_of(to_features)
 
     def _head_probs(self, feats, head: str) -> np.ndarray:
         """`head`'s probabilities over per-batch features, checked once for NaN/Inf."""
@@ -350,6 +362,19 @@ class SlimModel:
             raise UsageError("predict needs AdaBN recalibration first")
         return self._head_probs((self.features(x[lo:lo + batch_size], mode="eval").data
                                  for lo in range(0, len(x), batch_size)), head)
+
+
+def _probs_of(logits: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Every probability head from the logits of the K-way heads in
+    `logits` ("s" and "t" at least).  "s"/"t"/"a" are K-way softmaxes;
+    "st" is the shared-neuron 2K-way softmax over the concatenated s and t
+    logits (first K entries = source half, last K = target half); "task" is
+    the mean of the "s" and "t" distributions, the bank's task-level
+    prediction."""
+    probs = {head: ad.softmax(z, axis=1) for head, z in logits.items()}
+    probs["st"] = ad.softmax(ad.concat([logits["s"], logits["t"]], axis=1), axis=1)
+    probs["task"] = (probs["s"] + probs["t"]) * 0.5
+    return probs
 
 
 def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):

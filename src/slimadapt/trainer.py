@@ -12,16 +12,20 @@ differ only in how gradients are produced:
   baseline  plain averaging of the confusion-loss gradients over the
             sampled model batch; the deployment head is never trained.
   inplaced  the largest sampled model trains with the confusion losses and
-            its detached task prediction supervises the remaining models
-            through their task heads.
+            its task prediction, a constant target, supervises the
+            remaining models through their task heads.
 
 Every step samples a model batch that always contains the largest and the
-smallest configurations.  A mode only lists its weighted losses and its
-models' loss parts; `_apply_step` is the one place a step is fused,
-checked, recorded and applied.  It sums the weighted losses into one
-scalar and runs one backward over it: routing is structural
-(classifier-side losses see detached features, extractor-side losses see
-frozen heads), so the two optimization roles touch disjoint parameters and
+smallest configurations.  Each model runs one feature forward per domain
+and reads its heads from one `SlimModel.routed_probs` record per domain:
+every (head, domain) is evaluated once, and the losses, the ensemble and
+the teacher targets all read that record.  A mode only lists its weighted
+losses and its models' loss parts; `_apply_step` is the one place a step
+is fused, checked, recorded and applied.  It sums the weighted losses into
+one scalar and runs one backward over it: routing is structural
+(classifier-side losses read the route whose gradient reaches only the
+heads, extractor-side losses the route whose gradient reaches only the
+features), so the two optimization roles touch disjoint parameters and
 never mix.  The resulting gradient is applied in one all-or-nothing SGD
 update over the whole bank, parameters the step never reached getting a
 zero gradient.
@@ -40,7 +44,7 @@ from .datasets import DomainDataset, batches
 from .errors import ConfigError, NumericError, UsageError
 from .losses import _log, domain_confusion_targets, one_hot
 from .seeding import named_rng
-from .slimnet import Architecture, ParamStore, SlimModel, WidthConfig
+from .slimnet import Architecture, ParamStore, WidthConfig
 
 __all__ = [
     "MODES",
@@ -140,30 +144,18 @@ def confidence(configs, policy: ConfidencePolicy, arch: Architecture) -> np.ndar
     return 0.5 * np.sign(a) * np.abs(a) ** policy.s + 0.5
 
 
-def _weighted_mixture(prob_list, weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
+def ensemble(task_probs, confidences) -> np.ndarray:
+    """Confidence-weighted mixture of the sampled models' task predictions
+    (one array per model, in the order of `confidences`)."""
+    weights = np.asarray(confidences, dtype=np.float64)
     total = weights.sum()
     if total <= 0:
         raise NumericError("ensemble weights sum to zero; the largest model must be confident")
-    out = np.zeros_like(prob_list[0])
-    for p, w in zip(prob_list, weights):
+    out = np.zeros_like(task_probs[0])
+    for p, w in zip(task_probs, weights):
         if w:
             out += (w / total) * p
     return out
-
-
-def _task_probs(model: SlimModel, feats: Tensor) -> np.ndarray:
-    """`model`'s task prediction on `feats` as a constant array (no graph)."""
-    with ad.no_grad():
-        return model.probs(feats, "task").data
-
-
-def ensemble(models: list[SlimModel], confidences, xt: np.ndarray) -> np.ndarray:
-    """Confidence-weighted mixture of the sampled models' task predictions
-    on target data (train-mode forward, no gradients)."""
-    with ad.no_grad():
-        probs = [_task_probs(mdl, mdl.features(xt, mode="train")) for mdl in models]
-    return _weighted_mixture(probs, confidences)
 
 
 def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
@@ -174,25 +166,24 @@ def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
     return powered / powered.sum(axis=1, keepdims=True)
 
 
-def distillation_loss(model: SlimModel, target_t: np.ndarray, feats_t: Tensor,
-                      feats_s: Tensor, target_s: np.ndarray,
+def distillation_loss(routed_t, target_t: np.ndarray, routed_s, target_s: np.ndarray,
                       head: str = "a") -> tuple[Tensor, Tensor]:
     """Cross-entropy of one head's prediction against constant targets on
-    both domains: `target_t` on target features plus `target_s` on source
-    features.
+    both domains: `target_t` on the target batch plus `target_s` on the
+    source batch.  `routed_t` and `routed_s` are a model's
+    `routed_probs` records of those batches.
 
     slimda distils the ensemble target and the one-hot source labels into
-    the deployment head ("a"); inplaced distils the teacher's detached
-    task predictions into each student's task heads (head="task").
+    the deployment head ("a"); inplaced distils the teacher's task
+    predictions into each student's task heads (head="task").
     Returns (classifier_loss, extractor_loss): one value, routed to the head
-    only (detached features) and to the features only (frozen head).
+    only and to the features only.
     """
-    def routed(ft, fs, frozen):
-        p_t = model.probs(ft, head, frozen=frozen)
-        p_s = model.probs(fs, head, frozen=frozen)
-        return ad.cross_entropy(_log(p_t), target_t) + ad.cross_entropy(_log(p_s), target_s)
+    def loss(route):
+        return (ad.cross_entropy(_log(routed_t[route][head]), target_t)
+                + ad.cross_entropy(_log(routed_s[route][head]), target_s))
 
-    return routed(feats_t.detach(), feats_s.detach(), False), routed(feats_t, feats_s, True)
+    return loss(0), loss(1)
 
 
 def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float, mode: str,
@@ -236,18 +227,18 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros(m)
     ys_onehot = one_hot(ys, arch.class_count)
 
-    feats = [(mdl.features(xs, mode="train"), mdl.features(xt, mode="train"))
-             for mdl in models]
+    routed = [[mdl.routed_probs(mdl.features(x), ("s", "t", "a")) for x in (xs, xt)]
+              for mdl in models]
 
     # Ensemble target: confidence-weighted task predictions, sharpened,
     # then treated as a constant (no gradient reaches its sources).
-    prob_list = [_task_probs(mdl, ft) for mdl, (_, ft) in zip(models, feats)]
-    g_seed = sharpen(_weighted_mixture(prob_list, conf), cfg.tau)
+    task_t = [to_features["task"].data for _, (_, to_features) in routed]
+    g_seed = sharpen(ensemble(task_t, conf), cfg.tau)
 
     terms, parts, seed_vals = [], [], []
-    for j, (mdl, (fs, ft)) in enumerate(zip(models, feats)):
-        dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
-        seed_cls, seed_ext = distillation_loss(mdl, g_seed, ft, fs, ys_onehot)
+    for j, (mdl, (rs, rt)) in enumerate(zip(models, routed)):
+        dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, routed=(rs, rt))
+        seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
         terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
                   ("per_dc_ext", w_dc[j], dc.extractor_loss), ("per_seed_ext", w_seed[j], seed_ext)]
         parts.append(dc.parts)
@@ -276,7 +267,7 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     """One step of largest-teaches-the-rest distillation.
 
     The largest model trains with the confusion losses; every other model
-    matches the teacher's detached task prediction on both domains, the
+    matches the teacher's task prediction (a constant) on both domains, the
     gradient reaching its task heads and its features alike.
     """
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
@@ -284,16 +275,14 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     teacher = models[0]
     m = len(models)
 
-    fs, ft = teacher.features(xs, mode="train"), teacher.features(xt, mode="train")
-    dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, feats_s=fs, feats_t=ft)
-    teacher_s, teacher_t = _task_probs(teacher, fs), _task_probs(teacher, ft)
+    routed = [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)] for mdl in models]
+    dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, routed=routed[0])
+    teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
 
     terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
     distill_vals = []
-    for mdl in models[1:]:
-        fs = mdl.features(xs, mode="train")
-        ft = mdl.features(xt, mode="train")
-        d_cls, d_ext = distillation_loss(mdl, teacher_t, ft, fs, teacher_s, head="task")
+    for rs, rt in routed[1:]:
+        d_cls, d_ext = distillation_loss(rt, teacher_t, rs, teacher_s, head="task")
         terms += [("per_cls", 1.0 / m, d_cls), ("per_ext", 1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
     return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode,

@@ -22,7 +22,7 @@ import pytest
 from slimadapt import autodiff as ad
 from slimadapt import cli
 from slimadapt.datasets import DEFAULT_TASK, ShiftSpec, make_dataset
-from slimadapt.losses import task_discrimination_loss, domain_discrimination_loss, _dom_confusion
+from slimadapt.losses import domain_confusion_targets
 from slimadapt.search import (
     SearchPlan,
     config_accuracy,
@@ -110,7 +110,7 @@ def test_criterion_01_gradient_correctness():
                 if op == 0:
                     h = ad.relu(h)
                 elif op == 1:
-                    h = ad.batchnorm(h, gt, bt, mode="train")
+                    h = ad.batchnorm(h, gt, bt)
                 elif op == 2:
                     h = ad.softmax(h, axis=1) + h
                 elif op == 3:
@@ -204,14 +204,15 @@ def test_criterion_03_loss_unit_values():
     ys = np.full(6, 3)
     xt = rng.normal(size=(6, 4))
 
-    task_uniform = task_discrimination_loss(model, xs, ys).item()
-    disc_uniform = domain_discrimination_loss(model, xs, xt).item()
+    uniform = domain_confusion_targets(model, xs, ys, xt).parts
+    task_uniform = uniform.task_s + uniform.task_t
+    disc_uniform = uniform.domain_disc
 
     bias = np.zeros(k)
     bias[3] = 40.0
     for h in ("s", "t"):
         store.params[f"c.{h}.b"] = ad.Tensor(bias.copy(), requires_grad=True)
-    dom_min = _dom_confusion(model, model.features(xt, mode="train")).item()
+    dom_min = domain_confusion_targets(model, xs, ys, xt).parts.dom_confusion
 
     e1 = abs(task_uniform - 2 * math.log(k))
     e2 = abs(disc_uniform - 2 * math.log(2))
@@ -236,9 +237,9 @@ def test_criterion_04_distillation_mechanics():
     bank = ParamStore(arch, np.random.default_rng(3))
     models = [bank.slice(c) for c in (arch.full_config(), arch.make_config((4, 6)))]
     xt = rng.normal(size=(12, 5))
-    mix = ensemble(models, np.array([1.0, 1.0]), xt)
     with ad.no_grad():
         parts = [m.probs(m.features(xt, mode="train"), "task").data for m in models]
+    mix = ensemble(parts, np.array([1.0, 1.0]))
     pair_err = float(np.abs(mix - (parts[0] + parts[1]) / 2).max())
 
     full = arch.full_config().flops

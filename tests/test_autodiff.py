@@ -91,25 +91,18 @@ class TestForwardOps:
 
     def test_batchnorm_train_zero_mean_pre_affine(self):
         x = ad.Tensor(np.tile([1.5, -2.0, 7.0], (5, 1)) + np.arange(5)[:, None])
-        out = ad.batchnorm(x, ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)), mode="train")
+        out = ad.batchnorm(x, ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
 
     def test_batchnorm_identical_rows(self):
         x = ad.Tensor(np.tile([4.0, -1.0], (6, 1)))
-        out = ad.batchnorm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), mode="train")
+        out = ad.batchnorm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
-
-    def test_batchnorm_eval_uses_running_stats(self):
-        x = ad.Tensor([[2.0, 4.0]])
-        stats = (np.array([1.0, 1.0]), np.array([4.0, 1.0]))
-        out = ad.batchnorm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)),
-                           mode="eval", stats=stats, eps=0.0)
-        np.testing.assert_allclose(out.data, [[0.5, 3.0]], atol=1e-12)
 
     def test_batchnorm_batch_of_one_rejected(self):
         x = ad.Tensor([[1.0, 2.0]])
         with pytest.raises(UsageError):
-            ad.batchnorm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), mode="train")
+            ad.batchnorm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
 
     def test_shape_mismatch_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -187,16 +180,8 @@ class TestBackward:
     def test_batchnorm_train_fd(self):
         rng = np.random.default_rng(8)
         check_grads(
-            lambda x, g, b: ad.batchnorm(x, g, b, mode="train").sum(),
+            lambda x, g, b: ad.batchnorm(x, g, b).sum(),
             [rng.normal(size=(5, 3)), rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)],
-        )
-
-    def test_batchnorm_eval_fd(self):
-        rng = np.random.default_rng(9)
-        stats = (rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
-        check_grads(
-            lambda x, g, b: (ad.batchnorm(x, g, b, mode="eval", stats=stats) * 0.5).sum(),
-            [rng.normal(size=(4, 3)), rng.uniform(0.5, 1.5, size=3), rng.normal(size=3)],
         )
 
     def test_softmax_cross_entropy_fd(self):
@@ -211,6 +196,46 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = rng.uniform(0.2, 0.8, size=(4, 3))  # strictly inside the clip band
         check_grads(lambda t: ad.log(ad.clip(t, 1e-12, 1.0)).mean(), [x])
+
+
+class TestAffineRoutes:
+    """`affine_routes` is `x @ w + b` once, as two nodes that split its
+    gradient: the first reaches only (w, b), the second only x."""
+
+    @staticmethod
+    def operands(seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4),
+                rng.normal(size=(5, 4)))
+
+    def test_both_routes_hold_one_product(self):
+        x, w, b, _ = self.operands(20)
+        to_params, to_x = ad.affine_routes(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        assert to_params.data is to_x.data
+        assert to_params.data.tobytes() == (x @ w + b).tobytes()
+
+    def test_parameter_route_fd_and_reach(self):
+        x, w, b, project = self.operands(21)
+        check_grads(lambda wt, bt: (ad.affine_routes(ad.Tensor(x), wt, bt)[0] * project).sum(),
+                    [w, b])
+        tensors = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        grads = ad.backward((ad.affine_routes(*tensors)[0] * project).sum())
+        assert set(grads) == set(tensors[1:])
+
+    def test_feature_route_fd_and_reach(self):
+        x, w, b, project = self.operands(22)
+        check_grads(lambda xt: (ad.affine_routes(xt, ad.Tensor(w), ad.Tensor(b))[1]
+                                * project).sum(), [x])
+        tensors = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+        grads = ad.backward((ad.affine_routes(*tensors)[1] * project).sum())
+        assert set(grads) == {tensors[0]}
+
+    def test_shape_mismatch_is_config_error(self):
+        x, w, b, _ = self.operands(23)
+        with pytest.raises(ConfigError):
+            ad.affine_routes(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b[:3]))
+        with pytest.raises(ConfigError):
+            ad.affine_routes(ad.Tensor(x.T), ad.Tensor(w), ad.Tensor(b))
 
 
 def _random_graph(rng):
@@ -231,7 +256,7 @@ def _random_graph(rng):
             if op == 0:
                 h = ad.relu(h)
             elif op == 1:
-                h = ad.batchnorm(h, gt, bt, mode="train")
+                h = ad.batchnorm(h, gt, bt)
             elif op == 2:
                 h = ad.softmax(h, axis=1) + h
             elif op == 3:
@@ -250,7 +275,7 @@ def test_random_graphs_match_finite_differences():
         check_grads(build, arrays, rtol=1e-4)
 
 
-GRAPH_OPS = ("matmul", "add", "mul", "relu", "softmax", "log_softmax", "batchnorm",
+GRAPH_OPS = ("matmul", "affine", "add", "mul", "relu", "softmax", "log_softmax", "batchnorm",
              "leading_slice", "concat")
 
 
@@ -261,7 +286,9 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
     """2-4 ops composed in any order over five parameters.  Each op that
     needs a second operand carves it out of a parameter with
     `leading_slice`, so every parameter's gradient outside the used
-    corner must come back exactly zero."""
+    corner must come back exactly zero.  "affine" joins the two routes of
+    `affine_routes` as `to_params + to_x - to_params.detach()`: the value
+    of `h @ w + b`, with each operand's gradient through its own route."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     top = d * 5  # widest a graph gets: each concat adds d columns
@@ -276,6 +303,10 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
             width = h.shape[1]
             if op == "matmul":
                 h = h @ ad.leading_slice(w, (width, d))
+            elif op == "affine":
+                to_params, to_x = ad.affine_routes(h, ad.leading_slice(w, (width, d)),
+                                                   ad.leading_slice(beta, (d,)))
+                h = to_params + to_x - to_params.detach()
             elif op == "add":
                 h = h + ad.leading_slice(y, (n, width))
             elif op == "mul":
@@ -289,7 +320,7 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
                 h = ad.log_softmax(h, axis=1)
             elif op == "batchnorm":
                 h = ad.batchnorm(h, ad.leading_slice(gamma, (width,)),
-                                 ad.leading_slice(beta, (width,)), mode="train")
+                                 ad.leading_slice(beta, (width,)))
             elif op == "leading_slice":
                 h = ad.leading_slice(h, (n, max(1, width - 1)))
             else:

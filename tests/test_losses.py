@@ -43,6 +43,26 @@ def margin_heads(model, label, margin=40.0, heads=("s", "t")):
         model.store.params[f"c.{h}.b"] = ad.Tensor(bias, requires_grad=True, name=f"c.{h}.b")
 
 
+def parts(model, xs, ys, xt):
+    """The model's confusion-loss parts on one batch."""
+    return losses.domain_confusion_targets(model, xs, ys, xt).parts
+
+
+def task_loss(model, batch) -> float:
+    """Both task heads' cross-entropy on the labelled source batch."""
+    p = parts(model, *batch)
+    return p.task_s + p.task_t
+
+
+def domain_discrimination(model, xs, xt):
+    """The domain-discrimination term as a tensor on the heads' route,
+    built from `routed_probs` as `domain_confusion_targets` builds it."""
+    (heads_s, _), (heads_t, _) = (model.routed_probs(model.features(x)) for x in (xs, xt))
+    src = ad.slice_cols(heads_s["st"], 0, K).sum(axis=1)
+    tgt = ad.slice_cols(heads_t["st"], K, 2 * K).sum(axis=1)
+    return -losses._log(src).mean() - losses._log(tgt).mean()
+
+
 @pytest.fixture
 def batch():
     rng = np.random.default_rng(42)
@@ -54,91 +74,75 @@ def batch():
 
 class TestTaskLoss:
     def test_both_heads_uniform(self, batch):
-        xs, ys, _ = batch
         model = fresh_model()
         zero_heads(model)
-        loss = losses.task_discrimination_loss(model, xs, ys)
-        assert abs(loss.item() - 2 * math.log(K)) < 1e-9
+        assert abs(task_loss(model, batch) - 2 * math.log(K)) < 1e-9
 
     def test_one_head_perfect_one_uniform(self, batch):
-        xs, ys, _ = batch
         model = fresh_model()
         zero_heads(model)
         margin_heads(model, label=3, heads=("s",))
-        loss = losses.task_discrimination_loss(model, xs, ys)
-        assert abs(loss.item() - math.log(K)) < 1e-9
+        assert abs(task_loss(model, batch) - math.log(K)) < 1e-9
 
     def test_both_heads_perfect(self, batch):
-        xs, ys, _ = batch
         model = fresh_model()
         margin_heads(model, label=3)
-        assert abs(losses.task_discrimination_loss(model, xs, ys).item()) < 1e-9
+        assert abs(task_loss(model, batch)) < 1e-9
 
     def test_label_out_of_range(self, batch):
-        xs, _, _ = batch
+        xs, _, xt = batch
         with pytest.raises(UsageError):
-            losses.task_discrimination_loss(fresh_model(), xs, np.full(6, K))
+            parts(fresh_model(), xs, np.full(6, K), xt)
 
 
 class TestDomainDiscrimination:
     def test_uniform_joint_head(self, batch):
-        xs, _, xt = batch
         model = fresh_model()
         zero_heads(model)
-        loss = losses.domain_discrimination_loss(model, xs, xt)
-        assert abs(loss.item() - 2 * math.log(2)) < 1e-9
+        assert abs(parts(model, *batch).domain_disc - 2 * math.log(2)) < 1e-9
 
     def test_symmetric_parameters_give_equal_terms(self, batch):
         # With identical heads the joint halves are equal, so the source
         # and target terms coincide on any data.
-        xs, _, xt = batch
+        xs, ys, _ = batch
         model = fresh_model(seed=5)
         model.store.params["c.t.w"] = ad.Tensor(model.store["c.s.w"].data.copy(),
                                                 requires_grad=True, name="c.t.w")
         model.store.params["c.t.b"] = ad.Tensor(model.store["c.s.b"].data.copy(),
                                                 requires_grad=True, name="c.t.b")
-        with_same = losses.domain_discrimination_loss(model, xs, xs)
-        fs = model.features(xs, mode="train").detach()
-        gst = model.probs(fs, "st")
+        with_same = parts(model, xs, ys, xs).domain_disc
+        gst = model.probs(model.features(xs), "st")
         src = ad.slice_cols(gst, 0, K).sum(axis=1).data
         tgt = ad.slice_cols(gst, K, 2 * K).sum(axis=1).data
         np.testing.assert_allclose(src, tgt, atol=1e-12)
-        assert with_same.item() >= 2 * math.log(2) - 1e-12
+        assert with_same >= 2 * math.log(2) - 1e-12
 
 
 class TestConfusion:
     def test_domain_confusion_minimum_at_half_half(self, batch):
         # Identical heads split the joint mass exactly 1/2 per half; the
         # domain-level term then reaches its minimum 2 ln 2.
-        xs, ys, xt = batch
         model = fresh_model()
         margin_heads(model, label=3)  # identical s and t heads
-        ft = model.features(xt, mode="train")
-        dom = losses._dom_confusion(model, ft)
-        assert abs(dom.item() - 2 * math.log(2)) < 1e-9
+        assert abs(parts(model, *batch).dom_confusion - 2 * math.log(2)) < 1e-9
 
     def test_category_confusion_half_mass_on_true_class(self, batch):
-        xs, ys, _ = batch
         model = fresh_model()
         margin_heads(model, label=3)
-        fs = model.features(xs, mode="train")
-        cat = losses._cat_confusion(model, fs, ys)
-        assert abs(cat.item() - math.log(2)) < 1e-9
+        assert abs(parts(model, *batch).cat_confusion - math.log(2)) < 1e-9
 
     def test_category_confusion_clamped_divergence(self, batch):
         # Pushing the true class's joint mass to zero is clamped at the
         # probability floor instead of diverging.
-        xs, ys, _ = batch
         model = fresh_model()
         zero_heads(model)
         for h in ("s", "t"):
             bias = np.zeros(K)
             bias[3] = -200.0
             model.store.params[f"c.{h}.b"] = ad.Tensor(bias, requires_grad=True)
-        fs = model.features(xs, mode="train")
-        cat = losses._cat_confusion(model, fs, ys)
-        assert np.isfinite(cat.item())
-        assert abs(cat.item() - (-math.log(losses.PROB_FLOOR))) < 1e-6
+        cat = parts(model, *batch).cat_confusion
+        assert np.isfinite(cat)
+        assert abs(cat - (-math.log(losses.PROB_FLOOR))) < 1e-6
 
     def test_extractor_loss_analytic_minimum(self, batch):
         # Perfectly confused and perfectly discriminating heads: category
@@ -152,7 +156,7 @@ class TestConfusion:
 
 def entropy_min(model, batch) -> float:
     """The entropy-minimization part of the model's confusion losses."""
-    return losses.domain_confusion_targets(model, *batch).parts.entropy_min
+    return parts(model, *batch).entropy_min
 
 
 class TestEntropyMin:
@@ -214,13 +218,14 @@ class TestRoutingAndParts:
         assert a.extractor_loss.item() == b.extractor_loss.item()
 
     def test_one_classifier_step_decreases_domain_discrimination(self, batch):
-        xs, _, xt = batch
+        xs, ys, xt = batch
         model = fresh_model(seed=11)
-        before = losses.domain_discrimination_loss(model, xs, xt)
+        before = domain_discrimination(model, xs, xt)
+        assert before.item() == parts(model, *batch).domain_disc
         classifier = {k: v for k, v in model.store.params.items() if k.startswith("c.")}
         grads = ad.gradients(before, classifier)
         state = ad.SgdState(lr=0.05, momentum=0.0)
         params = {k: v for k, v in classifier.items() if k in grads}
         ad.sgd_step(params, grads, state)
-        after = losses.domain_discrimination_loss(model, xs, xt)
-        assert after.item() < before.item()
+        after = parts(model, *batch).domain_disc
+        assert after < before.item()

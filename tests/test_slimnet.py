@@ -221,6 +221,53 @@ class TestHeads:
         with pytest.raises(UsageError):
             model.features(np.ones((4, ARCH.input_dim)), mode="eval")
 
+    def test_unknown_forward_mode_rejected(self, store):
+        model = store.slice(ARCH.full_config())
+        with pytest.raises(UsageError):
+            model.features(np.ones((4, ARCH.input_dim)), mode="test")
+
+
+class TestRoutedProbs:
+    """`routed_probs` builds each head's logits once and serves every
+    probability head in two routes, each equal to `probs`."""
+
+    KEYS = {"s", "t", "a", "st", "task"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9))
+    def test_equals_probs_bit_for_bit_at_every_width(self, seed, n):
+        rng = np.random.default_rng(seed)
+        store = ParamStore(ARCH, rng)
+        widths = tuple(int(rng.integers(lo, hi + 1))
+                       for lo, hi in zip(ARCH.min_widths(), ARCH.block_max_widths))
+        model = store.slice(ARCH.make_config(widths))
+        feats = model.features(rng.normal(size=(n, ARCH.input_dim)))
+        to_heads, to_features = model.routed_probs(feats, ("s", "t", "a"))
+        assert set(to_heads) == set(to_features) == self.KEYS
+        for key in self.KEYS:
+            want = model.probs(feats, key).data.tobytes()
+            assert to_heads[key].data.tobytes() == want
+            assert to_features[key].data.tobytes() == want
+
+    def test_each_route_reaches_only_its_side(self, store):
+        model = store.slice(ARCH.make_config((8, 12)))
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, ARCH.input_dim))
+        to_heads, to_features = model.routed_probs(model.features(x), ("s", "t", "a"))
+        project = {k: rng.normal(size=p.shape) for k, p in to_heads.items()}
+        loss = lambda probs: sum((probs[k] * project[k]).sum() for k in sorted(self.KEYS))
+        head_grads = ad.gradients(loss(to_heads), store.params)
+        assert set(head_grads) == {f"c.{h}.{p}" for h in "sta" for p in "wb"}
+        feature_grads = ad.gradients(loss(to_features), store.params)
+        assert feature_grads and all(name.startswith("f.") for name in feature_grads)
+        assert all(np.any(g != 0) for g in {**head_grads, **feature_grads}.values())
+
+    def test_task_heads_are_required(self, store):
+        model = store.slice(ARCH.full_config())
+        feats = model.features(np.ones((4, ARCH.input_dim)))
+        with pytest.raises(ConfigError):
+            model.routed_probs(feats, ("s", "a"))
+
 
 class TestFlops:
     def test_single_layer_hand_count(self):
@@ -438,26 +485,27 @@ class TestAdaBN:
 
 
 class TestEvalLayer:
-    """`_eval_layer` is the array form of eval-mode BN then ReLU; the
-    autodiff ops stay the reference."""
+    """`_eval_layer` is eval-mode BN then ReLU, in place on arrays; a
+    plain numpy expression in the same ufunc order is the reference."""
 
     @staticmethod
     def reference(z, gamma, beta, mean, var):
-        """The autodiff ops, with NaN/Inf in the batchnorm output (before
-        the ReLU could clip -inf to 0) raised as NumericError."""
-        normed = ad.batchnorm(ad.Tensor(z), ad.Tensor(gamma), ad.Tensor(beta),
-                              mode="eval", stats=(mean, var), eps=BN_EPS)
-        if not np.isfinite(normed.data).all():
+        """BN with statistics (mean, var) then ReLU, NaN/Inf in the BN
+        output (before the ReLU could clip -inf to 0) raised as
+        NumericError.  `gamma * v` is `_eval_layer`'s `v *= gamma`:
+        multiplication commutes exactly."""
+        normed = gamma * ((z - mean) * (1.0 / np.sqrt(var + BN_EPS))) + beta
+        if not np.isfinite(normed).all():
             raise NumericError("non-finite batchnorm output")
-        return ad.relu(normed).data
+        return np.maximum(normed, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), width=st.integers(1, 12),
            z_scale=st.sampled_from([1e-3, 1.0, 1e3, 1e150]),
            var_scale=st.sampled_from([0.0, 1e-8, 1.0, 1e6, 1e300]),
            affine_scale=st.sampled_from([0.0, 1.0, 1e3, 1e200]))
-    def test_equals_autodiff_batchnorm_then_relu_bit_for_bit(self, seed, n, width, z_scale,
-                                                              var_scale, affine_scale):
+    def test_equals_numpy_batchnorm_then_relu_bit_for_bit(self, seed, n, width, z_scale,
+                                                           var_scale, affine_scale):
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(n, width)) * z_scale
         mean = rng.normal(size=width) * z_scale

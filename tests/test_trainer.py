@@ -13,7 +13,7 @@ from slimadapt.datasets import DomainDataset, ShiftSpec, make_dataset
 from slimadapt.errors import ConfigError, NumericError, UsageError
 from slimadapt.losses import _log, domain_confusion_targets, one_hot
 from slimadapt.seeding import named_rng
-from slimadapt.slimnet import Architecture, ParamStore
+from slimadapt.slimnet import Architecture, ParamStore, SlimModel
 from slimadapt.trainer import (
     ConfidencePolicy,
     TrainerConfig,
@@ -35,6 +35,12 @@ ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, 
 def tiny_dataset(n=64, seed=0):
     return make_dataset(ShiftSpec("MIXED", 0.8, noise_std=1.0), K=3, d=6,
                         n_s=n, n_t=n, seed=seed)
+
+
+def task_probs(models, x):
+    """Each model's task prediction on `x` (train-mode forward, no graph)."""
+    with ad.no_grad():
+        return [m.probs(m.features(x), "task").data for m in models]
 
 
 def small_batch(seed=0, n=16):
@@ -117,20 +123,17 @@ class TestEnsembleAndSharpen:
         bank = init_bank(ARCH, 1)
         models = [bank.slice(c) for c in (ARCH.full_config(), ARCH.smallest_config())]
         xt = np.random.default_rng(2).normal(size=(8, ARCH.input_dim))
-        g = ensemble(models, np.array([1.0, 0.0]), xt)
-        with ad.no_grad():
-            model = models[0]
-            want = model.probs(model.features(xt, mode="train"), "task").data
-        np.testing.assert_allclose(g, want, atol=1e-12)
+        parts = task_probs(models, xt)
+        g = ensemble(parts, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(g, parts[0], atol=1e-12)
 
     def test_two_equal_weights_average(self):
         bank = init_bank(ARCH, 1)
         cfgs = [ARCH.full_config(), ARCH.make_config((8, 12))]
         models = [bank.slice(c) for c in cfgs]
         xt = np.random.default_rng(3).normal(size=(5, ARCH.input_dim))
-        g = ensemble(models, np.array([1.0, 1.0]), xt)
-        with ad.no_grad():
-            parts = [m.probs(m.features(xt, mode="train"), "task").data for m in models]
+        parts = task_probs(models, xt)
+        g = ensemble(parts, np.array([1.0, 1.0]))
         np.testing.assert_allclose(g, (parts[0] + parts[1]) / 2, atol=1e-12)
 
     def test_ensemble_rows_are_distributions(self):
@@ -138,7 +141,7 @@ class TestEnsembleAndSharpen:
         configs = sample_width_configs(np.random.default_rng(0), ARCH, 5)
         models = [bank.slice(c) for c in configs]
         xt = np.random.default_rng(5).normal(size=(6, ARCH.input_dim))
-        g = ensemble(models, np.array([1.0, 1.0, 0.5, 0.0, 0.0]), xt)
+        g = ensemble(task_probs(models, xt), np.array([1.0, 1.0, 0.5, 0.0, 0.0]))
         assert np.all(g >= 0)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
 
@@ -187,13 +190,11 @@ class TestDistillationLoss:
         model = bank.slice(ARCH.make_config((8, 12)))
         xs, ys, xt = small_batch(4)
         g_seed = np.random.default_rng(1).dirichlet(np.ones(3), size=len(xt))
-        fs = model.features(xs, mode="train")
-        ft = model.features(xt, mode="train")
-        base = distillation_loss(model, g_seed, ft, fs, one_hot(ys, 3))[0].item()
+        routed = lambda x: model.routed_probs(model.features(x), ("s", "t", "a"))
+        base = distillation_loss(routed(xt), g_seed, routed(xs), one_hot(ys, 3))[0].item()
         perm = np.random.default_rng(2).permutation(len(xt))
-        fs2 = model.features(xs[perm], mode="train")
-        ft2 = model.features(xt[perm], mode="train")
-        again = distillation_loss(model, g_seed[perm], ft2, fs2, one_hot(ys[perm], 3))[0].item()
+        again = distillation_loss(routed(xt[perm]), g_seed[perm], routed(xs[perm]),
+                                  one_hot(ys[perm], 3))[0].item()
         assert abs(base - again) < 1e-9
 
 
@@ -343,6 +344,32 @@ class TestFusedStep:
         xs, ys, xt = small_batch(43)
         STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(6, "model"))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode, heads", [("slimda", 3), ("baseline", 2), ("inplaced", 2)])
+    def test_each_head_product_once_per_model_and_domain(self, mode, heads, monkeypatch):
+        """A step computes heads x 2 domains x m head products (slimda's
+        "s", "t" and "a"; the task heads otherwise), all through
+        `affine_routes`: it never calls `head_logits`, and its only
+        matmuls are the feature layers'."""
+        calls = {"affine_routes": 0, "head_logits": 0, "matmul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ad, "affine_routes", counted("affine_routes", ad.affine_routes))
+        monkeypatch.setattr(ad, "matmul", counted("matmul", ad.matmul))
+        monkeypatch.setattr(SlimModel, "head_logits",
+                            counted("head_logits", SlimModel.head_logits))
+        m = 5
+        cfg = TrainerConfig(mode=mode, model_batch_size=m)
+        STEP_FNS[mode](init_bank(ARCH, 44), ad.SgdState(lr=0.01), *small_batch(45), cfg,
+                       named_rng(7, "model"))
+        layers = ARCH.n_blocks * ARCH.layers_per_block
+        assert calls == {"affine_routes": heads * 2 * m, "head_logits": 0,
+                         "matmul": 2 * m * layers}
 
 
 class TestNonFiniteStep:
