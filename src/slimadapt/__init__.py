@@ -7,7 +7,7 @@ sub-model's deployment head, then pick architectures under FLOPs budgets
 with a label-free anchor-discrepancy score.
 """
 
-from .autodiff import SgdState, Tensor, backward, gradients, lr_schedule, no_grad, sgd_step
+from .autodiff import SgdState, Tensor, backward, gradients, lr_schedule, sgd_step
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import (
     DEFAULT_TASK,

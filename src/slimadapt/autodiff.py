@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-A Tensor wraps a numpy array plus, when gradients are enabled, the op
-record that produced it (parent tensors and a vector-Jacobian-product
+A Tensor wraps a numpy array plus, when a gradient may flow into it, the
+op record that produced it (parent tensors and a vector-Jacobian-product
 closure).  `backward` walks the implicit graph once in reverse topological
 order and returns gradients in a per-call map, so independent losses may
 share forward subgraphs without corrupting each other's accumulation.
@@ -16,13 +16,16 @@ gradient for an operand that needs none (input data).  `affine_routes`
 computes one affine product and returns it as two nodes that split its
 gradient between the operands: the heads' two optimization roles.
 
+Only training builds graphs.  Evaluation (AdaBN, the eval forward and the
+heads in `slimnet`) runs on plain arrays and uses nothing here but
+`check_finite`.
+
 Also hosts the SGD-with-momentum optimizer and the inverse-decay learning
 rate schedule used by the trainer.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -32,7 +35,6 @@ from .errors import ConfigError, NumericError, UsageError
 
 __all__ = [
     "Tensor",
-    "no_grad",
     "check_finite",
     "matmul",
     "affine_routes",
@@ -52,21 +54,6 @@ __all__ = [
     "sgd_step",
     "lr_schedule",
 ]
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction inside the block (inference/eval paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
 
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise NumericError naming `what` when `arr` holds a NaN or an Inf."""
@@ -103,10 +90,6 @@ class Tensor:
         if self.size != 1:
             raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A graph-free view sharing this tensor's data (stop-gradient)."""
-        return Tensor(self.data, requires_grad=False, name=self.name)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -152,7 +135,7 @@ def _as_tensor(x) -> Tensor:
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str) -> Tensor:
     """Wrap an op output; record its parents and VJP if a gradient may flow."""
     out = Tensor(data, name=what)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -332,14 +315,14 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _node(data, (x,), vjp, "log_softmax")
 
 
-def cross_entropy(p_log: Tensor, target) -> Tensor:
+def cross_entropy(p_log: Tensor, target: np.ndarray) -> Tensor:
     """Mean over rows of -sum_k target[k] * p_log[k].
 
-    `target` is a constant distribution (ndarray or detached tensor);
-    no gradient flows into it.
+    `target` is a constant distribution (an array); no gradient flows
+    into it.
     """
     p_log = _as_tensor(p_log)
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if t.shape != p_log.shape:
         raise ConfigError(f"cross_entropy target shape {t.shape} != prediction {p_log.shape}")
     rows = p_log.shape[0]

@@ -7,8 +7,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import jsonio
+from .errors import ConfigError
 from .jsonio import field
 from .slimnet import Architecture, ParamStore
+from .trainer import MODES
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -41,4 +43,6 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     bank.load_arrays(field(doc, "params", dict))
     meta = {"seed": field(doc, "seed", int), "step": field(doc, "step", int),
             "mode": field(doc, "mode", str, "slimda")}
+    if meta["mode"] not in MODES:  # it picks the deployment head
+        raise ConfigError(f"field mode: must be one of {MODES}, got {meta['mode']!r}")
     return bank, meta

@@ -90,7 +90,7 @@ class SearchPlan:
     it), the FLOPs gap between the slimmest and the full model is divided
     into k equal increments instead.  An explicit `budget_ratios` list
     (fractions of full FLOPs, strictly increasing) overrides both; an
-    empty one does not.
+    empty one does not.  `tolerance`, each band's half-width over its budget, is in [0, 1).
     """
 
     k: int = 6
@@ -102,6 +102,8 @@ class SearchPlan:
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
             raise UsageError(f"need k >= 1 and q >= 1, got k={self.k}, q={self.q}")
+        if not 0.0 <= self.tolerance < 1.0:
+            raise UsageError(f"search tolerance must be in [0, 1), got {self.tolerance}")
 
     def budgets(self, arch: Architecture) -> list[float]:
         full = arch.full_config().flops

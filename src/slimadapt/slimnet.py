@@ -24,10 +24,11 @@ for L BN layers, no slicing).  Each recalibrated model keeps the target
 set's final features, so `SlimModel.calibrated_probs` reads any head's
 target predictions without a second forward; after `adabn_recalibrate`
 they equal `predict(target_x)` bit for bit, since both run the same ops
-on the same 256-row batches.
+on the same `EVAL_BATCH`-row batches.
 
-The pass and the eval-mode forward run on plain arrays, not autodiff
-tensors: `_eval_layer` normalises each fresh matmul output in place with
+Evaluation uses no autodiff: the pass, the eval-mode forward and the
+heads (`head_logits`, `probs`) take and return plain arrays and build no
+graph.  `_eval_layer` normalises each fresh matmul output in place with
 running statistics, then applies the ReLU.  NaN/Inf is checked at the
 model's boundaries: every input (batch, target set, `predict` input),
 every loaded parameter, each eval layer before its ReLU, and the eval
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 BN_EPS = 1e-5
+EVAL_BATCH = 256  # rows per batch of the AdaBN pass and the eval forward
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ class BnStats:
 
     means: list[np.ndarray]
     variances: list[np.ndarray]
-    count: int
 
 
 class ParamStore:
@@ -220,11 +221,11 @@ class ParamStore:
             self.params[name] = Tensor(arr, requires_grad=True, name=name)
 
 
-def _checked_input(arch: Architecture, x) -> Tensor:
-    x = x if isinstance(x, Tensor) else Tensor(x)
+def _checked_input(arch: Architecture, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ConfigError(f"input shape {x.shape} != (n, {arch.input_dim})")
-    ad.check_finite(x.data, "model input")
+    ad.check_finite(x, "model input")
     return x
 
 
@@ -257,7 +258,7 @@ class SlimModel:
     """A width-configured view of the parameter store.
 
     Train-mode forwards build autodiff graphs.  Eval mode requires
-    recalibrated BN statistics and runs on plain arrays (no graph).
+    recalibrated BN statistics and runs on plain arrays, heads included.
     """
 
     def __init__(self, store: ParamStore, config: WidthConfig):
@@ -288,41 +289,42 @@ class SlimModel:
                        corner(store[f"{base}.bn_b"], (w,)))
             prev_w = w
 
-    def features(self, x, mode: str = "train") -> Tensor:
+    def features(self, x, mode: str = "train") -> Tensor | np.ndarray:
         """Per-block Linear -> BN -> ReLU chain at the active widths.  Train
-        mode builds a graph with batch statistics; eval mode runs
-        `_eval_layer` on arrays and returns a graph-free tensor."""
+        mode builds a graph with batch statistics and returns its tensor;
+        eval mode runs `_eval_layer` and returns a plain array."""
         if mode not in ("train", "eval"):
             raise UsageError(f"unknown forward mode {mode!r}")
         h = _checked_input(self.arch, x)
         if mode == "train":
+            h = Tensor(h)
             for weight, gamma, beta in self.layers():
                 h = ad.relu(ad.batchnorm(h @ weight, gamma, beta, eps=BN_EPS))
             return h
         if self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")
-        h = h.data
         for k, (weight, gamma, beta) in enumerate(self.layers(arrays=True)):
             h = _eval_layer(h @ weight, gamma, beta, self.bn.means[k], self.bn.variances[k])
-        return Tensor(h)
+        return h
 
-    def _head_params(self, head: str) -> tuple[Tensor, Tensor]:
+    def _head_params(self, head: str, arrays: bool = False):
         """Classifier `head`'s weight (its rows at the active feature width)
-        and bias."""
+        and bias: graph nodes, or with `arrays` plain views of the stored data."""
         if head not in self.store.HEADS:
             raise ConfigError(f"unknown head {head!r}")
-        w = _leading(self.store[f"c.{head}.w"], (self.feature_width, self.arch.class_count))
-        return w, self.store[f"c.{head}.b"]
+        w, b = self.store[f"c.{head}.w"], self.store[f"c.{head}.b"]
+        shape = (self.feature_width, self.arch.class_count)
+        return (_corner(w, shape), b.data) if arrays else (_leading(w, shape), b)
 
-    def head_logits(self, feats: Tensor, head: str) -> Tensor:
-        """Classifier logits from features."""
-        w, b = self._head_params(head)
+    def head_logits(self, feats: np.ndarray, head: str) -> np.ndarray:
+        """Classifier logits from eval features."""
+        w, b = self._head_params(head, arrays=True)
         return feats @ w + b
 
-    def probs(self, feats: Tensor, head: str) -> Tensor:
-        """Probability output of one head (see `_probs_of`)."""
+    def probs(self, feats: np.ndarray, head: str) -> np.ndarray:
+        """Probability output of one head on eval features (see `_probs_of`)."""
         if head in self.store.HEADS:
-            return ad.softmax(self.head_logits(feats, head), axis=1)
+            return _softmax(self.head_logits(feats, head), axis=1)
         if head not in ("st", "task"):
             raise ConfigError(f"unknown head {head!r}")
         return _probs_of({h: self.head_logits(feats, h) for h in ("s", "t")})[head]
@@ -344,8 +346,7 @@ class SlimModel:
 
     def _head_probs(self, feats, head: str) -> np.ndarray:
         """`head`'s probabilities over per-batch features, checked once for NaN/Inf."""
-        with ad.no_grad():
-            probs = np.concatenate([self.probs(Tensor(h), head).data for h in feats], axis=0)
+        probs = np.concatenate([self.probs(h, head) for h in feats], axis=0)
         ad.check_finite(probs, f"head {head!r} probabilities")
         return probs
 
@@ -356,23 +357,32 @@ class SlimModel:
             raise UsageError("calibrated_probs needs AdaBN recalibration first")
         return self._head_probs(self._calibrated, head)
 
-    def predict(self, x: np.ndarray, head: str = "a", batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, head: str = "a") -> np.ndarray:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
         if self.bn is None:
             raise UsageError("predict needs AdaBN recalibration first")
-        return self._head_probs((self.features(x[lo:lo + batch_size], mode="eval").data
-                                 for lo in range(0, len(x), batch_size)), head)
+        return self._head_probs((self.features(x[lo:lo + EVAL_BATCH], mode="eval")
+                                 for lo in range(0, len(x), EVAL_BATCH)), head)
 
 
-def _probs_of(logits: dict[str, Tensor]) -> dict[str, Tensor]:
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """`autodiff.softmax`'s values on a plain array, in its ufunc order."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _probs_of(logits: dict) -> dict:
     """Every probability head from the logits of the K-way heads in
-    `logits` ("s" and "t" at least).  "s"/"t"/"a" are K-way softmaxes;
-    "st" is the shared-neuron 2K-way softmax over the concatenated s and t
-    logits (first K entries = source half, last K = target half); "task" is
-    the mean of the "s" and "t" distributions, the bank's task-level
+    `logits` ("s" and "t" at least): graph nodes from tensors, plain arrays
+    from arrays.  "s"/"t"/"a" are K-way softmaxes; "st" is the
+    shared-neuron 2K-way softmax over the concatenated s and t logits
+    (first K entries = source half, last K = target half); "task" is the
+    mean of the "s" and "t" distributions, the bank's task-level
     prediction."""
-    probs = {head: ad.softmax(z, axis=1) for head, z in logits.items()}
-    probs["st"] = ad.softmax(ad.concat([logits["s"], logits["t"]], axis=1), axis=1)
+    graph = isinstance(logits["s"], Tensor)
+    softmax, concat = (ad.softmax, ad.concat) if graph else (_softmax, np.concatenate)
+    probs = {head: softmax(z, axis=1) for head, z in logits.items()}
+    probs["st"] = softmax(concat([logits["s"], logits["t"]], axis=1), axis=1)
     probs["task"] = (probs["s"] + probs["t"]) * 0.5
     return probs
 
@@ -428,16 +438,16 @@ def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
             yield from _descend(store, names, layer_widths, group, child, child_path, k + 1)
 
 
-def adabn_pass(store: ParamStore, configs, target_x: np.ndarray, batch_size: int = 256):
+def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
     """Recalibrate the BN statistics of every config in `configs` on
     target data, yielding (index into configs, recalibrated SlimModel)
     one model at a time.
 
-    The target set is split into batches, and each batch's activations
-    are carried from layer to layer.  The statistics of BN layer k are the
-    exact population moments of its input over the whole dataset, merged
-    batch by batch; each batch is then normalised with them (eval mode)
-    before it enters layer k+1.  The result is deterministic, idempotent,
+    The target set is split into `EVAL_BATCH`-row batches, and each
+    batch's activations are carried from layer to layer.  The statistics of
+    BN layer k are the exact population moments of its input over the whole
+    dataset, merged batch by batch; each batch is then normalised with them
+    (eval mode) before it enters layer k+1.  The result is deterministic, idempotent,
     and (up to float summation order) independent of sample order and
     batch size.  The last layer is normalised and ReLU'd too, and each
     model keeps those per-batch features for `calibrated_probs`.
@@ -450,28 +460,26 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray, batch_size: int
     time.  A lone config is never sliced: its pass is L layer forwards at
     its own widths.
     """
-    target_x = np.asarray(target_x, dtype=np.float64)
-    if target_x.ndim != 2 or target_x.shape[0] < 2:
-        raise UsageError("AdaBN recalibration needs at least 2 target samples")
     arch = store.arch
+    target_x = _checked_input(arch, target_x)
+    if target_x.shape[0] < 2:
+        raise UsageError("AdaBN recalibration needs at least 2 target samples")
     configs = list(configs)
     names = [f"f.b{i}.l{j}" for i in range(arch.n_blocks) for j in range(arch.layers_per_block)]
     layer_widths = [[w for w in c.widths for _ in range(arch.layers_per_block)] for c in configs]
-    target_x = _checked_input(arch, target_x).data
-    acts = [target_x[lo:lo + batch_size] for lo in range(0, len(target_x), batch_size)]
+    acts = [target_x[lo:lo + EVAL_BATCH] for lo in range(0, len(target_x), EVAL_BATCH)]
     for i, path, feats in _descend(store, names, layer_widths, list(range(len(configs))),
                                    acts, [], 0):
         model = SlimModel(store, configs[i])
-        model.bn = BnStats(means=[m for m, _ in path], variances=[v for _, v in path],
-                           count=target_x.shape[0])
+        model.bn = BnStats(means=[m for m, _ in path], variances=[v for _, v in path])
         model._calibrated = feats
         yield i, model
 
 
-def adabn_recalibrate(model: SlimModel, target_x: np.ndarray, batch_size: int = 256) -> BnStats:
+def adabn_recalibrate(model: SlimModel, target_x: np.ndarray) -> BnStats:
     """Recompute BN statistics for this width on target data: the
     one-config `adabn_pass`.  Stores the stats and the target set's final
     features on the model and returns the stats."""
-    for _, calibrated in adabn_pass(model.store, [model.config], target_x, batch_size):
+    for _, calibrated in adabn_pass(model.store, [model.config], target_x):
         model.bn, model._calibrated = calibrated.bn, calibrated._calibrated
     return model.bn

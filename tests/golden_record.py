@@ -45,8 +45,8 @@ from slimadapt.datasets import DEFAULT_TASK, batches, make_dataset
 from slimadapt.search import SearchPlan, inherited_greedy_search
 from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore
-from slimadapt.trainer import MODES, TrainerConfig, init_bank, train_step, train_step_baseline, \
-    train_step_inplaced
+from slimadapt.trainer import (MODES, TrainerConfig, init_bank, train_step, train_step_baseline,
+                               train_step_inplaced)
 
 RECORD = Path(__file__).with_name("golden_record.json")
 

@@ -124,8 +124,7 @@ def test_criterion_01_gradient_correctness():
         grads = ad.backward(build(*tensors))
 
         def f(*arrs):
-            with ad.no_grad():
-                return build(*[ad.Tensor(a) for a in arrs]).item()
+            return build(*[ad.Tensor(a) for a in arrs]).item()
 
         h_step = 1e-5
         for arr, tensor in zip(arrays, tensors):
@@ -179,8 +178,7 @@ def test_criterion_02_slicing_oracle():
                        for lo, hi in zip(ARCH.min_widths(), ARCH.block_max_widths))
         x = rng.normal(size=(8, ARCH.input_dim))
         model = store.slice(ARCH.make_config(widths))
-        with ad.no_grad():
-            got = model.head_logits(model.features(x, mode="train"), "s").data
+        got = model.head_logits(model.features(x, mode="train").data, "s")
         want = _standalone_logits(store, widths, x)
         worst = max(worst, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0
@@ -237,8 +235,7 @@ def test_criterion_04_distillation_mechanics():
     bank = ParamStore(arch, np.random.default_rng(3))
     models = [bank.slice(c) for c in (arch.full_config(), arch.make_config((4, 6)))]
     xt = rng.normal(size=(12, 5))
-    with ad.no_grad():
-        parts = [m.probs(m.features(xt, mode="train"), "task").data for m in models]
+    parts = [m.probs(m.features(xt, mode="train").data, "task") for m in models]
     mix = ensemble(parts, np.array([1.0, 1.0]))
     pair_err = float(np.abs(mix - (parts[0] + parts[1]) / 2).max())
 

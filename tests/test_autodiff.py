@@ -42,8 +42,7 @@ def check_grads(build, arrays, rtol=1e-4):
     got = ad.backward(loss)
 
     def f(*arrs):
-        with ad.no_grad():
-            return build(*[ad.Tensor(a) for a in arrs]).item()
+        return build(*[ad.Tensor(a) for a in arrs]).item()
 
     want = finite_difference(f, [a.copy() for a in arrays])
     for t, w in zip(tensors, want):
@@ -152,9 +151,9 @@ class TestBackward:
         np.testing.assert_allclose(g1[x], [2.0, 4.0], atol=1e-12)
         np.testing.assert_allclose(g2[x], [4.0, 32.0], atol=1e-12)
 
-    def test_detach_blocks_gradient(self):
+    def test_constant_from_data_blocks_gradient(self):
         x = ad.Tensor([3.0], requires_grad=True)
-        y = (x * x).detach()
+        y = ad.Tensor((x * x).data)
         loss = (y * x).sum()
         grads = ad.backward(loss)
         np.testing.assert_allclose(grads[x], [9.0], atol=1e-12)  # d(9*x)/dx, not 3x^2
@@ -287,7 +286,7 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
     needs a second operand carves it out of a parameter with
     `leading_slice`, so every parameter's gradient outside the used
     corner must come back exactly zero.  "affine" joins the two routes of
-    `affine_routes` as `to_params + to_x - to_params.detach()`: the value
+    `affine_routes` as `to_params + to_x - ad.Tensor(to_params.data)`: the value
     of `h @ w + b`, with each operand's gradient through its own route."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -306,7 +305,7 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
             elif op == "affine":
                 to_params, to_x = ad.affine_routes(h, ad.leading_slice(w, (width, d)),
                                                    ad.leading_slice(beta, (d,)))
-                h = to_params + to_x - to_params.detach()
+                h = to_params + to_x - ad.Tensor(to_params.data)
             elif op == "add":
                 h = h + ad.leading_slice(y, (n, width))
             elif op == "mul":
@@ -327,8 +326,7 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
                 h = ad.concat([h, x], axis=1)
         return h
 
-    with ad.no_grad():
-        shape = forward(*[ad.Tensor(a) for a in arrays]).shape
+    shape = forward(*[ad.Tensor(a) for a in arrays]).shape
     # Central differences step 1e-5 across every input; a ReLU input that
     # close to its kink has no derivative there to compare.
     assume(all(np.abs(r).min() > 1e-3 for r in relu_inputs))

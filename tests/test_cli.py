@@ -387,6 +387,34 @@ class TestMalformedInput:
         assert_config_error(code, err)
         assert "search.n_random" in err
 
+    @pytest.mark.parametrize("command", ["search", "eval"])
+    def test_unknown_checkpoint_mode_is_config_error(self, initialised, capsys, command):
+        """The checkpoint's mode picks the deployment head; a mode the
+        trainer does not know is refused, not read as the task heads."""
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["mode"] = "no-such-mode"
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field mode") and "'no-such-mode'" in err
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.5])
+    def test_search_tolerance_outside_unit_interval_is_refused(self, initialised, capsys,
+                                                              tolerance):
+        """A band half-width must lie in [0, 1): a negative one grows no
+        candidate into any band, and one of 1 or more lets the slimmest
+        config pass every rung."""
+        cfg_path, _, _ = initialised
+        doc = json.loads(cfg_path.read_text())
+        doc["search"]["tolerance"] = tolerance
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["search", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: search tolerance") and str(tolerance) in err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, err = run_process(["gen-data", "--config", tmp_path / "absent.json"])
         assert code == 4 and err.startswith("io error: ") and "Traceback" not in err

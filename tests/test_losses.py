@@ -111,7 +111,7 @@ class TestDomainDiscrimination:
         model.store.params["c.t.b"] = ad.Tensor(model.store["c.s.b"].data.copy(),
                                                 requires_grad=True, name="c.t.b")
         with_same = parts(model, xs, ys, xs).domain_disc
-        gst = model.probs(model.features(xs), "st")
+        gst = model.probs(model.features(xs).data, "st")
         src = ad.slice_cols(gst, 0, K).sum(axis=1).data
         tgt = ad.slice_cols(gst, K, 2 * K).sum(axis=1).data
         np.testing.assert_allclose(src, tgt, atol=1e-12)

@@ -18,6 +18,7 @@ from slimadapt.errors import ConfigError, NumericError, UsageError
 from slimadapt.search import anchor_discrepancy
 from slimadapt.slimnet import (
     BN_EPS,
+    EVAL_BATCH,
     Architecture,
     ParamStore,
     _combine_moments,
@@ -92,9 +93,8 @@ def quadratic_adabn(store, widths, x, batch_size):
 
 def sliced_logits(store, widths, x, head="s"):
     model = store.slice(store.arch.make_config(widths))
-    with ad.no_grad():
-        feats = model.features(x, mode="train")
-        return model.head_logits(feats, head).data
+    feats = model.features(x, mode="train")
+    return model.head_logits(feats.data, head)
 
 
 class TestConfigs:
@@ -157,7 +157,7 @@ class TestSlicing:
         widths = (8, 12)
         model = store.slice(ARCH.make_config(widths))
         feats = model.features(x, mode="train")
-        loss = model.probs(feats, "s").sum()
+        loss = sum(route["s"].sum() for route in model.routed_probs(feats))
         grads = ad.backward(loss)
         w0 = grads[store["f.b0.l0.w"]]
         assert np.all(w0[:, widths[0]:] == 0)
@@ -173,21 +173,19 @@ class TestHeads:
     def test_probability_heads_are_distributions(self, store):
         x = np.random.default_rng(5).normal(size=(7, ARCH.input_dim))
         model = store.slice(ARCH.make_config((8, 12)))
-        with ad.no_grad():
-            feats = model.features(x, mode="train")
-            for head in ("s", "t", "a", "st", "task"):
-                p = model.probs(feats, head).data
-                assert np.all(p >= 0)
-                np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+        feats = model.features(x, mode="train").data
+        for head in ("s", "t", "a", "st", "task"):
+            p = model.probs(feats, head)
+            assert np.all(p >= 0)
+            np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_st_head_halves_equal_when_heads_identical(self, store):
         store.params["c.t.w"] = ad.Tensor(store["c.s.w"].data.copy(), requires_grad=True)
         store.params["c.t.b"] = ad.Tensor(store["c.s.b"].data.copy(), requires_grad=True)
         x = np.random.default_rng(6).normal(size=(5, ARCH.input_dim))
         model = store.slice(ARCH.full_config())
-        with ad.no_grad():
-            feats = model.features(x, mode="train")
-            p = model.probs(feats, "st").data
+        feats = model.features(x, mode="train").data
+        p = model.probs(feats, "st")
         k = ARCH.class_count
         np.testing.assert_allclose(p[:, :k], p[:, k:], atol=1e-12)
 
@@ -196,10 +194,9 @@ class TestHeads:
         # on class k than the K-way softmax over the same source logits.
         x = np.random.default_rng(7).normal(size=(5, ARCH.input_dim))
         model = store.slice(ARCH.full_config())
-        with ad.no_grad():
-            feats = model.features(x, mode="train")
-            g_s = model.probs(feats, "s").data
-            g_st = model.probs(feats, "st").data
+        feats = model.features(x, mode="train").data
+        g_s = model.probs(feats, "s")
+        g_st = model.probs(feats, "st")
         assert np.all(g_st[:, : ARCH.class_count] < g_s)
 
     def test_zero_input_zero_params_gives_zero_features(self):
@@ -207,8 +204,7 @@ class TestHeads:
         store = ParamStore(arch, np.random.default_rng(0))
         x = np.zeros((3, 4))
         model = store.slice(arch.full_config())
-        with ad.no_grad():
-            feats = model.features(x, mode="train")
+        feats = model.features(x, mode="train")
         np.testing.assert_allclose(feats.data, 0.0, atol=1e-12)
 
     def test_single_row_train_batch_rejected(self, store):
@@ -245,7 +241,7 @@ class TestRoutedProbs:
         to_heads, to_features = model.routed_probs(feats, ("s", "t", "a"))
         assert set(to_heads) == set(to_features) == self.KEYS
         for key in self.KEYS:
-            want = model.probs(feats, key).data.tobytes()
+            want = model.probs(feats.data, key).tobytes()
             assert to_heads[key].data.tobytes() == want
             assert to_features[key].data.tobytes() == want
 
@@ -317,17 +313,16 @@ class TestAdaBN:
         # Recalibrating on exactly one train batch makes eval equal train.
         x = np.random.default_rng(8).normal(size=(32, ARCH.input_dim))
         model = store.slice(ARCH.make_config((8, 12)))
-        adabn_recalibrate(model, x, batch_size=64)
-        with ad.no_grad():
-            train_out = model.features(x, mode="train").data
-            eval_out = model.features(x, mode="eval").data
+        adabn_recalibrate(model, x)
+        train_out = model.features(x, mode="train").data
+        eval_out = model.features(x, mode="eval")
         np.testing.assert_allclose(eval_out, train_out, atol=1e-9)
 
     def test_idempotent(self, store):
-        x = np.random.default_rng(9).normal(size=(50, ARCH.input_dim))
+        x = np.random.default_rng(9).normal(size=(600, ARCH.input_dim))
         model = store.slice(ARCH.make_config((4, 20)))
-        s1 = adabn_recalibrate(model, x, batch_size=16)
-        s2 = adabn_recalibrate(model, x, batch_size=16)
+        s1 = adabn_recalibrate(model, x)
+        s2 = adabn_recalibrate(model, x)
         for a, b in zip(s1.means, s2.means):
             np.testing.assert_array_equal(a, b)
         for a, b in zip(s1.variances, s2.variances):
@@ -335,11 +330,11 @@ class TestAdaBN:
 
     def test_order_invariant_within_tolerance(self, store):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(64, ARCH.input_dim))
+        x = rng.normal(size=(600, ARCH.input_dim))
         model = store.slice(ARCH.make_config((8, 12)))
-        s1 = adabn_recalibrate(model, x, batch_size=16)
+        s1 = adabn_recalibrate(model, x)
         perm = rng.permutation(len(x))
-        s2 = adabn_recalibrate(store.slice(ARCH.make_config((8, 12))), x[perm], batch_size=16)
+        s2 = adabn_recalibrate(store.slice(ARCH.make_config((8, 12))), x[perm])
         for a, b in zip(s1.means, s2.means):
             np.testing.assert_allclose(a, b, atol=1e-10)
         for a, b in zip(s1.variances, s2.variances):
@@ -372,31 +367,30 @@ class TestAdaBN:
 
     @pytest.mark.parametrize("layers_per_block", [1, 2])
     @pytest.mark.parametrize("widths", [(16, 24), (5, 9), (2, 3)])
-    @pytest.mark.parametrize("n, batch_size", [(50, 16), (64, 64), (37, 256)])
-    def test_one_pass_matches_quadratic_reference_bit_for_bit(self, layers_per_block, widths,
-                                                               n, batch_size):
+    @pytest.mark.parametrize("n", [600, 512, 37])
+    def test_one_pass_matches_quadratic_reference_bit_for_bit(self, layers_per_block, widths, n):
         arch = Architecture(input_dim=6, block_max_widths=(16, 24),
                             layers_per_block=layers_per_block, class_count=3)
         store = ParamStore(arch, np.random.default_rng(layers_per_block))
         x = np.random.default_rng(14).normal(size=(n, arch.input_dim)) * 2.0 + 0.3
-        stats = adabn_recalibrate(store.slice(arch.make_config(widths)), x,
-                                  batch_size=batch_size)
-        means, variances = quadratic_adabn(store, widths, x, batch_size)
+        stats = adabn_recalibrate(store.slice(arch.make_config(widths)), x)
+        means, variances = quadratic_adabn(store, widths, x, EVAL_BATCH)
         assert len(stats.means) == len(means) == arch.n_blocks * layers_per_block
         for got, want in zip(stats.means + stats.variances, means + variances):
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), batch_size=st.integers(1, 80),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(60, 800),
            widths=st.sampled_from([(16, 24), (8, 12), (2, 3)]))
-    def test_stats_invariant_to_order_and_batch_size(self, seed, batch_size, widths):
+    def test_stats_invariant_to_order_and_batch_size(self, seed, n, widths):
+        """`EVAL_BATCH`-row batches of shuffled rows against the reference
+        run on all rows as one batch."""
         store = ParamStore(ARCH, np.random.default_rng(0))
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(60, ARCH.input_dim)) + 0.5
-        ref = adabn_recalibrate(store.slice(ARCH.make_config(widths)), x, batch_size=len(x))
-        got = adabn_recalibrate(store.slice(ARCH.make_config(widths)), x[rng.permutation(len(x))],
-                                batch_size=batch_size)
-        for a, b in zip(ref.means + ref.variances, got.means + got.variances):
+        x = rng.normal(size=(n, ARCH.input_dim)) + 0.5
+        ref_means, ref_variances = quadratic_adabn(store, widths, x, len(x))
+        got = adabn_recalibrate(store.slice(ARCH.make_config(widths)), x[rng.permutation(len(x))])
+        for a, b in zip(ref_means + ref_variances, got.means + got.variances):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("head", ["a", "st", "task"])
@@ -411,7 +405,7 @@ class TestAdaBN:
         model = store.slice(arch.make_config(widths))
         adabn_recalibrate(model, x)
         np.testing.assert_array_equal(model.calibrated_probs(head),
-                                      model.predict(x, head=head, batch_size=256))
+                                      model.predict(x, head=head))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -429,18 +423,16 @@ class TestAdaBN:
             keep = data.draw(st.integers(0, len(maxes)))  # leading blocks shared with base
             configs.append(arch.make_config(base[:keep] + data.draw(st.tuples(*legal[keep:]))))
         configs += data.draw(st.lists(st.sampled_from(configs), max_size=3))
-        n = data.draw(st.integers(2, 40))
-        batch_size = data.draw(st.integers(1, n + 5))
+        n = data.draw(st.integers(2, 3 * EVAL_BATCH))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
         store = ParamStore(arch, rng)
         x = rng.normal(size=(n, arch.input_dim)) * 2.0 + 0.3
         seen = []
-        for i, model in adabn_pass(store, configs, x, batch_size):
+        for i, model in adabn_pass(store, configs, x):
             seen.append(i)
             assert model.config == configs[i]
             alone = store.slice(configs[i])
-            adabn_recalibrate(alone, x, batch_size)
-            assert model.bn.count == alone.bn.count == n
+            adabn_recalibrate(alone, x)
             got, want = model.bn.means + model.bn.variances, alone.bn.means + alone.bn.variances
             assert [g.shape for g in got] == [w.shape for w in want]
             for g, w in zip(got, want):
@@ -463,8 +455,7 @@ class TestAdaBN:
                                       alone.calibrated_probs("task"))
 
     def test_shared_pass_keeps_gradients_on_between_models(self, store):
-        """The pass never disables graph building, so a caller holding a
-        yielded model still builds graphs."""
+        """A caller holding a yielded model still builds train-mode graphs."""
         x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
         configs = [ARCH.make_config((8, 12)), ARCH.make_config((8, 20))]
         for _, model in adabn_pass(store, configs, x):
@@ -476,11 +467,11 @@ class TestAdaBN:
 
     def test_predict_shape_and_normalization(self, store):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(25, ARCH.input_dim))
+        x = rng.normal(size=(600, ARCH.input_dim))
         model = store.slice(ARCH.make_config((8, 12)))
         adabn_recalibrate(model, x)
-        p = model.predict(x, head="a", batch_size=7)
-        assert p.shape == (25, ARCH.class_count)
+        p = model.predict(x, head="a")
+        assert p.shape == (600, ARCH.class_count)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 

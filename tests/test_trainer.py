@@ -38,9 +38,8 @@ def tiny_dataset(n=64, seed=0):
 
 
 def task_probs(models, x):
-    """Each model's task prediction on `x` (train-mode forward, no graph)."""
-    with ad.no_grad():
-        return [m.probs(m.features(x), "task").data for m in models]
+    """Each model's task prediction on `x` (train-mode features, array heads)."""
+    return [m.probs(m.features(x).data, "task") for m in models]
 
 
 def small_batch(seed=0, n=16):
@@ -406,8 +405,7 @@ class TestInplaced:
                             named_rng(3, "model"), capture=cap)
         fresh = init_bank(ARCH, 14)
         teacher = fresh.slice(cap["configs"][0])
-        with ad.no_grad():
-            want = teacher.probs(teacher.features(xt, mode="train"), "task").data
+        want = teacher.probs(teacher.features(xt, mode="train").data, "task")
         np.testing.assert_allclose(cap["teacher_t"], want, atol=1e-12)
 
     def test_students_receive_both_head_and_feature_gradients(self):
