@@ -30,7 +30,7 @@ from .search import (
 )
 from .seeding import named_rng
 from .slimnet import Architecture
-from .trainer import ConfidencePolicy, TrainerConfig, deploy_head, init_bank, train
+from .trainer import MODES, ConfidencePolicy, TrainerConfig, deploy_head, init_bank, train
 
 DATASET_FILE = "dataset.json"
 CHECKPOINT_FILE = "checkpoint.json"
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the model bank and write a checkpoint")
     common(p)
-    p.add_argument("--mode", choices=("slimda", "baseline", "inplaced"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("search", help="architecture search under FLOPs budgets")

@@ -11,7 +11,8 @@ The loss family couples two task heads ("s", "t") and their shared-neuron
   entropy minimization   mean Shannon entropy of the task prediction on x^t
 
 Routing is structural, not a sign trick: the losses read the two routes of
-`SlimModel.routed_probs`.  Classifier-side losses read `to_heads`, whose
+the `SlimModel.routed_probs` records that the caller builds, one per domain
+(nothing here runs a forward).  Classifier-side losses read `to_heads`, whose
 gradient reaches only the heads, so they can never move the extractor;
 extractor-side losses read `to_features`, whose gradient reaches only the
 features, so they can never move the classifiers.
@@ -29,7 +30,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import UsageError
-from .slimnet import SlimModel
 
 __all__ = [
     "PROB_FLOOR",
@@ -91,25 +91,13 @@ class DcGradTargets:
     parts: DcLossParts
 
 
-def domain_confusion_targets(
-    model: SlimModel,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    xt: np.ndarray,
-    w_ent: float = 0.1,
-    routed: tuple | None = None,
-) -> DcGradTargets:
-    """Build both routed loss roles of one model's confusion losses.
-
-    `routed` is the pair `(model.routed_probs(<features of xs>),
-    model.routed_probs(<features of xt>))`, which a caller that reads the
-    heads for other losses too passes in; without it one feature forward
-    per domain builds it here.
-    """
-    if routed is None:
-        routed = [model.routed_probs(model.features(x)) for x in (xs, xt)]
-    (cls_s, ext_s), (cls_t, ext_t) = routed
-    k = model.arch.class_count
+def domain_confusion_targets(routed_s: tuple, routed_t: tuple, ys: np.ndarray,
+                             w_ent: float = 0.1) -> DcGradTargets:
+    """Both routed loss roles of one model's confusion losses, from its
+    `routed_probs` records of the source batch (`routed_s`, labels `ys`)
+    and the target batch (`routed_t`); K is the width of their "s" head."""
+    (cls_s, ext_s), (cls_t, ext_t) = routed_s, routed_t
+    k = cls_s["s"].shape[1]
 
     task_s = -_picked_log_prob(cls_s["s"], ys, k).mean()
     task_t = -_picked_log_prob(cls_s["t"], ys, k).mean()

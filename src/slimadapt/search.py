@@ -102,8 +102,7 @@ class SearchPlan:
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
             raise UsageError(f"need k >= 1 and q >= 1, got k={self.k}, q={self.q}")
-        if not 0.0 <= self.tolerance < 1.0:
-            raise UsageError(f"search tolerance must be in [0, 1), got {self.tolerance}")
+        _check_tolerance(self.tolerance)
 
     def budgets(self, arch: Architecture) -> list[float]:
         full = arch.full_config().flops
@@ -119,6 +118,11 @@ class SearchPlan:
         if _may_land_in_band(arch, geometric[0] * full, self.tolerance):
             return geometric
         return [r / full for r in linear_budget_ladder(arch, self.k)]
+
+
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 <= tolerance < 1.0:
+        raise UsageError(f"search tolerance must be in [0, 1), got {tolerance}")
 
 
 def _may_land_in_band(arch: Architecture, budget: float, tolerance: float) -> bool:
@@ -224,8 +228,9 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
     Starts from a uniform random config and walks single-channel steps on
     random blocks toward the budget, tracking FLOPs step by step; channel
     granularity is 1, so any reachable band of this relative width is hit
-    quickly.
+    quickly.  `tolerance` is in [0, 1), as in `SearchPlan`.
     """
+    _check_tolerance(tolerance)
     lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
     lows, highs = arch.min_widths(), arch.block_max_widths
     if hi_f < arch.smallest_config().flops or lo_f > arch.full_config().flops:
@@ -258,13 +263,11 @@ def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
     is given, as in `anchor_discrepancy`)."""
     if n < 1:
         raise UsageError(f"random search needs n >= 1 configs, got {n}")
+    configs = [sample_config_at_budget(rng, bank.arch, budget, tolerance) for _ in range(n)]
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
-    scores = []
-    for _ in range(n):
-        cfg = sample_config_at_budget(rng, bank.arch, budget, tolerance)
-        scores.append(anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
-                                         target_y=target_y, head=head))
+    scores = [anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
+                                 target_y=target_y, head=head) for cfg in configs]
     best = min(scores, key=lambda s: s.delta)
     return best.config, scores
 

@@ -387,29 +387,13 @@ def _probs_of(logits: dict) -> dict:
     return probs
 
 
-def _combine_moments(count, mean, m2, b_count, b_mean, b_m2):
-    """Pairwise update of (count, mean, sum of squared deviations)."""
-    if count == 0:
-        return b_count, b_mean, b_m2
-    total = count + b_count
-    delta = b_mean - mean
-    mean = mean + delta * (b_count / total)
-    m2 = m2 + b_m2 + delta * delta * (count * b_count / total)
-    return total, mean, m2
-
-
 def _moments(acts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Population mean and variance per column over every batch of `acts`,
-    merged batch by batch."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for h in acts:
-        n = h.shape[0]
-        b_mean = h.mean(axis=0)
-        sq = h - b_mean
-        sq *= sq
-        b_m2 = sq.sum(axis=0) / n * n  # `h.var(axis=0) * n`, without its second mean
-        count, mean, m2 = _combine_moments(count, mean, m2, n, b_mean, b_m2)
-    return np.asarray(mean), np.maximum(np.asarray(m2) / count, 0.0)
+    in two passes: the batches' column sums over n, then the mean squared
+    deviation from that mean."""
+    n = sum(h.shape[0] for h in acts)
+    mean = sum(h.sum(axis=0) for h in acts) / n
+    return mean, sum(np.square(h - mean).sum(axis=0) for h in acts) / n
 
 
 def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
@@ -446,11 +430,12 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
     The target set is split into `EVAL_BATCH`-row batches, and each
     batch's activations are carried from layer to layer.  The statistics of
     BN layer k are the exact population moments of its input over the whole
-    dataset, merged batch by batch; each batch is then normalised with them
-    (eval mode) before it enters layer k+1.  The result is deterministic, idempotent,
-    and (up to float summation order) independent of sample order and
-    batch size.  The last layer is normalised and ReLU'd too, and each
-    model keeps those per-batch features for `calibrated_probs`.
+    dataset, taken in two passes over the batches (`_moments`); each batch
+    is then normalised with them (eval mode) before it enters layer k+1.
+    The result is deterministic, idempotent, and (up to float summation
+    order) independent of sample order and batch size.  The last layer is
+    normalised and ReLU'd too, and each model keeps those per-batch
+    features for `calibrated_probs`.
 
     BN is per channel, so a layer's channels depend only on the widths of
     the layers before it.  Configs are walked as a prefix tree, depth

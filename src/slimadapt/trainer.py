@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import astuple, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -100,10 +101,10 @@ class TrainerConfig:
     tau: float = 0.5
     policy: ConfidencePolicy = field(default_factory=ConfidencePolicy)
     seed: int = 0
-    lr0: float = 0.01
-    lr_alpha: float = 10.0
-    lr_beta: float = 0.75
-    momentum: float = 0.9
+    lr0: ClassVar[float] = 0.01
+    lr_alpha: ClassVar[float] = 10.0
+    lr_beta: ClassVar[float] = 0.75
+    momentum: ClassVar[float] = 0.9
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -237,7 +238,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
 
     terms, parts, seed_vals = [], [], []
     for j, (mdl, (rs, rt)) in enumerate(zip(models, routed)):
-        dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent, routed=(rs, rt))
+        dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
         seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
         terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
                   ("per_dc_ext", w_dc[j], dc.extractor_loss), ("per_seed_ext", w_seed[j], seed_ext)]
@@ -254,9 +255,10 @@ def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     models = [bank.slice(c) for c in configs]
     m = len(models)
 
+    routed = [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)] for mdl in models]
     terms, parts = [], []
-    for mdl in models:
-        dc = domain_confusion_targets(mdl, xs, ys, xt, w_ent=cfg.w_ent)
+    for rs, rt in routed:
+        dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
         terms += [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
         parts.append(dc.parts)
     return _apply_step(bank, state, terms, parts, 0.0, cfg.mode, capture, configs=configs)
@@ -272,11 +274,10 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     """
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
     models = [bank.slice(c) for c in configs]
-    teacher = models[0]
     m = len(models)
 
     routed = [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)] for mdl in models]
-    dc = domain_confusion_targets(teacher, xs, ys, xt, w_ent=cfg.w_ent, routed=routed[0])
+    dc = domain_confusion_targets(*routed[0], ys, w_ent=cfg.w_ent)
     teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
 
     terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]

@@ -202,7 +202,10 @@ def test_criterion_03_loss_unit_values():
     ys = np.full(6, 3)
     xt = rng.normal(size=(6, 4))
 
-    uniform = domain_confusion_targets(model, xs, ys, xt).parts
+    def routed():
+        return [model.routed_probs(model.features(x)) for x in (xs, xt)]
+
+    uniform = domain_confusion_targets(*routed(), ys).parts
     task_uniform = uniform.task_s + uniform.task_t
     disc_uniform = uniform.domain_disc
 
@@ -210,7 +213,7 @@ def test_criterion_03_loss_unit_values():
     bias[3] = 40.0
     for h in ("s", "t"):
         store.params[f"c.{h}.b"] = ad.Tensor(bias.copy(), requires_grad=True)
-    dom_min = domain_confusion_targets(model, xs, ys, xt).parts.dom_confusion
+    dom_min = domain_confusion_targets(*routed(), ys).parts.dom_confusion
 
     e1 = abs(task_uniform - 2 * math.log(k))
     e2 = abs(disc_uniform - 2 * math.log(2))

@@ -43,9 +43,14 @@ def margin_heads(model, label, margin=40.0, heads=("s", "t")):
         model.store.params[f"c.{h}.b"] = ad.Tensor(bias, requires_grad=True, name=f"c.{h}.b")
 
 
+def routed(model, xs, xt):
+    """The model's `routed_probs` records of the source and target batches."""
+    return [model.routed_probs(model.features(x)) for x in (xs, xt)]
+
+
 def parts(model, xs, ys, xt):
     """The model's confusion-loss parts on one batch."""
-    return losses.domain_confusion_targets(model, xs, ys, xt).parts
+    return losses.domain_confusion_targets(*routed(model, xs, xt), ys).parts
 
 
 def task_loss(model, batch) -> float:
@@ -150,7 +155,7 @@ class TestConfusion:
         xs, ys, xt = batch
         model = fresh_model()
         margin_heads(model, label=3)
-        targets = losses.domain_confusion_targets(model, xs, ys, xt, w_ent=0.0)
+        targets = losses.domain_confusion_targets(*routed(model, xs, xt), ys, w_ent=0.0)
         assert abs(targets.extractor_loss.item() - 3 * math.log(2)) < 1e-9
 
 
@@ -187,7 +192,7 @@ class TestRoutingAndParts:
     def test_all_parts_nonnegative(self, batch):
         xs, ys, xt = batch
         for seed in range(5):
-            t = losses.domain_confusion_targets(fresh_model(seed), xs, ys, xt)
+            t = losses.domain_confusion_targets(*routed(fresh_model(seed), xs, xt), ys)
             p = t.parts
             for v in (p.task_s, p.task_t, p.domain_disc, p.cat_confusion,
                       p.dom_confusion, p.entropy_min):
@@ -196,7 +201,7 @@ class TestRoutingAndParts:
     def test_classifier_loss_never_touches_extractor(self, batch):
         xs, ys, xt = batch
         model = fresh_model(seed=3)
-        t = losses.domain_confusion_targets(model, xs, ys, xt)
+        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
         grads = ad.gradients(t.classifier_loss, model.store.params)
         assert all(name.startswith("c.") for name in grads)
         assert any(name.startswith("c.s") for name in grads)
@@ -205,15 +210,15 @@ class TestRoutingAndParts:
     def test_extractor_loss_never_touches_classifiers(self, batch):
         xs, ys, xt = batch
         model = fresh_model(seed=4)
-        t = losses.domain_confusion_targets(model, xs, ys, xt)
+        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
         grads = ad.gradients(t.extractor_loss, model.store.params)
         assert all(name.startswith("f.") for name in grads)
         assert grads, "extractor must receive gradient"
 
     def test_deterministic_for_fixed_inputs(self, batch):
         xs, ys, xt = batch
-        a = losses.domain_confusion_targets(fresh_model(9), xs, ys, xt)
-        b = losses.domain_confusion_targets(fresh_model(9), xs, ys, xt)
+        a = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys)
+        b = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys)
         assert a.classifier_loss.item() == b.classifier_loss.item()
         assert a.extractor_loss.item() == b.extractor_loss.item()
 

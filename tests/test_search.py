@@ -214,6 +214,12 @@ class TestBudgetSampling:
         assert budget * (1 - tolerance) <= cfg.flops <= budget * (1 + tolerance)
         assert cfg == arch.make_config(cfg.widths)
 
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.5])
+    def test_tolerance_outside_unit_interval_rejected(self, tolerance):
+        with pytest.raises(UsageError, match=r"tolerance must be in \[0, 1\)"):
+            sample_config_at_budget(np.random.default_rng(1), ARCH,
+                                    0.25 * ARCH.full_config().flops, tolerance=tolerance)
+
     def test_linear_ladder_endpoints(self):
         budgets = linear_budget_ladder(ARCH, 6)
         assert len(budgets) == 6
@@ -348,6 +354,13 @@ class TestRandomSearch:
         with pytest.raises(UsageError, match="n >= 1"):
             random_search(bank, 0.5 * ARCH.full_config().flops, n, ds.xt,
                           np.random.default_rng(3))
+
+    @pytest.mark.parametrize("tolerance", [-0.1, 1.5])
+    def test_tolerance_outside_unit_interval_rejected(self, trained, tolerance):
+        bank, ds = trained
+        with pytest.raises(UsageError, match=r"tolerance must be in \[0, 1\)"):
+            random_search(bank, 0.25 * ARCH.full_config().flops, 3, ds.xt,
+                          np.random.default_rng(3), tolerance=tolerance)
 
     def test_all_results_within_band(self, trained):
         bank, ds = trained

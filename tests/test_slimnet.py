@@ -21,7 +21,6 @@ from slimadapt.slimnet import (
     EVAL_BATCH,
     Architecture,
     ParamStore,
-    _combine_moments,
     _eval_layer,
     adabn_pass,
     adabn_recalibrate,
@@ -76,18 +75,19 @@ def quadratic_adabn(store, widths, x, batch_size):
         prev = w
     means, variances = [], []
     for weight, _, _ in layers:
-        count, mean, m2 = 0, 0.0, 0.0
+        acts = []
         for lo in range(0, len(x), batch_size):
             h = x[lo:lo + batch_size]
             for (w_j, g_j, beta_j), mu, var in zip(layers, means, variances):
                 xhat = (h @ w_j - mu) * (1.0 / np.sqrt(var + BN_EPS))
                 h = g_j * xhat + beta_j
                 h = np.where(h > 0, h, 0.0)
-            h = h @ weight
-            count, mean, m2 = _combine_moments(count, mean, m2, h.shape[0], h.mean(axis=0),
-                                               h.var(axis=0) * h.shape[0])
-        means.append(np.asarray(mean))
-        variances.append(np.maximum(np.asarray(m2) / count, 0.0))
+            acts.append(h @ weight)
+        # Two passes over the batches: column sums over n, then the mean
+        # squared deviation from that mean.
+        mean = sum(h.sum(axis=0) for h in acts) / len(x)
+        means.append(mean)
+        variances.append(sum(((h - mean) ** 2).sum(axis=0) for h in acts) / len(x))
     return means, variances
 
 

@@ -42,6 +42,11 @@ def task_probs(models, x):
     return [m.probs(m.features(x).data, "task") for m in models]
 
 
+def routed(model, xs, xt):
+    """The model's `routed_probs` records of the source and target batches."""
+    return [model.routed_probs(model.features(x)) for x in (xs, xt)]
+
+
 def small_batch(seed=0, n=16):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(n, ARCH.input_dim))
@@ -250,7 +255,8 @@ class TestStepRouting:
                             np.random.default_rng(0), capture=cap)
         # bank params moved during the step; recompute the oracle on a fresh bank
         fresh = init_bank(arch, 0)
-        single = domain_confusion_targets(fresh.slice(arch.full_config()), xs, ys, xt, w_ent=0.1)
+        single = domain_confusion_targets(*routed(fresh.slice(arch.full_config()), xs, xt), ys,
+                                          w_ent=0.1)
         want_cls = ad.gradients(single.classifier_loss, fresh.params)
         for name, got in cap["cls_grads"].items():
             np.testing.assert_allclose(got, want_cls[name], atol=1e-12)
@@ -263,7 +269,7 @@ class TestStepRouting:
         narrow = [ARCH.make_config((4, 6)), ARCH.make_config((8, 6))]
         losses = []
         for mdl in (bank.slice(c) for c in narrow):
-            t = domain_confusion_targets(mdl, xs, ys, xt)
+            t = domain_confusion_targets(*routed(mdl, xs, xt), ys)
             losses += [t.classifier_loss, t.extractor_loss]
         grads = ad.gradients(sum(loss * 0.25 for loss in losses), bank.params)
         combined = {n: grads.get(n, np.zeros(p.shape)) for n, p in bank.params.items()}
