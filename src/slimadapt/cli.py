@@ -60,18 +60,21 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
     seed = seed_override if seed_override is not None else field(doc, "seed", int)
     out_dir = Path(out_override) if out_override is not None else field(doc, "out_dir", Path)
 
+    d = field(doc, "dataset.d", int)
+    if field(doc, "architecture.input_dim", int, d) != d:
+        raise ConfigError(f"field architecture.input_dim: must equal dataset.d = {d} or be left out")
     dataset_fields = dict(
         spec=ShiftSpec(kind=field(doc, "dataset.kind", str),
                        magnitude=field(doc, "dataset.magnitude", float),
                        noise_std=field(doc, "dataset.noise_std", float, 1.0)),
         K=field(doc, "dataset.K", int),
-        d=field(doc, "dataset.d", int),
+        d=d,
         n_s=field(doc, "dataset.n_s", int),
         n_t=field(doc, "dataset.n_t", int),
     )
 
     arch = Architecture(
-        input_dim=field(doc, "architecture.input_dim", int),
+        input_dim=d,
         block_max_widths=field(doc, "architecture.block_max_widths", lambda v: tuple(map(int, v))),
         layers_per_block=field(doc, "architecture.layers_per_block", int, 1),
         class_count=dataset_fields["K"],

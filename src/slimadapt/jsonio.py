@@ -59,8 +59,8 @@ def load(path) -> dict:
 
 def field(doc: dict, path: str, kind, default=None):
     """Field `path` ("section.name" or "name") of `doc` read through `kind`,
-    required unless a `default` is given.  A missing field, a section that is
-    not an object or a value `kind` rejects is a ConfigError naming it."""
+    required unless a `default` is given.  A missing field, a non-object
+    section, a rejected value or a non-finite float is a ConfigError naming it."""
     section, _, name = path.rpartition(".")
     doc = doc.get(section, {}) if section else doc
     if not isinstance(doc, dict):
@@ -70,6 +70,9 @@ def field(doc: dict, path: str, kind, default=None):
             raise ConfigError(f"missing field {path}")
         return default
     try:
-        return kind(doc[name])
+        value = kind(doc[name])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field {path}: {exc}") from exc
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"field {path}: {value} is not finite")
+    return value

@@ -17,7 +17,9 @@ gradient reaches only the heads, so they can never move the extractor;
 extractor-side losses read `to_features`, whose gradient reaches only the
 features, so they can never move the classifiers.
 
-Probabilities are clamped to [1e-12, 1] inside every log, since the raw
+The task and category terms are `autodiff.cross_entropy` against constant
+targets, the domain terms the log of a joint-head half's mass.  Every
+probability is clamped to [1e-12, 1] inside its log, since the raw
 objectives diverge as any referenced probability reaches zero.
 """
 
@@ -50,12 +52,6 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 
 def _log(p: Tensor) -> Tensor:
     return ad.log(ad.clip(p, PROB_FLOOR, 1.0))
-
-
-def _picked_log_prob(probs: Tensor, labels: np.ndarray, classes: int) -> Tensor:
-    """Row-wise log probability of each row's labelled class."""
-    mask = one_hot(labels, classes)
-    return _log((probs * mask).sum(axis=1))
 
 
 def _half_log_mean(gst: Tensor, k: int, half: int) -> Tensor:
@@ -98,15 +94,14 @@ def domain_confusion_targets(routed_s: tuple, routed_t: tuple, ys: np.ndarray,
     and the target batch (`routed_t`); K is the width of their "s" head."""
     (cls_s, ext_s), (cls_t, ext_t) = routed_s, routed_t
     k = cls_s["s"].shape[1]
+    labels = one_hot(ys, k)
 
-    task_s = -_picked_log_prob(cls_s["s"], ys, k).mean()
-    task_t = -_picked_log_prob(cls_s["t"], ys, k).mean()
+    task_s = ad.cross_entropy(_log(cls_s["s"]), labels)
+    task_t = ad.cross_entropy(_log(cls_s["t"]), labels)
     disc = -_half_log_mean(cls_s["st"], k, 0) - _half_log_mean(cls_t["st"], k, 1)
     classifier_loss = task_s + task_t + disc
 
-    src_pick = _picked_log_prob(ext_s["st"], ys, 2 * k)
-    tgt_pick = _picked_log_prob(ext_s["st"], np.asarray(ys) + k, 2 * k)
-    cat = -0.5 * (src_pick.mean() + tgt_pick.mean())
+    cat = ad.cross_entropy(_log(ext_s["st"]), 0.5 * np.concatenate([labels, labels], axis=1))
     # Per target row this is -log a - log(1-a) over the source-half mass a,
     # minimized at 2 ln 2 when each domain half holds exactly 1/2.
     dom = -(_half_log_mean(ext_t["st"], k, 0) + _half_log_mean(ext_t["st"], k, 1))

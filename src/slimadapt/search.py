@@ -58,7 +58,6 @@ class DiscrepancyScore:
 
     config: WidthConfig
     delta: float
-    flops_ratio: float
     accuracy: float | None = None
 
 
@@ -75,7 +74,6 @@ class SearchStep:
 class CorrelationReport:
     pearson: float
     spearman: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,10 @@ class SearchPlan:
         lo = arch.smallest_config().flops / full
         if self.budget_ratios:
             ratios = [float(r) for r in self.budget_ratios]
-            if any(b <= a for a, b in zip(ratios, ratios[1:])):
+            # Written so that a NaN ratio fails each check.
+            if not all(a < b for a, b in zip(ratios, ratios[1:])):
                 raise UsageError("budget ratios must be strictly increasing")
-            if ratios[0] <= lo or ratios[-1] > 1.0 + 1e-12:
+            if not (lo < ratios[0] and ratios[-1] <= 1.0 + 1e-12):
                 raise UsageError(f"budget ratios must lie in ({lo:.4f}, 1]")
             return ratios
         geometric = [2.0 ** -(self.k - 1 - i) for i in range(self.k)]
@@ -188,7 +187,6 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
         head_probs = probs if head == "a" else candidate.calibrated_probs(head)
         accuracy = _accuracy(head_probs, target_y)
     return DiscrepancyScore(config=config, delta=_squared_distance(probs, anchor_probs),
-                            flops_ratio=config.flops / bank.arch.full_config().flops,
                             accuracy=accuracy)
 
 
@@ -362,7 +360,7 @@ def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndar
     if coefficients is None:
         raise UsageError("correlation undefined: zero variance in scores or accuracies")
     pearson, spearman = coefficients
-    return CorrelationReport(pearson=pearson, spearman=spearman, count=len(configs))
+    return CorrelationReport(pearson=pearson, spearman=spearman)
 
 
 def correlation_coefficients(deltas, accs) -> tuple[float, float] | None:

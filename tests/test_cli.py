@@ -415,6 +415,38 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: search tolerance") and str(tolerance) in err
 
+    def test_non_finite_budget_flag_is_config_error(self, initialised, capsys):
+        cfg_path, _, _ = initialised
+        capsys.readouterr()
+        assert run(["search", "--budgets", "0.5,nan", "--config", cfg_path]) == 2
+        assert "budget ratios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,name", [("trainer", "tau"), ("dataset", "noise_std")])
+    def test_non_finite_config_number_is_named(self, workdir, capsys, section, name):
+        cfg_path, _ = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc[section][name] = float("nan")
+        cfg_path.write_text(json.dumps(doc))  # the stdlib reader accepts its NaN token
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {section}.{name}") and "not finite" in err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "search", "correlate", "eval"])
+    def test_input_dim_other_than_dataset_d_is_named(self, workdir, capsys, command):
+        cfg_path, _ = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc["architecture"]["input_dim"] = 8
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith("error: field architecture.input_dim")
+
+    def test_input_dim_defaults_to_dataset_d(self):
+        doc = copy.deepcopy(CONFIG)
+        del doc["architecture"]["input_dim"]
+        assert cli.parse_experiment(doc).arch == cli.parse_experiment(CONFIG).arch
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, err = run_process(["gen-data", "--config", tmp_path / "absent.json"])
         assert code == 4 and err.startswith("io error: ") and "Traceback" not in err

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt import losses
@@ -234,3 +236,53 @@ class TestRoutingAndParts:
         ad.sgd_step(params, grads, state)
         after = parts(model, *batch).domain_disc
         assert after < before.item()
+
+
+def mask_and_sum_targets(routed_s, routed_t, ys, w_ent=0.1):
+    """Reference: the two loss roles and the parts built with the task and
+    category terms as a one-hot mask product, a row sum, a log and a mean
+    per term, every other term as `domain_confusion_targets` builds it."""
+    def picked_log(probs, labels, classes):
+        return losses._log((probs * losses.one_hot(labels, classes)).sum(axis=1))
+
+    (cls_s, ext_s), (cls_t, ext_t) = routed_s, routed_t
+    k = cls_s["s"].shape[1]
+    task_s = -picked_log(cls_s["s"], ys, k).mean()
+    task_t = -picked_log(cls_s["t"], ys, k).mean()
+    disc = -losses._half_log_mean(cls_s["st"], k, 0) - losses._half_log_mean(cls_t["st"], k, 1)
+    cat = -0.5 * (picked_log(ext_s["st"], ys, 2 * k).mean()
+                  + picked_log(ext_s["st"], ys + k, 2 * k).mean())
+    dom = -(losses._half_log_mean(ext_t["st"], k, 0) + losses._half_log_mean(ext_t["st"], k, 1))
+    p = ext_t["task"]
+    ent = -(p * losses._log(p)).sum(axis=1).mean()
+    parts = losses.DcLossParts(task_s=task_s.item(), task_t=task_t.item(), domain_disc=disc.item(),
+                               cat_confusion=cat.item(), dom_confusion=dom.item(),
+                               entropy_min=ent.item())
+    return task_s + task_t + disc, cat + dom + w_ent * ent, parts
+
+
+class TestCrossEntropyTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 12), rows=st.integers(2, 64), layers=st.integers(1, 3),
+           scale=st.floats(0.1, 30.0), seed=st.integers(0, 2**16))
+    def test_match_mask_and_sum_reference(self, k, rows, layers, scale, seed):
+        # The cross-entropy terms reach the reference's gradients bit for
+        # bit; their values differ only in the order the logs are summed.
+        arch = Architecture(input_dim=5, block_max_widths=(8, 6), layers_per_block=layers,
+                            class_count=k)
+        rng = np.random.default_rng(seed)
+        model = ParamStore(arch, rng).slice(arch.full_config())
+        for h in ("s", "t"):
+            model.store[f"c.{h}.w"].data *= scale
+        xs, xt = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))
+        ys = rng.integers(0, k, size=rows)
+        got = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
+        cls_ref, ext_ref, parts_ref = mask_and_sum_targets(*routed(model, xs, xt), ys)
+        for loss, ref in ((got.classifier_loss, cls_ref), (got.extractor_loss, ext_ref)):
+            grads = ad.gradients(loss, model.store.params)
+            ref_grads = ad.gradients(ref, model.store.params)
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
+        for name, ref in vars(parts_ref).items():
+            assert abs(getattr(got.parts, name) - ref) <= 1e-15 * abs(ref), name

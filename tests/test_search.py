@@ -141,7 +141,6 @@ class TestDiscrepancy:
         bank, ds = trained
         score = anchor_discrepancy(bank, ARCH.full_config(), ds.xt)
         assert score.delta == 0.0
-        assert score.flops_ratio == 1.0
 
     def test_hand_value_single_sample(self):
         # anchor row [1, 0], candidate row [0, 1] -> squared distance 2
