@@ -8,7 +8,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigError
-from .jsonio import field
+from .jsonio import field, list_of
 from .slimnet import Architecture, ParamStore
 from .trainer import MODES
 
@@ -35,7 +35,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     doc = jsonio.load(path)
     arch = Architecture(
         input_dim=field(doc, "architecture.input_dim", int),
-        block_max_widths=field(doc, "architecture.block_max_widths", lambda v: tuple(map(int, v))),
+        block_max_widths=field(doc, "architecture.block_max_widths", list_of(int)),
         layers_per_block=field(doc, "architecture.layers_per_block", int),
         class_count=field(doc, "architecture.class_count", int),
     )

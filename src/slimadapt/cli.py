@@ -19,7 +19,7 @@ from . import jsonio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import DomainDataset, ShiftSpec, load_dataset, make_dataset, save_dataset
 from .errors import ConfigError, NumericError, SearchError, UsageError
-from .jsonio import field
+from .jsonio import field, list_of
 from .search import (
     SearchPlan,
     _anchor_probs,
@@ -58,6 +58,9 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
                      out_override: str | None = None,
                      mode_override: str | None = None) -> Experiment:
     seed = seed_override if seed_override is not None else field(doc, "seed", int)
+    if seed < 0:  # numpy's generators take no negative seed
+        name = "--seed" if seed_override is not None else "field seed"
+        raise ConfigError(f"{name}: must be >= 0, got {seed}")
     out_dir = Path(out_override) if out_override is not None else field(doc, "out_dir", Path)
 
     d = field(doc, "dataset.d", int)
@@ -75,7 +78,7 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
 
     arch = Architecture(
         input_dim=d,
-        block_max_widths=field(doc, "architecture.block_max_widths", lambda v: tuple(map(int, v))),
+        block_max_widths=field(doc, "architecture.block_max_widths", list_of(int)),
         layers_per_block=field(doc, "architecture.layers_per_block", int, 1),
         class_count=dataset_fields["K"],
     )
@@ -99,7 +102,7 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
         q=field(doc, "search.q", int, 20),
         seed=seed,
         tolerance=field(doc, "search.tolerance", float, 0.02),
-        budget_ratios=field(doc, "search.budgets", lambda v: tuple(map(float, v or ())), ()),
+        budget_ratios=field(doc, "search.budgets", list_of(float), ()),
     )
     return Experiment(seed=seed, out_dir=out_dir, dataset_fields=dataset_fields, arch=arch,
                       trainer=trainer_cfg, plan=plan,

@@ -48,8 +48,10 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}, expected one of {SHIFT_KINDS}")
-        if self.noise_std <= 0:
-            raise ConfigError("noise_std must be positive")
+        if not math.isfinite(self.magnitude):
+            raise ConfigError(f"magnitude must be finite, got {self.magnitude}")
+        if not self.noise_std > 0:  # written so that NaN fails it
+            raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
 
 
 class DomainDataset:

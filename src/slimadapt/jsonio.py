@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-__all__ = ["dump_exact", "write_atomic", "load", "field"]
+__all__ = ["dump_exact", "write_atomic", "load", "field", "list_of"]
 
 
 def _to_builtin(obj):
@@ -76,3 +76,14 @@ def field(doc: dict, path: str, kind, default=None):
     if isinstance(value, float) and not np.isfinite(value):
         raise ConfigError(f"field {path}: {value} is not finite")
     return value
+
+
+def list_of(kind):
+    """A `field` reader of a JSON list, each item read through `kind`,
+    returning a tuple; a string is refused, not read one character at a
+    time."""
+    def read(value):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(kind(v) for v in value)
+    return read

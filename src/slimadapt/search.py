@@ -16,8 +16,9 @@ Every scored config is recalibrated once, and its score (and accuracy,
 with labels) is read from that calibration.  A rung's candidates all grow
 from one winner and share long width prefixes, so the ladder calibrates
 them in one shared `adabn_pass` per rung.  Random search and `correlate`
-sample unrelated configs, which share only the input layer; they
-recalibrate config by config.
+score each distinct config once, and a repeat reuses its score: the
+band sampler often repeats a config, and on the `cli_deep` benchmark's
+bank 32-42 of `correlate --n 10`'s 60 samples are distinct (seeds 1-10).
 """
 
 from __future__ import annotations
@@ -190,6 +191,13 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
                             accuracy=accuracy)
 
 
+def _scores(bank, configs, target_x, anchor_probs, target_y, head) -> list[DiscrepancyScore]:
+    """Each config's `anchor_discrepancy`, in order, computed once per distinct config."""
+    scored = {c: anchor_discrepancy(bank, c, target_x, anchor_probs, target_y, head)
+              for c in dict.fromkeys(configs)}
+    return [scored[c] for c in configs]
+
+
 def _anchor_probs(bank: ParamStore, target_x: np.ndarray) -> np.ndarray:
     return recalibrated(bank, bank.arch.full_config(), target_x).calibrated_probs("a")
 
@@ -257,15 +265,14 @@ def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
                   target_y: np.ndarray | None = None, head: str = "a"
                   ) -> tuple[WidthConfig, list[DiscrepancyScore]]:
     """Sample n configs inside the budget band, return the lowest-score one
-    together with the whole score list (with accuracies when `target_y`
-    is given, as in `anchor_discrepancy`)."""
+    together with every sample's score, each distinct config scored once
+    (with accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
     if n < 1:
         raise UsageError(f"random search needs n >= 1 configs, got {n}")
     configs = [sample_config_at_budget(rng, bank.arch, budget, tolerance) for _ in range(n)]
     if anchor_probs is None:
         anchor_probs = _anchor_probs(bank, target_x)
-    scores = [anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
-                                 target_y=target_y, head=head) for cfg in configs]
+    scores = _scores(bank, configs, target_x, anchor_probs, target_y, head)
     best = min(scores, key=lambda s: s.delta)
     return best.config, scores
 
@@ -345,15 +352,13 @@ def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndar
     """Pearson and Spearman correlation between anchor discrepancies and
     true target accuracies over a set of configurations (evaluation only).
 
-    Each config is recalibrated once (`anchor_discrepancy` with labels),
-    and that one model gives both its discrepancy and its accuracy.
+    Each distinct config is recalibrated once (`anchor_discrepancy` with
+    labels), and that one model gives both its discrepancy and its accuracy.
     """
     configs = list(configs)
     if len(configs) < 3:
         raise UsageError(f"correlation needs at least 3 configs, got {len(configs)}")
-    anchor_probs = _anchor_probs(bank, target_x)
-    scores = [anchor_discrepancy(bank, cfg, target_x, anchor_probs=anchor_probs,
-                                 target_y=target_y, head=head) for cfg in configs]
+    scores = _scores(bank, configs, target_x, _anchor_probs(bank, target_x), target_y, head)
     deltas = [s.delta for s in scores]
     accs = [s.accuracy for s in scores]
     coefficients = correlation_coefficients(deltas, accs)

@@ -28,11 +28,12 @@ on the same `EVAL_BATCH`-row batches.
 
 Evaluation uses no autodiff: the pass, the eval-mode forward and the
 heads (`head_logits`, `probs`) take and return plain arrays and build no
-graph.  `_eval_layer` normalises each fresh matmul output in place with
-running statistics, then applies the ReLU.  NaN/Inf is checked at the
-model's boundaries: every input (batch, target set, `predict` input),
-every loaded parameter, each eval layer before its ReLU, and the eval
-heads' probabilities per `predict`/`calibrated_probs`.
+graph.  Each eval layer centres its fresh matmul output in place (the
+pass once per batch, as it takes the variance), and `_scaled_relu`, the
+one eval-BN routine, scales it and applies the affine and the ReLU.
+NaN/Inf is checked at the model's boundaries: every input (batch, target
+set, `predict` input), every loaded parameter, each eval layer before its
+ReLU, and the eval heads' probabilities per `predict`/`calibrated_probs`.
 
 In training a head serves two optimization roles: the classifier role
 moves the head's parameters and must not move the extractor, the
@@ -243,11 +244,17 @@ def _eval_layer(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.nda
                 var: np.ndarray) -> np.ndarray:
     """Eval-mode BN with statistics (mean, var), then ReLU, of a fresh
     matmul output `z`, in place:
-    `max(gamma * ((z - mean) * (1 / sqrt(var + eps))) + beta, 0)`.  One
+    `max(gamma * ((z - mean) * (1 / sqrt(var + eps))) + beta, 0)`."""
+    z -= mean
+    return _scaled_relu(z, gamma, beta, 1.0 / np.sqrt(var + BN_EPS))
+
+
+def _scaled_relu(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                 inv_std: np.ndarray) -> np.ndarray:
+    """`max(gamma * (z * inv_std) + beta, 0)` of a centred `z`, in place.  One
     NaN/Inf check runs before the ReLU, which would clip an overflow to
     -inf away."""
-    z -= mean
-    z *= 1.0 / np.sqrt(var + BN_EPS)
+    z *= inv_std
     z *= gamma
     z += beta
     ad.check_finite(z, "eval forward activations")
@@ -387,15 +394,6 @@ def _probs_of(logits: dict) -> dict:
     return probs
 
 
-def _moments(acts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Population mean and variance per column over every batch of `acts`,
-    in two passes: the batches' column sums over n, then the mean squared
-    deviation from that mean."""
-    n = sum(h.shape[0] for h in acts)
-    mean = sum(h.sum(axis=0) for h in acts) / n
-    return mean, sum(np.square(h - mean).sum(axis=0) for h in acts) / n
-
-
 def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
              members: list[int], acts: list[np.ndarray], path: list, k: int):
     """Layer k of every config in `members`, which share the widths of
@@ -405,10 +403,15 @@ def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
     width, base = max(layer_widths[i][k] for i in members), names[k]
     weight = _corner(store[f"{base}.w"], (acts[0].shape[1], width))
     acts = [h @ weight for h in acts]
-    mean, var = _moments(acts)
+    n = sum(z.shape[0] for z in acts)
+    mean = sum(z.sum(axis=0) for z in acts) / n
+    for z in acts:  # each batch is centred once, in place
+        z -= mean
+    var = sum(np.square(z).sum(axis=0) for z in acts) / n
     gamma = _corner(store[f"{base}.bn_g"], (width,))
     beta = _corner(store[f"{base}.bn_b"], (width,))
-    acts = [_eval_layer(z, gamma, beta, mean, var) for z in acts]
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    acts = [_scaled_relu(z, gamma, beta, inv_std) for z in acts]
     groups: dict[int, list[int]] = {}
     for i in members:
         groups.setdefault(layer_widths[i][k], []).append(i)
@@ -430,8 +433,10 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
     The target set is split into `EVAL_BATCH`-row batches, and each
     batch's activations are carried from layer to layer.  The statistics of
     BN layer k are the exact population moments of its input over the whole
-    dataset, taken in two passes over the batches (`_moments`); each batch
-    is then normalised with them (eval mode) before it enters layer k+1.
+    dataset, taken in two passes over the batches: the column sums give the
+    mean, each batch is centred on it once, in place, and the variance is
+    the centred values' mean square.  With `1/sqrt(var + eps)` computed once
+    per layer, `_scaled_relu` finishes each batch before layer k+1.
     The result is deterministic, idempotent, and (up to float summation
     order) independent of sample order and batch size.  The last layer is
     normalised and ReLU'd too, and each model keeps those per-batch

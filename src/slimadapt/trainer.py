@@ -87,7 +87,7 @@ class ConfidencePolicy:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if self.mode not in ("hard", "general"):
             raise ConfigError(f"confidence mode must be 'hard' or 'general', got {self.mode!r}")
-        if self.s < 0:
+        if not self.s >= 0:  # written so that NaN fails it
             raise ConfigError(f"s must be >= 0, got {self.s}")
 
 
@@ -111,8 +111,10 @@ class TrainerConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.model_batch_size < 2:
             raise ConfigError(f"model batch size must be >= 2, got {self.model_batch_size}")
-        if self.tau <= 0:
+        if not self.tau > 0:  # written so that NaN fails it
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0 <= self.w_ent < np.inf:
+            raise ConfigError(f"w_ent must be finite and >= 0, got {self.w_ent}")
 
 
 def init_bank(arch: Architecture, seed: int) -> ParamStore:

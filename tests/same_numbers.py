@@ -1,0 +1,144 @@
+"""SHA-256 digests of the bit-identity set, one line per item.
+
+    PYTHONPATH=src:. python tests/same_numbers.py
+
+A change that claims "same numbers, bit for bit" prints the same lines as
+its parent; run this script on both checkouts and diff the outputs.  The
+set is:
+
+  params    every parameter after 32 steps of each training mode at
+            `DEFAULT_TASK` (blocks 32-256, m=10, batch 128, seed 1), each
+            mode on its own fresh bank;
+  ladder    the default greedy ladder with labels on seeds 1-10, on the
+            `search` benchmark's bank (16 slimda steps): every rung's
+            budget, widths, delta, accuracy and saturation;
+  random    labelled `random_search` (n=20 per rung of the default
+            ladder) on the same banks: every sampled config's widths,
+            delta and accuracy;
+  cli       every file the CLI writes for `perfbench.workloads.cli_config`
+            seeds 1 and 4 after gen-data, train, correlate --n 10, search
+            (greedy with and without labels, random with labels) and eval,
+            with the `seconds` column of `metrics.csv` masked.
+
+The script writes only under a temporary directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from perfbench.workloads import FULL, Segment, cli_config  # noqa: E402
+from slimadapt import cli, datasets, search  # noqa: E402
+from slimadapt.seeding import named_rng  # noqa: E402
+from slimadapt.slimnet import Architecture  # noqa: E402
+from slimadapt.trainer import MODES  # noqa: E402
+
+# The train and search benchmarks' bank: one layer per block.
+ARCH = Architecture(input_dim=FULL.task["d"], block_max_widths=FULL.blocks,
+                    class_count=FULL.task["K"])
+
+STEPS = 32
+SEARCH_SEEDS = range(1, 11)
+CLI_SEEDS = (1, 4)
+RANDOM_N = 20
+# (argv before --config, the files it writes)
+CLI_COMMANDS = (
+    (["gen-data"], (cli.DATASET_FILE,)),
+    (["train"], (cli.CHECKPOINT_FILE, cli.METRICS_FILE)),
+    (["correlate", "--n", "10"], (cli.CORR_SCATTER_FILE, cli.CORR_SUMMARY_FILE)),
+    (["search", "--reveal-labels"], (cli.SEARCH_FILE,)),
+    (["search"], (cli.SEARCH_FILE,)),
+    (["search", "--strategy", "random", "--reveal-labels"], (cli.SEARCH_FILE,)),
+    (["eval"], (cli.EVAL_FILE,)),
+)
+
+
+def _digest(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+def params_digests():
+    ds = datasets.make_dataset(seed=1, **FULL.task)
+    for mode in MODES:
+        seg = Segment(mode, ds, ARCH, FULL, seed=1)
+        for _ in range(STEPS):
+            seg.step(*seg.next_batch())
+        arrays = seg.bank.state_arrays()
+        yield f"params.{mode}", _digest(*(name.encode() + arrays[name].tobytes()
+                                         for name in sorted(arrays)))
+
+
+def search_digests():
+    for seed in SEARCH_SEEDS:
+        ds = datasets.make_dataset(seed=seed, **FULL.task)
+        labels = ds.target_labels(evaluation=True)
+        seg = Segment("slimda", ds, ARCH, FULL, seed)
+        for _ in range(FULL.pretrain_steps):
+            seg.step(*seg.next_batch())
+        plan = search.SearchPlan(seed=seed)
+        steps = search.inherited_greedy_search(seg.bank, plan, ds.xt, target_y=labels)
+        yield f"ladder.seed{seed}", _digest(_json([
+            [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
+        rng, full = named_rng(seed, "search"), ARCH.full_config().flops
+        rows = []
+        for ratio in plan.budgets(ARCH):
+            _, scores = search.random_search(seg.bank, ratio * full, RANDOM_N, ds.xt, rng,
+                                             target_y=labels)
+            rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
+        yield f"random.seed{seed}", _digest(_json(rows))
+
+
+def _masked(path: Path) -> bytes:
+    if path.name != cli.METRICS_FILE:
+        return path.read_bytes()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    col = header.split(",").index("seconds")
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        row[col] = "*"
+    return "\n".join([header] + [",".join(row) for row in cells]).encode()
+
+
+def cli_digests(work_dir: Path):
+    for seed in CLI_SEEDS:
+        out = work_dir / f"cli{seed}"
+        cfg_path = work_dir / f"config{seed}.json"
+        cfg_path.write_text(json.dumps(cli_config(FULL, seed, out)), encoding="utf-8")
+        for argv, outputs in CLI_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv + ["--config", str(cfg_path)])
+            if code != 0:
+                raise SystemExit(f"slimadapt {' '.join(argv)} exited {code} on seed {seed}")
+            name = "_".join(a.lstrip("-") for a in argv)
+            for filename in outputs:
+                yield f"cli.seed{seed}.{name}.{filename}", _digest(_masked(out / filename))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for items in (params_digests(), search_digests(), cli_digests(Path(tmp))):
+            for name, digest in items:
+                print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

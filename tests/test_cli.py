@@ -248,14 +248,17 @@ class TestSearchEvalCorrelate:
                                                            per_band):
         """Each score and accuracy is read from its config's one AdaBN
         calibration, so no command runs a second forward through
-        `SlimModel.predict`.  Random search and correlate recalibrate config
-        by config; the greedy ladder calibrates each rung's candidates in
-        one shared pass."""
+        `SlimModel.predict`.  Random search and correlate recalibrate each
+        distinct config a band sampled once; the greedy ladder calibrates
+        each rung's candidates in one shared pass."""
         cfg_path, _ = trained
-        calls, predicts, passes = [], [], []
+        calls, predicts, passes, sampled = [], [], [], []
         original, predict, shared = search.adabn_recalibrate, SlimModel.predict, search.adabn_pass
+        sample = search.sample_config_at_budget
         monkeypatch.setattr(search, "adabn_recalibrate",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
+        monkeypatch.setattr(search, "sample_config_at_budget",
+                            lambda *a, **k: sampled.append(sample(*a, **k)) or sampled[-1])
         monkeypatch.setattr(SlimModel, "predict",
                             lambda *a, **k: predicts.append(1) or predict(*a, **k))
 
@@ -269,7 +272,10 @@ class TestSearchEvalCorrelate:
         assert run(argv + ["--config", cfg_path]) == 0
         k = CONFIG["search"]["k"]
         if argv[0] == "correlate" or "random" in argv:
-            assert len(calls) == k * per_band + 1  # configs plus the anchor
+            assert len(sampled) == k * per_band
+            distinct = sum(len(set(sampled[i:i + per_band]))
+                           for i in range(0, len(sampled), per_band))
+            assert len(calls) == distinct + 1  # distinct configs per band plus the anchor
             assert passes == []
         else:  # the anchor, then one shared pass per rung yielding each candidate once
             assert len(calls) == 1
@@ -441,6 +447,37 @@ class TestMalformedInput:
         capsys.readouterr()
         assert run([command, "--config", cfg_path]) == 2
         assert capsys.readouterr().err.startswith("error: field architecture.input_dim")
+
+    def test_negative_config_seed_is_named(self, workdir, capsys):
+        """numpy's generators refuse a negative seed; the config reader
+        refuses it first, as a config error."""
+        cfg_path, _ = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc["seed"] = -1
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith("error: field seed: must be >= 0")
+
+    def test_negative_seed_flag_is_named(self, workdir, capsys):
+        cfg_path, _ = workdir
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed: must be >= 0")
+
+    @pytest.mark.parametrize("section,name,value", [("architecture", "block_max_widths", "816"),
+                                                    ("search", "budgets", "1")])
+    def test_string_for_a_list_field_is_named(self, workdir, capsys, section, name, value):
+        """A string is not read one character at a time ("816" as the
+        widths (8, 1, 6))."""
+        cfg_path, _ = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc[section][name] = value
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {section}.{name}: expected a list")
 
     def test_input_dim_defaults_to_dataset_d(self):
         doc = copy.deepcopy(CONFIG)

@@ -99,6 +99,14 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             ShiftSpec("SHEAR", 1.0)
 
+    @pytest.mark.parametrize("kwargs,name", [(dict(magnitude=float("nan")), "magnitude"),
+                                             (dict(magnitude=float("inf")), "magnitude"),
+                                             (dict(noise_std=float("nan")), "noise_std")],
+                             ids=["magnitude-nan", "magnitude-inf", "noise_std-nan"])
+    def test_non_finite_shift_parameters_rejected(self, kwargs, name):
+        with pytest.raises(ConfigError, match=rf"^{name} must"):
+            ShiftSpec(**dict(dict(kind="MIXED", magnitude=1.0), **kwargs))
+
 
 class TestLabelGuard:
     def test_training_path_access_raises(self):

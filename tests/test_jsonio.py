@@ -68,6 +68,20 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
         assert same_bits(loaded[name].data, p.data), name
 
 
+def test_checkpoint_widths_as_a_string_are_refused(tmp_path):
+    """A string is not read one character at a time: "816" would load as
+    a (8, 1, 6) bank."""
+    arch = Architecture(input_dim=5, block_max_widths=(8, 1, 6), layers_per_block=1,
+                        class_count=3)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, init_bank(arch, 0), seed=0, step=0, mode="slimda")
+    doc = jsonio.load(path)
+    doc["architecture"]["block_max_widths"] = "816"
+    jsonio.dump_exact(doc, path)
+    with pytest.raises(ConfigError, match="^field architecture.block_max_widths: expected a list"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("text", ['{"seed": 1, "out', "", "[1, 2]", '"text"', "\xff"])
 def test_undecodable_or_non_object_file_is_config_error(tmp_path, text):
     path = tmp_path / "bad.json"

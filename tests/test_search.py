@@ -7,6 +7,7 @@ optimum per budget.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -577,3 +578,46 @@ class TestCorrelationTools:
         configs = sample_configs_spanning(np.random.default_rng(7), ARCH, 6)
         correlate(bank, configs, ds.xt, ds.target_labels(evaluation=True), head=head)
         assert len(calls) == len(configs) + 1  # one per config, one for the anchor
+
+
+class TestDistinctScores:
+    """Random search and correlate score each distinct config once, with
+    `anchor_discrepancy`; a repeated config reuses its first score, which
+    equals the config's own `anchor_discrepancy` bit for bit."""
+
+    POOL = [ARCH.make_config(w) for w in ((2, 3), (8, 12), (16, 24), (5, 20), (12, 6))]
+
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(POOL) - 1), min_size=3, max_size=8))
+    def test_repeats_reuse_the_first_score(self, trained, picks):
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        configs = [self.POOL[i] for i in picks]
+        alone = {c: anchor_discrepancy(bank, c, ds.xt, target_y=yt) for c in set(configs)}
+        calls = []
+
+        def counted(bank, config, *args, **kwargs):
+            calls.append(config)
+            return anchor_discrepancy(bank, config, *args, **kwargs)
+
+        samples = iter(configs)
+        with mock.patch.object(search, "anchor_discrepancy", counted), \
+                mock.patch.object(search, "sample_config_at_budget",
+                                  lambda *args, **kwargs: next(samples)):
+            best, scores = random_search(bank, 1.0, len(configs), ds.xt,
+                                         np.random.default_rng(0), target_y=yt)
+        assert calls == list(dict.fromkeys(configs))  # once per distinct config
+        assert [(s.config, s.delta, s.accuracy) for s in scores] == \
+            [(c, alone[c].delta, alone[c].accuracy) for c in configs]
+        assert best == min(configs, key=lambda c: alone[c].delta)
+
+        calls.clear()
+        with mock.patch.object(search, "anchor_discrepancy", counted):
+            try:
+                report = correlate(bank, configs, ds.xt, yt)
+                got = (report.pearson, report.spearman)
+            except UsageError:  # zero variance: undefined
+                got = None
+        assert calls == list(dict.fromkeys(configs))
+        assert got == correlation_coefficients([alone[c].delta for c in configs],
+                                               [alone[c].accuracy for c in configs])

@@ -489,3 +489,15 @@ class TestTrainLoop:
             TrainerConfig(model_batch_size=1)
         with pytest.raises(ConfigError):
             TrainerConfig(tau=0.0)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: TrainerConfig(tau=math.nan), "tau"),
+        (lambda: TrainerConfig(w_ent=math.nan), "w_ent"),
+        (lambda: TrainerConfig(w_ent=math.inf), "w_ent"),
+        (lambda: TrainerConfig(w_ent=-0.1), "w_ent"),
+        (lambda: ConfidencePolicy(s=math.nan), "s"),
+    ], ids=["tau-nan", "w_ent-nan", "w_ent-inf", "w_ent-negative", "s-nan"])
+    def test_nan_and_out_of_range_values_are_refused(self, make, name):
+        """Each guard is written so that NaN fails it."""
+        with pytest.raises(ConfigError, match=rf"^{name} must"):
+            make()
