@@ -135,10 +135,12 @@ def _as_tensor(x) -> Tensor:
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp, what: str) -> Tensor:
     """Wrap an op output; record its parents and VJP if a gradient may flow."""
     out = Tensor(data, name=what)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._vjp = vjp
+            break
     return out
 
 
@@ -259,7 +261,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * mask,)
 
-    return _node(np.clip(x.data, lo, hi), (x,), vjp, "clip")
+    return _node(np.minimum(np.maximum(x.data, lo), hi), (x,), vjp, "clip")
 
 
 def _sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -408,10 +410,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     if n < 2:
         raise UsageError("batchnorm needs batch size >= 2")
 
-    mu = x.data.mean(axis=0)
-    inv = 1.0 / np.sqrt(x.data.var(axis=0) + eps)
-    xhat = (x.data - mu) * inv
-    data = gamma.data * xhat + beta.data
+    xhat = x.data - x.data.sum(axis=0) / n  # centred once, then scaled in place
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=0) / n + eps)
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
     gamma_data = gamma.data
 
     def vjp(g):

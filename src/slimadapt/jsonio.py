@@ -60,7 +60,9 @@ def load(path) -> dict:
 def field(doc: dict, path: str, kind, default=None):
     """Field `path` ("section.name" or "name") of `doc` read through `kind`,
     required unless a `default` is given.  A missing field, a non-object
-    section, a rejected value or a non-finite float is a ConfigError naming it."""
+    section, a rejected value or a non-finite float is a ConfigError naming
+    it.  `int` and `float` are strict: an int field refuses a bool, a float
+    and a string, a float field a bool and a string."""
     section, _, name = path.rpartition(".")
     doc = doc.get(section, {}) if section else doc
     if not isinstance(doc, dict):
@@ -70,7 +72,7 @@ def field(doc: dict, path: str, kind, default=None):
             raise ConfigError(f"missing field {path}")
         return default
     try:
-        value = kind(doc[name])
+        value = _read(kind, doc[name])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"field {path}: {exc}") from exc
     if isinstance(value, float) and not np.isfinite(value):
@@ -85,5 +87,16 @@ def list_of(kind):
     def read(value):
         if not isinstance(value, list):
             raise TypeError(f"expected a list, got {type(value).__name__}")
-        return tuple(kind(v) for v in value)
+        return tuple(_read(kind, v) for v in value)
     return read
+
+
+def _read(kind, value):
+    """`kind(value)`, except that `int` takes only an int and `float` only
+    an int or a float (never a bool, which JSON's `true` loads as)."""
+    if kind in (int, float):
+        allowed = int if kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            noun = "an integer" if kind is int else "a number"
+            raise TypeError(f"expected {noun}, got {type(value).__name__} {value!r}")
+    return kind(value)

@@ -39,13 +39,16 @@ In training a head serves two optimization roles: the classifier role
 moves the head's parameters and must not move the extractor, the
 extractor role moves the features and must not move the head.
 `SlimModel.routed_probs` computes each requested head's logits on one
-batch of features once and returns every probability head in both
-routes, so a training step evaluates each (head, domain) once per model.
+batch of features once and serves the probability heads in both routes,
+building each head on first read: a training step evaluates each (head,
+domain) once per model, and its graph holds no head that no loss or
+target reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,11 @@ class Architecture:
     class_count: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "block_max_widths", tuple(int(w) for w in self.block_max_widths))
+        widths = self.block_max_widths
+        if not isinstance(widths, (list, tuple)) or not all(
+                isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in widths):
+            raise ConfigError(f"block_max_widths must be a list or tuple of ints, got {widths!r}")
+        object.__setattr__(self, "block_max_widths", tuple(int(w) for w in widths))
         if self.input_dim < 1 or self.layers_per_block < 1 or self.class_count < 2:
             raise ConfigError(f"degenerate architecture: {self}")
         if not self.block_max_widths or any(w < 1 for w in self.block_max_widths):
@@ -337,10 +344,11 @@ class SlimModel:
         return _probs_of({h: self.head_logits(feats, h) for h in ("s", "t")})[head]
 
     def routed_probs(self, feats: Tensor,
-                     heads: tuple[str, ...] = ("s", "t")) -> tuple[dict, dict]:
-        """Every probability head of `probs` over `heads` (which holds "s"
+                     heads: tuple[str, ...] = ("s", "t")) -> tuple[Mapping, Mapping]:
+        """The probability heads of `probs` over `heads` (which holds "s"
         and "t"; "a" if asked) on one batch of features, each head's logits
-        computed once, in two routes: `(to_heads, to_features)`.  A loss
+        computed once, in two routes: `(to_heads, to_features)`, two
+        `_probs_of` mappings that build each head on first read.  A loss
         on `to_heads` moves only the heads' parameters, one on
         `to_features` only the features; both hold the values of `probs`.
         """
@@ -378,20 +386,45 @@ def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _probs_of(logits: dict) -> dict:
-    """Every probability head from the logits of the K-way heads in
+class _probs_of(Mapping):  # named and called like a function, as `functools.partial` is
+    """The probability heads over the logits of the K-way heads in
     `logits` ("s" and "t" at least): graph nodes from tensors, plain arrays
     from arrays.  "s"/"t"/"a" are K-way softmaxes; "st" is the
     shared-neuron 2K-way softmax over the concatenated s and t logits
     (first K entries = source half, last K = target half); "task" is the
     mean of the "s" and "t" distributions, the bank's task-level
-    prediction."""
-    graph = isinstance(logits["s"], Tensor)
-    softmax, concat = (ad.softmax, ad.concat) if graph else (_softmax, np.concatenate)
-    probs = {head: softmax(z, axis=1) for head, z in logits.items()}
-    probs["st"] = softmax(concat([logits["s"], logits["t"]], axis=1), axis=1)
-    probs["task"] = (probs["s"] + probs["t"]) * 0.5
-    return probs
+    prediction.  A read-only mapping: it builds each head on first read and
+    keeps it, so a head no one reads costs nothing and adds no graph node;
+    it iterates every head it can serve."""
+
+    def __init__(self, logits: dict):
+        self._logits, self._built = logits, {}
+        self._heads = (*logits, "st", "task")
+        graph = isinstance(logits["s"], Tensor)
+        self._softmax, self._concat = (ad.softmax, ad.concat) if graph else (_softmax, np.concatenate)
+
+    def __getitem__(self, head: str):
+        if head not in self._built:
+            z = self._logits
+            if head in z:
+                probs = self._softmax(z[head], axis=1)
+            elif head == "st":
+                probs = self._softmax(self._concat([z["s"], z["t"]], axis=1), axis=1)
+            elif head == "task":
+                probs = (self["s"] + self["t"]) * 0.5
+            else:
+                raise KeyError(head)
+            self._built[head] = probs
+        return self._built[head]
+
+    def __contains__(self, head) -> bool:  # without building the head
+        return head in self._heads
+
+    def __iter__(self):
+        return iter(self._heads)
+
+    def __len__(self) -> int:
+        return len(self._heads)
 
 
 def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],

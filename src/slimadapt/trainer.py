@@ -19,9 +19,10 @@ Every step samples a model batch that always contains the largest and the
 smallest configurations.  Each model runs one feature forward per domain
 and reads its heads from one `SlimModel.routed_probs` record per domain:
 every (head, domain) is evaluated once, and the losses, the ensemble and
-the teacher targets all read that record.  A mode only lists its weighted
-losses and its models' loss parts; `_apply_step` is the one place a step
-is fused, checked, recorded and applied.  It sums the weighted losses into
+the teacher targets all read that record, which builds only the heads
+they read.  A mode only lists its weighted losses and its models' loss
+parts; `_apply_step` is the one place a step is fused, checked, recorded
+and applied.  It sums the weighted losses into
 one scalar and runs one backward over it: routing is structural
 (classifier-side losses read the route whose gradient reaches only the
 heads, extractor-side losses the route whose gradient reaches only the
@@ -109,6 +110,8 @@ class TrainerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not self.epochs >= 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.model_batch_size < 2:
             raise ConfigError(f"model batch size must be >= 2, got {self.model_batch_size}")
         if not self.tau > 0:  # written so that NaN fails it

@@ -237,6 +237,63 @@ class TestAffineRoutes:
             ad.affine_routes(ad.Tensor(x.T), ad.Tensor(w), ad.Tensor(b))
 
 
+def numpy_formula_batchnorm(x, gamma, beta, g, eps=1e-5):
+    """Training-mode BN through `np.mean` and `np.var`, and its VJP at `g`:
+    the oracle `ad.batchnorm` must match byte for byte."""
+    n = x.shape[0]
+    mu = x.mean(axis=0)
+    inv = 1.0 / np.sqrt(x.var(axis=0) + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gamma
+    dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return gamma * xhat + beta, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+class TestBitForBitOps:
+    """`batchnorm` centres its input once and `clip` is a max then a min;
+    both give the bytes of the numpy formulas they replace."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40), width=st.integers(1, 9),
+           offset=st.sampled_from([0.0, 1.0, 1e4, 1e8, -3e12]),
+           scale=st.sampled_from([1e-6, 1.0, 1e3]), constant=st.lists(st.booleans(), max_size=9))
+    def test_batchnorm_matches_the_mean_and_var_formula(self, seed, n, width, offset, scale,
+                                                        constant):
+        """Columns far from zero and constant columns included: the
+        forward and all three VJP outputs are the formula's bytes."""
+        rng = np.random.default_rng(seed)
+        x = offset + scale * rng.normal(size=(n, width))
+        for j, flat in enumerate(constant[:width]):
+            if flat:
+                x[:, j] = x[0, j]
+        gamma, beta = rng.uniform(0.5, 1.5, size=width), rng.normal(size=width)
+        g = rng.normal(size=(n, width))
+        out = ad.batchnorm(ad.Tensor(x, requires_grad=True), ad.Tensor(gamma, requires_grad=True),
+                           ad.Tensor(beta, requires_grad=True))
+        want = numpy_formula_batchnorm(x, gamma, beta, g)
+        got = (out.data, *out._vjp(g))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), lo=st.floats(-1e6, 1e6), width=st.floats(0, 1e6),
+           same=st.booleans())
+    def test_clip_matches_numpy_clip(self, data, lo, width, same):
+        """NaN, +-inf, values exactly at either bound and `lo == hi`.  The
+        bounds are non-zero: with a zero bound the two may differ in the
+        sign of a zero result (the loss floor is 1e-12)."""
+        hi = lo if same else lo + width
+        assume(lo != 0 and hi != 0)
+        special = st.sampled_from([lo, hi, math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0])
+        values = data.draw(st.lists(st.one_of(special, st.floats()), min_size=1, max_size=30))
+        x = np.array(values)
+        out = ad.clip(ad.Tensor(x, requires_grad=True), lo, hi)
+        ref = np.clip(x, lo, hi)
+        assert out.data.tobytes() == ref.tobytes()
+        # the gradient passes exactly where clipping leaves the value as it was
+        (mask,) = out._vjp(np.ones_like(x))
+        assert mask.tobytes() == (ref == x).astype(np.float64).tobytes()
+
+
 def _random_graph(rng):
     """A random composition of up to 5 ops over small tensors speaking to
     the FD oracle; returns (build function, input arrays)."""

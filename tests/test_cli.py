@@ -479,6 +479,25 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: field {section}.{name}: expected a list")
 
+    @pytest.mark.parametrize("section,name,value,message", [
+        ("trainer", "epochs", 1.5, "error: field trainer.epochs: expected an integer, got float"),
+        (None, "seed", True, "error: field seed: expected an integer, got bool"),
+        ("dataset", "K", "4", "error: field dataset.K: expected an integer, got str"),
+        ("trainer", "tau", "0.5", "error: field trainer.tau: expected a number, got str"),
+        ("trainer", "epochs", -3, "error: epochs must be >= 0, got -3"),
+    ], ids=["epochs-float", "seed-bool", "K-string", "tau-string", "epochs-negative"])
+    def test_mistyped_or_negative_number_is_named(self, workdir, capsys, section, name, value,
+                                                  message):
+        """No config number is truncated or coerced: 1.5 is not 1 epoch,
+        true is not seed 1."""
+        cfg_path, _ = workdir
+        doc = json.loads(cfg_path.read_text())
+        (doc[section] if section else doc)[name] = value
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_input_dim_defaults_to_dataset_d(self):
         doc = copy.deepcopy(CONFIG)
         del doc["architecture"]["input_dim"]

@@ -82,6 +82,27 @@ def test_checkpoint_widths_as_a_string_are_refused(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("kind,value", [
+    (int, 1.5), (int, 2.0), (int, True), (int, "4"), (jsonio.list_of(int), [8, 1.5]),
+    (jsonio.list_of(int), [8, False]), (float, True), (float, "0.5"),
+    (jsonio.list_of(float), [0.5, "1"])],
+    ids=["int-float", "int-integral-float", "int-bool", "int-string", "int-list-float",
+         "int-list-bool", "float-bool", "float-string", "float-list-string"])
+def test_field_kinds_are_strict(kind, value):
+    """An int field refuses a bool, a float and a string; a float field a
+    bool and a string.  Nothing is truncated or coerced."""
+    with pytest.raises(ConfigError, match="^field s.x: expected (an integer|a number), got"):
+        jsonio.field({"s": {"x": value}}, "s.x", kind)
+
+
+@pytest.mark.parametrize("kind,value,want", [(int, 3, 3), (float, 3, 3.0), (float, 0.25, 0.25),
+                                             (jsonio.list_of(float), [1, 0.5], (1.0, 0.5))],
+                         ids=["int", "float-from-int", "float", "float-list"])
+def test_field_kinds_take_their_own_values(kind, value, want):
+    got = jsonio.field({"x": value}, "x", kind)
+    assert got == want and type(got) is type(want)
+
+
 @pytest.mark.parametrize("text", ['{"seed": 1, "out', "", "[1, 2]", '"text"', "\xff"])
 def test_undecodable_or_non_object_file_is_config_error(tmp_path, text):
     path = tmp_path / "bad.json"

@@ -110,6 +110,18 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             ARCH.make_config((16,))
 
+    @pytest.mark.parametrize("widths", ["816", (8, 8.5), (8, True), 8, None, (8, "6")],
+                             ids=["string", "float", "bool", "int", "none", "string-item"])
+    def test_block_widths_must_be_a_list_or_tuple_of_ints(self, widths):
+        """Nothing is coerced: "816" is not the widths (8, 1, 6), 8.5 is not
+        8 and True is not 1."""
+        with pytest.raises(ConfigError, match="^block_max_widths must be a list or tuple of ints"):
+            Architecture(input_dim=6, block_max_widths=widths)
+
+    def test_block_widths_take_numpy_ints_and_lists(self):
+        arch = Architecture(input_dim=6, block_max_widths=[np.int64(16), 24])
+        assert arch.block_max_widths == (16, 24) and type(arch.block_max_widths[0]) is int
+
     def test_classifier_heads_are_disjoint_tensors(self, store):
         ids = {id(store[f"c.{h}.w"]) for h in ("s", "t", "a")}
         assert len(ids) == 3

@@ -401,6 +401,52 @@ class TestNonFiniteStep:
         assert {n: b.tobytes() for n, b in state.buffers.items()} == buffers
 
 
+class TestStepGraph:
+    """A step builds no op node that its fused loss does not reach, except
+    the heads it reads for their values alone."""
+
+    @staticmethod
+    def unreached(monkeypatch, mode, xs, ys, xt):
+        """The op nodes one step builds that `backward` never visits."""
+        built, losses = [], []
+        node, gradients = ad._node, ad.gradients
+
+        def record_node(*args):
+            built.append(node(*args))
+            return built[-1]
+
+        def record_loss(loss, params):
+            losses.append(loss)
+            return gradients(loss, params)
+
+        monkeypatch.setattr(ad, "_node", record_node)
+        monkeypatch.setattr(ad, "gradients", record_loss)
+        STEP_FNS[mode](init_bank(ARCH, 60), ad.SgdState(lr=0.01), xs, ys, xt,
+                       TrainerConfig(mode=mode, model_batch_size=4), named_rng(9, "model"))
+        (loss,) = losses
+        reached, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent.requires_grad and id(parent) not in reached:
+                    reached.add(id(parent))
+                    stack.append(parent)
+        return [t for t in built if id(t) not in reached]
+
+    def test_baseline_builds_only_what_its_loss_reaches(self, monkeypatch):
+        assert self.unreached(monkeypatch, "baseline", *small_batch(61)) == []
+
+    def test_inplaced_builds_only_the_teachers_value_only_heads(self, monkeypatch):
+        """The teacher's source-batch task prediction is a constant target:
+        its "s", "t" and "task" heads are built for their values only."""
+        xs, ys, xt = small_batch(62)
+        teacher = init_bank(ARCH, 60).slice(ARCH.full_config())
+        want = teacher.probs(teacher.features(xs).data, "task")
+        unreached = self.unreached(monkeypatch, "inplaced", xs, ys, xt)
+        assert sorted(t.name for t in unreached) == ["add", "mul", "softmax", "softmax"]
+        (task,) = [t for t in unreached if t.name == "mul"]
+        assert task.data.tobytes() == want.tobytes()
+
+
 class TestInplaced:
     def test_teacher_prediction_is_distillation_target(self):
         bank = init_bank(ARCH, 14)
