@@ -7,9 +7,10 @@ order and returns gradients in a per-call map, so independent losses may
 share forward subgraphs without corrupting each other's accumulation.
 
 Everything is float64: models here are desk-scale and exact gradient
-checks matter more than speed.  Ops do not check their outputs for
-NaN/Inf, except `log` (finite input may give -inf); `check_finite` runs at
-the graph's boundaries: model inputs, checkpoint parameters, eval
+checks matter more than speed.  `log`, the one log the losses use, takes
+a probability clamped to [`PROB_FLOOR`, 1].  Ops do not check their outputs
+for NaN/Inf, except `log`, which refuses a NaN input; `check_finite` runs
+at the graph's boundaries: model inputs, checkpoint parameters, eval
 activations and eval head probabilities (`slimnet`), step losses
 (`trainer`) and updated parameters (`sgd_step`).  matmul's VJP computes no
 gradient for an operand that needs none (input data).  `affine_routes`
@@ -39,10 +40,9 @@ __all__ = [
     "matmul",
     "affine_routes",
     "relu",
+    "PROB_FLOOR",
     "log",
-    "clip",
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "concat",
     "slice_cols",
@@ -54,6 +54,9 @@ __all__ = [
     "sgd_step",
     "lr_schedule",
 ]
+
+PROB_FLOOR = 1e-12  # `log` clamps a probability to [PROB_FLOOR, 1]
+
 
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise NumericError naming `what` when `arr` holds a NaN or an Inf."""
@@ -240,28 +243,20 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0.0), (x,), vjp, "relu")
 
 
-def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
+def log(p: Tensor) -> Tensor:
+    """Log of a probability clamped to [PROB_FLOOR, 1], since the raw log
+    diverges as a probability reaches zero; the gradient passes only where
+    the clamp leaves the value as it was.  A NaN input raises."""
+    p = _as_tensor(p)
+    mask = (p.data >= PROB_FLOOR) & (p.data <= 1.0)
+    clamped = np.minimum(np.maximum(p.data, PROB_FLOOR), 1.0)
+    data = np.log(clamped)
     check_finite(data, "log")
-    x_data = x.data
 
     def vjp(g):
-        return (g / x_data,)
+        return ((g / clamped) * mask,)
 
-    return _node(data, (x,), vjp, "log")
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes through strictly inside the band."""
-    x = _as_tensor(x)
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _node(np.minimum(np.maximum(x.data, lo), hi), (x,), vjp, "clip")
+    return _node(data, (p,), vjp, "log")
 
 
 def _sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -301,20 +296,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
     return _node(s, (x,), vjp, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = _as_tensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
-    z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    data = z - lse
-    s = np.exp(data)
-
-    def vjp(g):
-        return (g - s * g.sum(axis=axis, keepdims=True),)
-
-    return _node(data, (x,), vjp, "log_softmax")
 
 
 def cross_entropy(p_log: Tensor, target: np.ndarray) -> Tensor:

@@ -96,6 +96,10 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
         policy=policy,
         seed=seed,
     )
+    domain = min(dataset_fields["n_s"], dataset_fields["n_t"])
+    if trainer_cfg.batch_size > domain:
+        raise ConfigError(f"field trainer.batch_size: must be at most min(dataset.n_s, "
+                          f"dataset.n_t) = {domain}, got {trainer_cfg.batch_size}")
 
     plan = SearchPlan(
         k=field(doc, "search.k", int, 6),

@@ -18,8 +18,8 @@ extractor-side losses read `to_features`, whose gradient reaches only the
 features, so they can never move the classifiers.
 
 The task and category terms are `autodiff.cross_entropy` against constant
-targets, the domain terms the log of a joint-head half's mass.  Every
-probability is clamped to [1e-12, 1] inside its log, since the raw
+targets, the domain terms the log of a joint-head half's mass.  Every log
+is `autodiff.log`, clamped to [`PROB_FLOOR`, 1] = [1e-12, 1], since the raw
 objectives diverge as any referenced probability reaches zero.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import PROB_FLOOR, Tensor
 from .errors import UsageError
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "one_hot",
 ]
 
-PROB_FLOOR = 1e-12
-
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     labels = np.asarray(labels)
@@ -50,14 +48,10 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return np.eye(classes)[labels]
 
 
-def _log(p: Tensor) -> Tensor:
-    return ad.log(ad.clip(p, PROB_FLOOR, 1.0))
-
-
 def _half_log_mean(gst: Tensor, k: int, half: int) -> Tensor:
     """Mean log mass of the joint head's source (half 0) or target (half 1)
     half."""
-    return _log(ad.slice_cols(gst, half * k, (half + 1) * k).sum(axis=1)).mean()
+    return ad.log(ad.slice_cols(gst, half * k, (half + 1) * k).sum(axis=1)).mean()
 
 
 @dataclass
@@ -96,18 +90,18 @@ def domain_confusion_targets(routed_s: tuple, routed_t: tuple, ys: np.ndarray,
     k = cls_s["s"].shape[1]
     labels = one_hot(ys, k)
 
-    task_s = ad.cross_entropy(_log(cls_s["s"]), labels)
-    task_t = ad.cross_entropy(_log(cls_s["t"]), labels)
+    task_s = ad.cross_entropy(ad.log(cls_s["s"]), labels)
+    task_t = ad.cross_entropy(ad.log(cls_s["t"]), labels)
     disc = -_half_log_mean(cls_s["st"], k, 0) - _half_log_mean(cls_t["st"], k, 1)
     classifier_loss = task_s + task_t + disc
 
-    cat = ad.cross_entropy(_log(ext_s["st"]), 0.5 * np.concatenate([labels, labels], axis=1))
+    cat = ad.cross_entropy(ad.log(ext_s["st"]), 0.5 * np.concatenate([labels, labels], axis=1))
     # Per target row this is -log a - log(1-a) over the source-half mass a,
     # minimized at 2 ln 2 when each domain half holds exactly 1/2.
     dom = -(_half_log_mean(ext_t["st"], k, 0) + _half_log_mean(ext_t["st"], k, 1))
     extractor_loss = cat + dom
     p = ext_t["task"]
-    ent = -(p * _log(p)).sum(axis=1).mean()
+    ent = -(p * ad.log(p)).sum(axis=1).mean()
     if w_ent:
         extractor_loss = extractor_loss + w_ent * ent
 

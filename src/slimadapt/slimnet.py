@@ -6,7 +6,9 @@ parameters, plus three disjoint classifier heads: two task heads
 head ("a") that receives distilled knowledge.  A sub-model of any legal
 width is a *view*: each layer uses the leading in_width x out_width corner
 of the full weight matrix, and classifiers use the leading feature
-columns.  Gradients flow back through those slices, so everything outside
+columns.  `Architecture.layer_shapes` is the one walk of a config's
+layers (names and widths) that the store, FLOPs, the forward and AdaBN
+share.  Gradients flow back through those slices, so everything outside
 a sub-model's region receives exactly zero.  Linear layers carry no bias:
 the BN after each one subtracts the mean of the same rows, cancelling it.
 
@@ -119,6 +121,16 @@ class Architecture:
                 raise ConfigError(f"width {w} outside legal range [{lo}, {hi}] in {widths}")
         return WidthConfig(widths=widths, flops=flops_per_sample(self, widths))
 
+    def layer_shapes(self, widths) -> list[tuple[str, int, int]]:
+        """(parameter name prefix `f.b{i}.l{j}`, input width, output width)
+        of each Linear -> BN -> ReLU layer in order, at per-block `widths`."""
+        shapes, prev = [], self.input_dim
+        for i, w in enumerate(int(w) for w in widths):
+            for j in range(self.layers_per_block):
+                shapes.append((f"f.b{i}.l{j}", prev if j == 0 else w, w))
+            prev = w
+        return shapes
+
     def full_config(self) -> "WidthConfig":
         return self.make_config(self.block_max_widths)
 
@@ -141,16 +153,8 @@ def flops_per_sample(arch: Architecture, widths) -> float:
     """Closed-form per-sample FLOPs: 2 * in * out per linear layer, plus
     the deployment classifier head (the task heads are training-only and
     are dropped at deployment, so they are not counted)."""
-    widths = tuple(int(w) for w in widths)
-    total = 0
-    prev = arch.input_dim
-    for w in widths:
-        for layer in range(arch.layers_per_block):
-            in_w = prev if layer == 0 else w
-            total += 2 * in_w * w
-        prev = w
-    total += 2 * arch.class_count * widths[-1]
-    return float(total)
+    shapes = arch.layer_shapes(widths)
+    return float(sum(2 * in_w * w for _, in_w, w in shapes) + 2 * arch.class_count * shapes[-1][2])
 
 
 def flops_step(arch: Architecture, widths, block: int, step: int) -> int:
@@ -186,15 +190,10 @@ class ParamStore:
     def __init__(self, arch: Architecture, rng: np.random.Generator):
         self.arch = arch
         self.params: dict[str, Tensor] = {}
-        prev = arch.input_dim
-        for i, width in enumerate(arch.block_max_widths):
-            for j in range(arch.layers_per_block):
-                fan_in = prev if j == 0 else width
-                base = f"f.b{i}.l{j}"
-                self._add(f"{base}.w", rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)))
-                self._add(f"{base}.bn_g", np.ones(width))
-                self._add(f"{base}.bn_b", np.zeros(width))
-            prev = width
+        for base, fan_in, width in arch.layer_shapes(arch.block_max_widths):
+            self._add(f"{base}.w", rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)))
+            self._add(f"{base}.bn_g", np.ones(width))
+            self._add(f"{base}.bn_b", np.zeros(width))
         feat = arch.feature_dim_full
         for head in self.HEADS:
             self._add(f"c.{head}.w", rng.normal(0.0, 1.0 / math.sqrt(feat), (feat, arch.class_count)))
@@ -293,15 +292,11 @@ class SlimModel:
         """(weight, gamma, beta) of each Linear -> BN -> ReLU layer in order,
         sliced to the active widths: graph nodes, or with `arrays` plain
         views of the stored data."""
-        store, prev_w = self.store, self.arch.input_dim
-        corner = _corner if arrays else _leading
-        for i, w in enumerate(self.config.widths):
-            for j in range(self.arch.layers_per_block):
-                base = f"f.b{i}.l{j}"
-                yield (corner(store[f"{base}.w"], (prev_w if j == 0 else w, w)),
-                       corner(store[f"{base}.bn_g"], (w,)),
-                       corner(store[f"{base}.bn_b"], (w,)))
-            prev_w = w
+        store, corner = self.store, _corner if arrays else _leading
+        for base, in_w, w in self.arch.layer_shapes(self.config.widths):
+            yield (corner(store[f"{base}.w"], (in_w, w)),
+                   corner(store[f"{base}.bn_g"], (w,)),
+                   corner(store[f"{base}.bn_b"], (w,)))
 
     def features(self, x, mode: str = "train") -> Tensor | np.ndarray:
         """Per-block Linear -> BN -> ReLU chain at the active widths.  Train
@@ -427,13 +422,14 @@ class _probs_of(Mapping):  # named and called like a function, as `functools.par
         return len(self._heads)
 
 
-def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
+def _descend(store: ParamStore, shapes: list[list[tuple[str, int, int]]],
              members: list[int], acts: list[np.ndarray], path: list, k: int):
-    """Layer k of every config in `members`, which share the widths of
-    layers 0..k-1 and so the per-batch input `acts`.  The layer runs once
-    at the widest width a member needs; each member takes its leading
-    columns.  Yields (member, [(mean, var) per layer], final features)."""
-    width, base = max(layer_widths[i][k] for i in members), names[k]
+    """Layer k of every config in `members` (`shapes` holds each config's
+    `layer_shapes`), which share the widths of layers 0..k-1 and so the
+    per-batch input `acts`.  The layer runs once at the widest width a
+    member needs; each member takes its leading columns.  Yields (member,
+    [(mean, var) per layer], final features)."""
+    width, base = max(shapes[i][k][2] for i in members), shapes[0][k][0]
     weight = _corner(store[f"{base}.w"], (acts[0].shape[1], width))
     acts = [h @ weight for h in acts]
     n = sum(z.shape[0] for z in acts)
@@ -447,15 +443,15 @@ def _descend(store: ParamStore, names: list[str], layer_widths: list[list[int]],
     acts = [_scaled_relu(z, gamma, beta, inv_std) for z in acts]
     groups: dict[int, list[int]] = {}
     for i in members:
-        groups.setdefault(layer_widths[i][k], []).append(i)
+        groups.setdefault(shapes[i][k][2], []).append(i)
     for w, group in groups.items():
         child = acts if w == width else [h[:, :w] for h in acts]
         child_path = path + [(mean[:w], var[:w])]
-        if k + 1 == len(names):
+        if k + 1 == len(shapes[0]):
             for i in group:
                 yield i, child_path, child
         else:
-            yield from _descend(store, names, layer_widths, group, child, child_path, k + 1)
+            yield from _descend(store, shapes, group, child, child_path, k + 1)
 
 
 def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
@@ -488,11 +484,9 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
     if target_x.shape[0] < 2:
         raise UsageError("AdaBN recalibration needs at least 2 target samples")
     configs = list(configs)
-    names = [f"f.b{i}.l{j}" for i in range(arch.n_blocks) for j in range(arch.layers_per_block)]
-    layer_widths = [[w for w in c.widths for _ in range(arch.layers_per_block)] for c in configs]
+    shapes = [arch.layer_shapes(c.widths) for c in configs]
     acts = [target_x[lo:lo + EVAL_BATCH] for lo in range(0, len(target_x), EVAL_BATCH)]
-    for i, path, feats in _descend(store, names, layer_widths, list(range(len(configs))),
-                                   acts, [], 0):
+    for i, path, feats in _descend(store, shapes, list(range(len(configs))), acts, [], 0):
         model = SlimModel(store, configs[i])
         model.bn = BnStats(means=[m for m, _ in path], variances=[v for _, v in path])
         model._calibrated = feats

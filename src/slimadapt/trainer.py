@@ -44,7 +44,7 @@ from . import autodiff as ad
 from .autodiff import SgdState, Tensor, lr_schedule, sgd_step
 from .datasets import DomainDataset, batches
 from .errors import ConfigError, NumericError, UsageError
-from .losses import _log, domain_confusion_targets, one_hot
+from .losses import domain_confusion_targets, one_hot
 from .seeding import named_rng
 from .slimnet import Architecture, ParamStore, WidthConfig
 
@@ -112,7 +112,9 @@ class TrainerConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.epochs >= 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.model_batch_size < 2:
+        if not self.batch_size >= 2:  # written so that NaN fails it
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not self.model_batch_size >= 2:
             raise ConfigError(f"model batch size must be >= 2, got {self.model_batch_size}")
         if not self.tau > 0:  # written so that NaN fails it
             raise ConfigError(f"tau must be positive, got {self.tau}")
@@ -186,8 +188,8 @@ def distillation_loss(routed_t, target_t: np.ndarray, routed_s, target_s: np.nda
     only and to the features only.
     """
     def loss(route):
-        return (ad.cross_entropy(_log(routed_t[route][head]), target_t)
-                + ad.cross_entropy(_log(routed_s[route][head]), target_s))
+        return (ad.cross_entropy(ad.log(routed_t[route][head]), target_t)
+                + ad.cross_entropy(ad.log(routed_s[route][head]), target_s))
 
     return loss(0), loss(1)
 

@@ -62,11 +62,11 @@ class TestForwardOps:
         s = ad.softmax(x, axis=1)
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_softmax_log_softmax_consistent(self):
+    def test_softmax_log_consistent(self):
         rng = np.random.default_rng(1)
         x = ad.Tensor(rng.normal(size=(6, 9)) * 50)
         np.testing.assert_allclose(
-            np.exp(ad.log_softmax(x, axis=1).data), ad.softmax(x, axis=1).data, atol=1e-9
+            np.exp(ad.log(ad.softmax(x, axis=1)).data), ad.softmax(x, axis=1).data, atol=1e-9
         )
 
     def test_softmax_stable_for_large_logits(self):
@@ -77,7 +77,7 @@ class TestForwardOps:
     def test_cross_entropy_matching_onehot_goes_to_zero(self):
         logits = ad.Tensor([[60.0, 0.0, 0.0]])
         target = np.array([[1.0, 0.0, 0.0]])
-        loss = ad.cross_entropy(ad.log_softmax(logits, axis=1), target)
+        loss = ad.cross_entropy(ad.log(ad.softmax(logits, axis=1)), target)
         assert abs(loss.item()) < 1e-9
 
     def test_cross_entropy_uniform_prediction(self):
@@ -85,7 +85,7 @@ class TestForwardOps:
         k = 12
         logits = ad.Tensor(np.zeros((4, k)))
         target = np.eye(k)[[0, 3, 7, 11]]
-        loss = ad.cross_entropy(ad.log_softmax(logits, axis=1), target)
+        loss = ad.cross_entropy(ad.log(ad.softmax(logits, axis=1)), target)
         assert abs(loss.item() - math.log(k)) < 1e-12
 
     def test_batchnorm_train_zero_mean_pre_affine(self):
@@ -109,7 +109,7 @@ class TestForwardOps:
 
     def test_non_finite_output_is_numeric_error(self):
         with pytest.raises(NumericError):
-            ad.log(ad.Tensor([0.0]))
+            ad.log(ad.Tensor([0.5, math.nan]))
 
     def test_concat_and_slice_cols_roundtrip(self):
         a = ad.Tensor(np.arange(6.0).reshape(2, 3))
@@ -187,14 +187,14 @@ class TestBackward:
         rng = np.random.default_rng(10)
         target = np.eye(4)[rng.integers(0, 4, size=5)]
         check_grads(
-            lambda x: ad.cross_entropy(ad.log_softmax(x, axis=1), target),
+            lambda x: ad.cross_entropy(ad.log(ad.softmax(x, axis=1)), target),
             [rng.normal(size=(5, 4))],
         )
 
-    def test_clip_interior_fd(self):
+    def test_log_interior_fd(self):
         rng = np.random.default_rng(11)
-        x = rng.uniform(0.2, 0.8, size=(4, 3))  # strictly inside the clip band
-        check_grads(lambda t: ad.log(ad.clip(t, 1e-12, 1.0)).mean(), [x])
+        x = rng.uniform(0.2, 0.8, size=(4, 3))  # strictly inside the clamp band
+        check_grads(lambda t: ad.log(t).mean(), [x])
 
 
 class TestAffineRoutes:
@@ -250,8 +250,8 @@ def numpy_formula_batchnorm(x, gamma, beta, g, eps=1e-5):
 
 
 class TestBitForBitOps:
-    """`batchnorm` centres its input once and `clip` is a max then a min;
-    both give the bytes of the numpy formulas they replace."""
+    """`batchnorm` centres its input once and `log` clamps with a max then a
+    min; both give the bytes of the numpy formulas they replace."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40), width=st.integers(1, 9),
@@ -275,23 +275,30 @@ class TestBitForBitOps:
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), lo=st.floats(-1e6, 1e6), width=st.floats(0, 1e6),
-           same=st.booleans())
-    def test_clip_matches_numpy_clip(self, data, lo, width, same):
-        """NaN, +-inf, values exactly at either bound and `lo == hi`.  The
-        bounds are non-zero: with a zero bound the two may differ in the
-        sign of a zero result (the loss floor is 1e-12)."""
-        hi = lo if same else lo + width
-        assume(lo != 0 and hi != 0)
-        special = st.sampled_from([lo, hi, math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0])
-        values = data.draw(st.lists(st.one_of(special, st.floats()), min_size=1, max_size=30))
-        x = np.array(values)
-        out = ad.clip(ad.Tensor(x, requires_grad=True), lo, hi)
-        ref = np.clip(x, lo, hi)
-        assert out.data.tobytes() == ref.tobytes()
-        # the gradient passes exactly where clipping leaves the value as it was
-        (mask,) = out._vjp(np.ones_like(x))
-        assert mask.tobytes() == (ref == x).astype(np.float64).tobytes()
+    @given(data=st.data())
+    def test_log_matches_log_of_numpy_clip(self, data):
+        """0, negatives, values exactly at either bound, just above 1 and
+        +-inf: `log`'s values are `np.log` of `np.clip(p, PROB_FLOOR, 1)`
+        and its VJP is `g / clipped` where the clip leaves `p` as it was, 0
+        elsewhere, byte for byte; a NaN input raises."""
+        floor = ad.PROB_FLOOR
+        special = st.sampled_from([floor, 1.0, np.nextafter(1.0, 2.0), np.nextafter(floor, 0.0),
+                                   math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5])
+        values = data.draw(st.lists(st.one_of(special, st.floats(allow_nan=False)),
+                                    min_size=1, max_size=30))
+        p = np.array(values)
+        g = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=p.size,
+                                        max_size=p.size)))
+        out = ad.log(ad.Tensor(p, requires_grad=True))
+        clipped = np.clip(p, floor, 1.0)
+        assert out.data.tobytes() == np.log(clipped).tobytes()
+        # the gradient passes exactly where clamping leaves the value as it was
+        mask = clipped == p
+        (grad,) = out._vjp(g)
+        assert grad.tobytes() == ((g / clipped) * mask).tobytes()
+        assert mask.tobytes() == (out._vjp(np.ones_like(p))[0] != 0).tobytes()
+        with pytest.raises(NumericError):
+            ad.log(ad.Tensor(np.append(p, math.nan)))
 
 
 def _random_graph(rng):
@@ -319,7 +326,7 @@ def _random_graph(rng):
                 h = h @ wt
             else:
                 h = h * 0.5 + xt
-        return ad.cross_entropy(ad.log_softmax(h, axis=1), target)
+        return ad.cross_entropy(ad.log(ad.softmax(h, axis=1)), target)
 
     return build, [x, w, gamma, beta]
 
@@ -331,7 +338,7 @@ def test_random_graphs_match_finite_differences():
         check_grads(build, arrays, rtol=1e-4)
 
 
-GRAPH_OPS = ("matmul", "affine", "add", "mul", "relu", "softmax", "log_softmax", "batchnorm",
+GRAPH_OPS = ("matmul", "affine", "add", "mul", "relu", "softmax", "log_of_softmax", "batchnorm",
              "leading_slice", "concat")
 
 
@@ -372,8 +379,8 @@ def test_random_op_compositions_match_finite_differences(seed, ops):
                 h = ad.relu(h)
             elif op == "softmax":
                 h = ad.softmax(h, axis=1)
-            elif op == "log_softmax":
-                h = ad.log_softmax(h, axis=1)
+            elif op == "log_of_softmax":
+                h = ad.log(ad.softmax(h, axis=1))
             elif op == "batchnorm":
                 h = ad.batchnorm(h, ad.leading_slice(gamma, (width,)),
                                  ad.leading_slice(beta, (width,)))

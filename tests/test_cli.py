@@ -485,18 +485,28 @@ class TestMalformedInput:
         ("dataset", "K", "4", "error: field dataset.K: expected an integer, got str"),
         ("trainer", "tau", "0.5", "error: field trainer.tau: expected a number, got str"),
         ("trainer", "epochs", -3, "error: epochs must be >= 0, got -3"),
-    ], ids=["epochs-float", "seed-bool", "K-string", "tau-string", "epochs-negative"])
+        ("trainer", "batch_size", 0, "error: batch_size must be >= 2, got 0"),
+        ("trainer", "batch_size", 1, "error: batch_size must be >= 2, got 1"),
+        ("trainer", "batch_size", -4, "error: batch_size must be >= 2, got -4"),
+        ("trainer", "batch_size", CONFIG["dataset"]["n_t"] + 1,
+         "error: field trainer.batch_size: must be at most min(dataset.n_s, dataset.n_t) = "
+         "120, got 121"),
+    ], ids=["epochs-float", "seed-bool", "K-string", "tau-string", "epochs-negative",
+            "batch_size-zero", "batch_size-one", "batch_size-negative", "batch_size-above-n_t"])
     def test_mistyped_or_negative_number_is_named(self, workdir, capsys, section, name, value,
                                                   message):
         """No config number is truncated or coerced: 1.5 is not 1 epoch,
-        true is not seed 1."""
-        cfg_path, _ = workdir
+        true is not seed 1.  A number outside its range (a batch size no
+        epoch can draw) is refused at `gen-data`, before anything is
+        written."""
+        cfg_path, out = workdir
         doc = json.loads(cfg_path.read_text())
         (doc[section] if section else doc)[name] = value
         cfg_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["gen-data", "--config", cfg_path]) == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_input_dim_defaults_to_dataset_d(self):
         doc = copy.deepcopy(CONFIG)

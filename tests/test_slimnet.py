@@ -305,12 +305,8 @@ class TestFlops:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_one_channel_step_is_the_flops_difference(self, data):
-        maxes = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))
-        arch = Architecture(input_dim=data.draw(st.integers(1, 32)),
-                            block_max_widths=tuple(maxes),
-                            layers_per_block=data.draw(st.integers(1, 3)),
-                            class_count=data.draw(st.integers(2, 10)))
-        widths = [data.draw(st.integers(lo, hi)) for lo, hi in zip(arch.min_widths(), maxes)]
+        arch, widths = draw_arch_and_widths(data)
+        maxes = arch.block_max_widths
         block = data.draw(st.integers(0, len(maxes) - 1))
         step = data.draw(st.sampled_from([1, -1]))
         after = list(widths)
@@ -318,6 +314,68 @@ class TestFlops:
         assume(arch.min_widths()[block] <= after[block] <= maxes[block])
         want = flops_per_sample(arch, after) - flops_per_sample(arch, widths)
         assert flops_step(arch, widths, block, step) == want
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_flops_and_parameters_follow_layer_shapes(self, data):
+        """`flops_per_sample` equals the per-block, per-layer loop it
+        replaced; the store's names, shapes and random draws, and a
+        sub-model's sliced layers, follow `layer_shapes`."""
+        arch, widths = draw_arch_and_widths(data)
+        assert flops_per_sample(arch, widths) == loop_flops(arch, widths)
+        shapes = arch.layer_shapes(widths)
+        assert [base for base, _, _ in shapes] == [
+            f"f.b{i}.l{j}" for i in range(arch.n_blocks) for j in range(arch.layers_per_block)]
+        store = ParamStore(arch, np.random.default_rng(5))
+        want = loop_store_arrays(arch, np.random.default_rng(5))
+        assert list(store.params) == list(want)
+        assert all(store[n].data.tobytes() == a.tobytes() for n, a in want.items())
+        for base, in_w, w in arch.layer_shapes(arch.block_max_widths):
+            assert store[f"{base}.w"].shape == (in_w, w)
+            assert store[f"{base}.bn_g"].shape == store[f"{base}.bn_b"].shape == (w,)
+        model = store.slice(arch.make_config(widths))
+        assert [(wt.shape, g.shape, b.shape) for wt, g, b in model.layers(arrays=True)] == [
+            ((in_w, w), (w,), (w,)) for _, in_w, w in shapes]
+
+
+def draw_arch_and_widths(data):
+    """A random architecture of 1-5 blocks and a legal config of it."""
+    maxes = data.draw(st.lists(st.integers(1, 64), min_size=1, max_size=5))
+    arch = Architecture(input_dim=data.draw(st.integers(1, 32)),
+                        block_max_widths=tuple(maxes),
+                        layers_per_block=data.draw(st.integers(1, 3)),
+                        class_count=data.draw(st.integers(2, 10)))
+    return arch, [data.draw(st.integers(lo, hi)) for lo, hi in zip(arch.min_widths(), maxes)]
+
+
+def loop_flops(arch, widths):
+    """Per-sample FLOPs as a loop over blocks and their layers: 2 * in * out
+    per layer plus the deployment head."""
+    total, prev = 0, arch.input_dim
+    for w in widths:
+        for layer in range(arch.layers_per_block):
+            total += 2 * (prev if layer == 0 else w) * w
+        prev = w
+    return float(total + 2 * arch.class_count * widths[-1])
+
+
+def loop_store_arrays(arch, rng):
+    """The store's initial arrays, drawn block by block and layer by layer,
+    then the heads."""
+    arrays, prev = {}, arch.input_dim
+    for i, width in enumerate(arch.block_max_widths):
+        for j in range(arch.layers_per_block):
+            fan_in = prev if j == 0 else width
+            arrays[f"f.b{i}.l{j}.w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width))
+            arrays[f"f.b{i}.l{j}.bn_g"] = np.ones(width)
+            arrays[f"f.b{i}.l{j}.bn_b"] = np.zeros(width)
+        prev = width
+    feat = arch.feature_dim_full
+    for head in ParamStore.HEADS:
+        arrays[f"c.{head}.w"] = rng.normal(0.0, 1.0 / math.sqrt(feat), (feat, arch.class_count))
+        arrays[f"c.{head}.b"] = np.zeros(arch.class_count)
+    return arrays
 
 
 class TestAdaBN:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from slimadapt import autodiff as ad
 from slimadapt.datasets import DomainDataset, ShiftSpec, make_dataset
 from slimadapt.errors import ConfigError, NumericError, UsageError
-from slimadapt.losses import _log, domain_confusion_targets, one_hot
+from slimadapt.losses import domain_confusion_targets, one_hot
 from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore, SlimModel
 from slimadapt.trainer import (
@@ -180,13 +180,13 @@ class TestDistillationLoss:
         # Cross-entropy of a distribution against itself is its entropy.
         rng = np.random.default_rng(0)
         g_seed = rng.dirichlet(np.ones(4), size=6)
-        ce = ad.cross_entropy(_log(ad.Tensor(g_seed)), g_seed).item()
+        ce = ad.cross_entropy(ad.log(ad.Tensor(g_seed)), g_seed).item()
         want = (-(g_seed * np.log(g_seed)).sum(axis=1)).mean()
         assert abs(ce - want) < 1e-9
 
     def test_one_hot_target_matched_goes_to_zero(self):
         onehot = np.eye(3)[[0, 2]]
-        ce = ad.cross_entropy(_log(ad.Tensor(onehot)), onehot).item()
+        ce = ad.cross_entropy(ad.log(ad.Tensor(onehot)), onehot).item()
         assert abs(ce) < 1e-6  # floor-clamped zeros contribute nothing
 
     def test_batch_permutation_invariance(self):
@@ -542,7 +542,11 @@ class TestTrainLoop:
         (lambda: TrainerConfig(w_ent=math.inf), "w_ent"),
         (lambda: TrainerConfig(w_ent=-0.1), "w_ent"),
         (lambda: ConfidencePolicy(s=math.nan), "s"),
-    ], ids=["tau-nan", "w_ent-nan", "w_ent-inf", "w_ent-negative", "s-nan"])
+        (lambda: TrainerConfig(batch_size=math.nan), "batch_size"),
+        (lambda: TrainerConfig(batch_size=1), "batch_size"),
+        (lambda: TrainerConfig(model_batch_size=math.nan), "model batch size"),
+    ], ids=["tau-nan", "w_ent-nan", "w_ent-inf", "w_ent-negative", "s-nan", "batch_size-nan",
+            "batch_size-one", "model_batch_size-nan"])
     def test_nan_and_out_of_range_values_are_refused(self, make, name):
         """Each guard is written so that NaN fails it."""
         with pytest.raises(ConfigError, match=rf"^{name} must"):
