@@ -4,8 +4,6 @@ training seed, the step count, and the training mode."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import jsonio
 from .errors import ConfigError
 from .jsonio import field, list_of
@@ -39,8 +37,7 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         layers_per_block=field(doc, "architecture.layers_per_block", int),
         class_count=field(doc, "architecture.class_count", int),
     )
-    bank = ParamStore(arch, np.random.default_rng(0))
-    bank.load_arrays(field(doc, "params", dict))
+    bank = ParamStore.from_arrays(arch, field(doc, "params", dict))
     meta = {"seed": field(doc, "seed", int), "step": field(doc, "step", int),
             "mode": field(doc, "mode", str, "slimda")}
     if meta["mode"] not in MODES:  # it picks the deployment head

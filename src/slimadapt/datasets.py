@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ConfigError, LabelLeakageError, UsageError
-from .jsonio import field
+from .jsonio import field, list_of
 
 __all__ = [
     "ShiftSpec",
@@ -75,6 +75,8 @@ class DomainDataset:
         for name, y, x in (("ys", self.ys, self.xs), ("yt_hidden", self._yt, self.xt)):
             if y is not None and y.shape != (len(x),):
                 raise ConfigError(f"dataset array {name} has shape {y.shape}, not ({len(x)},)")
+            if y is not None and y.size and not (0 <= y.min() and y.max() < self.K):
+                raise ConfigError(f"dataset array {name} has labels outside [0, {self.K})")
 
     @property
     def d(self) -> int:
@@ -230,7 +232,7 @@ def load_dataset(path, evaluation: bool = False) -> DomainDataset:
     """Load a dataset file.  Unless `evaluation` is set, the hidden-label
     section is skipped entirely, so a training path cannot reach it."""
     doc = jsonio.load(path)
-    floats, ints = partial(np.asarray, dtype=np.float64), partial(np.asarray, dtype=np.int64)
+    floats, ints = partial(np.asarray, dtype=np.float64), list_of(int)
     yt = field(doc, "yt_hidden", ints) if evaluation and "yt_hidden" in doc else None
     return DomainDataset(field(doc, "xs", floats), field(doc, "ys", ints), field(doc, "xt", floats),
                          field(doc, "K", int), field(doc, "spec", lambda v: ShiftSpec(**v)),

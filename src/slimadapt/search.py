@@ -23,6 +23,7 @@ bank 32-42 of `correlate --n 10`'s 60 samples are distinct (seeds 1-10).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,10 +155,14 @@ def recalibrated(bank: ParamStore, config: WidthConfig, target_x: np.ndarray) ->
 
 def _squared_distance(probs: np.ndarray, anchor_probs: np.ndarray) -> float:
     """Mean over samples of the squared distance between two prediction sets."""
+    if np.shape(anchor_probs) != probs.shape:
+        raise UsageError(f"anchor_probs has shape {np.shape(anchor_probs)}, not {probs.shape}")
     return float(((probs - anchor_probs) ** 2).sum()) / len(probs)
 
 
 def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
+    if np.shape(target_y) != probs.shape[:1]:
+        raise UsageError(f"target_y has shape {np.shape(target_y)}, not ({len(probs)},)")
     return float((probs.argmax(axis=1) == np.asarray(target_y)).mean())
 
 
@@ -244,18 +249,26 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
     for _ in range(max_tries):
         widths = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(lows, highs)]
         flops = flops_per_sample(arch, widths)
+        # The blocks that may gain (up) or lose (down) a channel, ascending.
+        up = [b for b in range(len(widths)) if widths[b] < highs[b]]
+        down = [b for b in range(len(widths)) if widths[b] > lows[b]]
         for _ in range(4 * sum(highs)):
             if lo_f <= flops <= hi_f:
                 return arch.make_config(widths)
-            if flops < lo_f:
-                step, movable = 1, [b for b in range(len(widths)) if widths[b] < highs[b]]
-            else:
-                step, movable = -1, [b for b in range(len(widths)) if widths[b] > lows[b]]
+            # Step toward the band: the blocks that can move, the limit that
+            # stops them, and the list a block joins when it leaves `start`.
+            step, movable, limit, other, start = (1, up, highs, down, lows) if flops < lo_f \
+                else (-1, down, lows, up, highs)
             if not movable:
                 break
-            b = movable[int(rng.integers(len(movable)))]
+            i = int(rng.integers(len(movable)))
+            b = movable[i]
             flops += flops_step(arch, widths, b, step)
             widths[b] += step
+            if widths[b] == limit[b]:
+                del movable[i]
+            if widths[b] - step == start[b]:
+                bisect.insort(other, b)
     raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
 
 
@@ -284,17 +297,20 @@ def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthCon
     overshoots hi_f (the caller retries)."""
     widths, flops = list(base.widths), base.flops
     highs = arch.block_max_widths
+    grow = [b for b in range(len(widths)) if widths[b] < highs[b]]  # ascending, kept across steps
     while True:
         if flops > hi_f:
             return None
         if flops >= lo_f:
             return arch.make_config(widths), False
-        grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
         if not grow:
             return arch.make_config(widths), True  # every block at its max
-        b = grow[int(rng.integers(len(grow)))]
+        i = int(rng.integers(len(grow)))
+        b = grow[i]
         flops += flops_step(arch, widths, b, 1)
         widths[b] += 1
+        if widths[b] == highs[b]:
+            del grow[i]
 
 
 def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,

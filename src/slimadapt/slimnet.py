@@ -31,11 +31,15 @@ on the same `EVAL_BATCH`-row batches.
 Evaluation uses no autodiff: the pass, the eval-mode forward and the
 heads (`head_logits`, `probs`) take and return plain arrays and build no
 graph.  Each eval layer centres its fresh matmul output in place (the
-pass once per batch, as it takes the variance), and `_scaled_relu`, the
-one eval-BN routine, scales it and applies the affine and the ReLU.
+pass once per batch, as it takes the variance without a squared copy),
+and `_scaled_relu`, the one eval-BN routine, scales it and applies the
+affine and the ReLU.  The heads take one matmul per batch and then one
+softmax over all the set's rows; the eval softmax has the values of
+`autodiff.softmax`, with its row max taken the fast way, which is exact.
 NaN/Inf is checked at the model's boundaries: every input (batch, target
 set, `predict` input), every loaded parameter, each eval layer before its
-ReLU, and the eval heads' probabilities per `predict`/`calibrated_probs`.
+ReLU, and the eval heads' probabilities per `probs`/`predict`/
+`calibrated_probs`.
 
 In training a head serves two optimization roles: the classifier role
 moves the head's parameters and must not move the extractor, the
@@ -190,14 +194,35 @@ class ParamStore:
     def __init__(self, arch: Architecture, rng: np.random.Generator):
         self.arch = arch
         self.params: dict[str, Tensor] = {}
-        for base, fan_in, width in arch.layer_shapes(arch.block_max_widths):
-            self._add(f"{base}.w", rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width)))
-            self._add(f"{base}.bn_g", np.ones(width))
-            self._add(f"{base}.bn_b", np.zeros(width))
-        feat = arch.feature_dim_full
-        for head in self.HEADS:
-            self._add(f"c.{head}.w", rng.normal(0.0, 1.0 / math.sqrt(feat), (feat, arch.class_count)))
-            self._add(f"c.{head}.b", np.zeros(arch.class_count))
+        for name, shape in _layout(arch):
+            if not name.endswith(".w"):  # BN scale 1; BN shift and head bias 0
+                data = np.ones(shape) if name.endswith(".bn_g") else np.zeros(shape)
+            elif name.startswith("f."):  # He init
+                data = rng.normal(0.0, math.sqrt(2.0 / shape[0]), shape)
+            else:  # a head: 1/sqrt(feature width)
+                data = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape)
+            self._add(name, data)
+
+    @classmethod
+    def from_arrays(cls, arch: Architecture, arrays: dict) -> "ParamStore":
+        """A store holding `arrays`, which must match `arch`'s parameter
+        layout name for name and shape, with numeric, finite values; no
+        random bank is drawn."""
+        layout = dict(_layout(arch))
+        if set(arrays) != set(layout):
+            raise ConfigError(f"parameter name mismatch: {sorted(set(layout) ^ set(arrays))}")
+        store = cls.__new__(cls)
+        store.arch, store.params = arch, {}
+        for name, shape in layout.items():
+            try:
+                arr = np.asarray(arrays[name], dtype=np.float64)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"parameter {name!r} is not a numeric array: {exc}") from exc
+            if arr.shape != shape:
+                raise ConfigError(f"shape mismatch for {name!r}: {arr.shape} != {shape}")
+            ad.check_finite(arr, f"parameter {name!r}")
+            store._add(name, arr)
+        return store
 
     def _add(self, name: str, data: np.ndarray) -> None:
         self.params[name] = Tensor(data, requires_grad=True, name=name)
@@ -211,21 +236,16 @@ class ParamStore:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            missing = set(self.params) ^ set(arrays)
-            raise ConfigError(f"parameter name mismatch: {sorted(missing)}")
-        for name, arr in arrays.items():
-            try:
-                arr = np.asarray(arr, dtype=np.float64)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"parameter {name!r} is not a numeric array: {exc}") from exc
-            if arr.shape != self.params[name].shape:
-                raise ConfigError(
-                    f"shape mismatch for {name!r}: {arr.shape} != {self.params[name].shape}"
-                )
-            ad.check_finite(arr, f"parameter {name!r}")
-            self.params[name] = Tensor(arr, requires_grad=True, name=name)
+
+def _layout(arch: Architecture):
+    """(name, shape) of every parameter of `arch`'s bank, in creation order."""
+    for base, fan_in, width in arch.layer_shapes(arch.block_max_widths):
+        yield f"{base}.w", (fan_in, width)
+        yield f"{base}.bn_g", (width,)
+        yield f"{base}.bn_b", (width,)
+    for head in ParamStore.HEADS:
+        yield f"c.{head}.w", (arch.feature_dim_full, arch.class_count)
+        yield f"c.{head}.b", (arch.class_count,)
 
 
 def _checked_input(arch: Architecture, x) -> np.ndarray:
@@ -265,6 +285,13 @@ def _scaled_relu(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     z += beta
     ad.check_finite(z, "eval forward activations")
     return np.maximum(z, 0.0, out=z)
+
+
+def _sum_of_squares(z: np.ndarray) -> np.ndarray:
+    """`np.square(z).sum(axis=0)` bit for bit, without the squared copy.
+    On a single column numpy's sum and `einsum` add in different orders,
+    so that case keeps the plain expression."""
+    return np.einsum("ij,ij->j", z, z) if z.shape[1] > 1 else np.square(z).sum(axis=0)
 
 
 class SlimModel:
@@ -331,12 +358,9 @@ class SlimModel:
         return feats @ w + b
 
     def probs(self, feats: np.ndarray, head: str) -> np.ndarray:
-        """Probability output of one head on eval features (see `_probs_of`)."""
-        if head in self.store.HEADS:
-            return _softmax(self.head_logits(feats, head), axis=1)
-        if head not in ("st", "task"):
-            raise ConfigError(f"unknown head {head!r}")
-        return _probs_of({h: self.head_logits(feats, h) for h in ("s", "t")})[head]
+        """Probability output of one head on one batch of eval features
+        (see `_probs_of`): the one-batch `_head_probs`."""
+        return self._head_probs([feats], head)
 
     def routed_probs(self, feats: Tensor,
                      heads: tuple[str, ...] = ("s", "t")) -> tuple[Mapping, Mapping]:
@@ -355,8 +379,21 @@ class SlimModel:
         return _probs_of(to_heads), _probs_of(to_features)
 
     def _head_probs(self, feats, head: str) -> np.ndarray:
-        """`head`'s probabilities over per-batch features, checked once for NaN/Inf."""
-        probs = np.concatenate([self.probs(h, head) for h in feats], axis=0)
+        """`head`'s probabilities over the rows of per-batch eval features,
+        checked once for NaN/Inf.  Each batch takes one matmul per head
+        read; the bias is added once to the joined logits, and one softmax
+        runs over all rows.  Every op after the matmul is row-wise, so each
+        row has the bits a per-batch softmax would give it."""
+        if head not in (*self.store.HEADS, "st", "task"):
+            raise ConfigError(f"unknown head {head!r}")
+        params = {h: self._head_params(h, arrays=True)
+                  for h in ((head,) if head in self.store.HEADS else ("s", "t"))}
+        parts = {h: [] for h in params}
+        for f in feats:
+            for h, (w, _) in params.items():
+                parts[h].append(f @ w)
+        logits = {h: np.concatenate(parts[h], axis=0) + b for h, (_, b) in params.items()}
+        probs = _softmax(logits[head], axis=1) if head in logits else _probs_of(logits)[head]
         ad.check_finite(probs, f"head {head!r} probabilities")
         return probs
 
@@ -371,13 +408,19 @@ class SlimModel:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
         if self.bn is None:
             raise UsageError("predict needs AdaBN recalibration first")
+        if len(x) == 0:
+            raise UsageError("predict needs at least one row of x")
         return self._head_probs((self.features(x[lo:lo + EVAL_BATCH], mode="eval")
                                  for lo in range(0, len(x), EVAL_BATCH)), head)
 
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    """`autodiff.softmax`'s values on a plain array, in its ufunc order."""
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    """`autodiff.softmax`'s values on a plain array.  The max along `axis`
+    is taken over a contiguous copy with that axis first, which is far
+    faster on narrow rows and exact like any max; the sum keeps its ufunc
+    order."""
+    top = np.ascontiguousarray(np.moveaxis(z, axis, 0)).max(axis=0)
+    e = np.exp(z - np.expand_dims(top, axis))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -436,7 +479,7 @@ def _descend(store: ParamStore, shapes: list[list[tuple[str, int, int]]],
     mean = sum(z.sum(axis=0) for z in acts) / n
     for z in acts:  # each batch is centred once, in place
         z -= mean
-    var = sum(np.square(z).sum(axis=0) for z in acts) / n
+    var = sum(_sum_of_squares(z) for z in acts) / n
     gamma = _corner(store[f"{base}.bn_g"], (width,))
     beta = _corner(store[f"{base}.bn_b"], (width,))
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -484,6 +527,8 @@ def adabn_pass(store: ParamStore, configs, target_x: np.ndarray):
     if target_x.shape[0] < 2:
         raise UsageError("AdaBN recalibration needs at least 2 target samples")
     configs = list(configs)
+    if not configs:
+        return
     shapes = [arch.layer_shapes(c.widths) for c in configs]
     acts = [target_x[lo:lo + EVAL_BATCH] for lo in range(0, len(target_x), EVAL_BATCH)]
     for i, path, feats in _descend(store, shapes, list(range(len(configs))), acts, [], 0):

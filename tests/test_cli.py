@@ -373,6 +373,27 @@ class TestMalformedInput:
         assert_config_error(code, err)
         assert f"field {name}" in err
 
+    @pytest.mark.parametrize("command,name,labels", [
+        ("train", "ys", lambda ys: [1.7] + ys[1:]),
+        ("train", "ys", lambda ys: ys[:-1] + [0.5]),
+        ("train", "ys", lambda ys: [-1] + ys[1:]),
+        ("train", "ys", lambda ys: ys[:-1] + [3]),
+        ("eval", "yt_hidden", lambda ys: [7] * len(ys)),
+        ("eval", "yt_hidden", lambda ys: ys[:-1] + [2.5]),
+        ("eval", "yt_hidden", lambda ys: [-2] + ys[1:])],
+        ids=["ys-float", "ys-half", "ys-negative", "ys-K", "yt-all-7", "yt-float", "yt-negative"])
+    def test_bad_dataset_labels_are_named(self, initialised, capsys, command, name, labels):
+        """Labels are integers in [0, K) (K=3 here): a float is not
+        truncated and an out-of-range label is not scored as a miss."""
+        cfg_path, out, _ = initialised
+        doc = json.loads((out / "dataset.json").read_text())
+        doc[name] = labels(doc[name])
+        (out / "dataset.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     @pytest.mark.parametrize("name", ["ys", "xt"])
     def test_dataset_array_of_wrong_shape_is_config_error(self, initialised, name):
         cfg_path, out, _ = initialised

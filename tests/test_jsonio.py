@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from slimadapt import jsonio
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
 from slimadapt.errors import ConfigError, NumericError
-from slimadapt.slimnet import Architecture
+from slimadapt.slimnet import Architecture, ParamStore
 from slimadapt.trainer import init_bank
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
@@ -66,6 +66,17 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     assert set(loaded.params) == set(bank.params)
     for name, p in bank.params.items():
         assert same_bits(loaded[name].data, p.data), name
+
+
+def test_checkpoint_load_draws_no_random_bank(tmp_path, monkeypatch):
+    """The store is built from the loaded arrays; no bank is drawn first."""
+    arch = Architecture(input_dim=5, block_max_widths=(8, 12), layers_per_block=2, class_count=3)
+    bank = init_bank(arch, 4)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, bank, seed=4, step=7, mode="slimda")
+    monkeypatch.setattr(ParamStore, "__init__", lambda *a: pytest.fail("drew a bank"))
+    loaded, _ = load_checkpoint(path)
+    assert all(same_bits(loaded[name].data, p.data) for name, p in bank.params.items())
 
 
 def test_checkpoint_widths_as_a_string_are_refused(tmp_path):

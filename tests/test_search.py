@@ -137,6 +137,49 @@ def choice_grow_candidate(rng, arch, base, lo_f, hi_f):
         widths[b] += 1
 
 
+def rebuilt_sample_config_at_budget(rng, arch, budget, tolerance=0.02, max_tries=200):
+    """`sample_config_at_budget` as it was when each step rebuilt the lists
+    of blocks that may move: the reference for the kept, ascending lists."""
+    lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
+    lows, highs = arch.min_widths(), arch.block_max_widths
+    if hi_f < arch.smallest_config().flops or lo_f > arch.full_config().flops:
+        raise SearchError(f"budget {budget:.1f} outside the reachable FLOPs range")
+    for _ in range(max_tries):
+        widths = [int(rng.integers(lo, hi + 1)) for lo, hi in zip(lows, highs)]
+        flops = flops_per_sample(arch, widths)
+        for _ in range(4 * sum(highs)):
+            if lo_f <= flops <= hi_f:
+                return arch.make_config(widths)
+            if flops < lo_f:
+                step, movable = 1, [b for b in range(len(widths)) if widths[b] < highs[b]]
+            else:
+                step, movable = -1, [b for b in range(len(widths)) if widths[b] > lows[b]]
+            if not movable:
+                break
+            b = movable[int(rng.integers(len(movable)))]
+            flops += flops_step(arch, widths, b, step)
+            widths[b] += step
+    raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
+
+
+def rebuilt_grow_candidate(rng, arch, base, lo_f, hi_f):
+    """`search._grow_candidate` as it was when each step rebuilt the list
+    of growable blocks (see above)."""
+    widths, flops = list(base.widths), base.flops
+    highs = arch.block_max_widths
+    while True:
+        if flops > hi_f:
+            return None
+        if flops >= lo_f:
+            return arch.make_config(widths), False
+        grow = [b for b in range(len(widths)) if widths[b] < highs[b]]
+        if not grow:
+            return arch.make_config(widths), True
+        b = grow[int(rng.integers(len(grow)))]
+        flops += flops_step(arch, widths, b, 1)
+        widths[b] += 1
+
+
 class TestDiscrepancy:
     def test_anchor_scores_zero_against_itself(self, trained):
         bank, ds = trained
@@ -172,6 +215,25 @@ class TestDiscrepancy:
         model = bank.slice(ARCH.make_config((8, 12)))
         with pytest.raises(UsageError):
             discrepancy_between(model, np.zeros((len(ds.xt), 3)))
+
+
+class TestEvalInputShapes:
+    """A label or anchor array that does not match the target set is a
+    UsageError naming the argument, not a broadcast."""
+
+    def test_config_accuracy_with_one_label_is_named(self, trained):
+        bank, ds = trained
+        x = ds.xt[:50]
+        with pytest.raises(UsageError, match=r"target_y has shape \(1,\), not \(50,\)"):
+            config_accuracy(bank, ARCH.make_config((8, 12)), x, np.array([1]))
+
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_anchor_probs_of_other_rows_are_named(self, trained, rows):
+        bank, ds = trained
+        anchor = np.full((rows, 3), 1 / 3)
+        with pytest.raises(UsageError, match=rf"anchor_probs has shape \({rows}, 3\), not "
+                                             rf"\({len(ds.xt)}, 3\)"):
+            anchor_discrepancy(bank, ARCH.make_config((8, 12)), ds.xt, anchor_probs=anchor)
 
 
 class TestBudgetSampling:
@@ -267,6 +329,70 @@ class TestOneIntegerDraw:
         for _ in range(5):
             assert search._grow_candidate(got_rng, arch, base, lo_f, hi_f) == \
                 choice_grow_candidate(want_rng, arch, base, lo_f, hi_f)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestKeptMovableLists:
+    """The growth and budget walks keep their lists of movable blocks
+    across steps instead of rebuilding them; each gives the configs and
+    the generator state of the rebuilding loop it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), layers_per_block=st.integers(1, 3),
+           maxes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           ratio=st.floats(0.0, 1.1), tolerance=st.floats(0.0, 0.2))
+    def test_budget_sampler_matches_the_rebuilding_loop(self, seed, layers_per_block, maxes,
+                                                        ratio, tolerance):
+        arch = Architecture(input_dim=5, block_max_widths=tuple(maxes),
+                            layers_per_block=layers_per_block, class_count=3)
+        budget = ratio * arch.full_config().flops
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            outcomes = []
+            for sampler, rng in ((sample_config_at_budget, got_rng),
+                                 (rebuilt_sample_config_at_budget, want_rng)):
+                try:
+                    outcomes.append(sampler(rng, arch, budget, tolerance, max_tries=5))
+                except SearchError:
+                    outcomes.append(SearchError)
+            assert outcomes[0] == outcomes[1]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_budget_sampler_on_a_wide_bank_matches_the_rebuilding_loop(self, seed):
+        """Narrow bands on the default task's widths: walks that cross the
+        band both ways and pin blocks at either limit."""
+        arch = Architecture(input_dim=16, block_max_widths=(32, 64, 128, 256), class_count=4)
+        full = arch.full_config().flops
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for ratio in (1 / 32, 1 / 16, 0.3, 0.5, 0.97, 1.0):
+            for tolerance in (0.0, 0.002, 0.02):
+                outcomes = []
+                for sampler, rng in ((sample_config_at_budget, got_rng),
+                                     (rebuilt_sample_config_at_budget, want_rng)):
+                    try:
+                        outcomes.append(sampler(rng, arch, ratio * full, tolerance, max_tries=3))
+                    except SearchError:
+                        outcomes.append(SearchError)
+                assert outcomes[0] == outcomes[1]
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), layers_per_block=st.integers(1, 3),
+           maxes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+           ratio=st.floats(0.0, 1.1), tolerance=st.floats(0.0, 0.2))
+    def test_grow_candidate_matches_the_rebuilding_loop(self, data, seed, layers_per_block,
+                                                        maxes, ratio, tolerance):
+        arch = Architecture(input_dim=5, block_max_widths=tuple(maxes),
+                            layers_per_block=layers_per_block, class_count=3)
+        base = arch.make_config(data.draw(st.tuples(
+            *[st.integers(lo, hi) for lo, hi in zip(arch.min_widths(), maxes)])))
+        budget = ratio * arch.full_config().flops
+        lo_f, hi_f = budget * (1 - tolerance), budget * (1 + tolerance)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert search._grow_candidate(got_rng, arch, base, lo_f, hi_f) == \
+                rebuilt_grow_candidate(want_rng, arch, base, lo_f, hi_f)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

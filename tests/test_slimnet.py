@@ -22,6 +22,8 @@ from slimadapt.slimnet import (
     Architecture,
     ParamStore,
     _eval_layer,
+    _softmax,
+    _sum_of_squares,
     adabn_pass,
     adabn_recalibrate,
     flops_per_sample,
@@ -137,6 +139,50 @@ class TestConfigs:
         for k, (weight, gamma, beta) in enumerate(layers):
             width = 8 if k < ARCH.layers_per_block else 12
             assert weight.shape[1] == gamma.shape[0] == beta.shape[0] == width
+
+
+class TestParamStoreLayout:
+    @pytest.mark.parametrize("layers_per_block", [1, 3])
+    def test_initial_draws_in_the_layer_walk_order(self, layers_per_block):
+        """The bank as it was drawn layer by layer (weight, BN scale, BN
+        shift), then head by head (weight, bias)."""
+        arch = Architecture(input_dim=5, block_max_widths=(8, 12, 4),
+                            layers_per_block=layers_per_block, class_count=3)
+        rng = np.random.default_rng(9)
+        want = {}
+        for base, fan_in, width in arch.layer_shapes(arch.block_max_widths):
+            want[f"{base}.w"] = rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, width))
+            want[f"{base}.bn_g"], want[f"{base}.bn_b"] = np.ones(width), np.zeros(width)
+        for head in ParamStore.HEADS:
+            want[f"c.{head}.w"] = rng.normal(0.0, 1.0 / math.sqrt(4), (4, 3))
+            want[f"c.{head}.b"] = np.zeros(3)
+        got = ParamStore(arch, np.random.default_rng(9)).state_arrays()
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_from_arrays_holds_the_arrays_in_layout_order(self, store):
+        arrays = {k: v.tolist() for k, v in reversed(store.state_arrays().items())}
+        loaded = ParamStore.from_arrays(ARCH, arrays)
+        assert list(loaded.params) == list(store.params)
+        for name, p in store.params.items():
+            assert loaded[name].data.tobytes() == p.data.tobytes()
+            assert loaded[name].requires_grad
+
+    @pytest.mark.parametrize("edit,error,match", [
+        (lambda a: a.pop("c.s.b"), ConfigError, r"name mismatch: \['c.s.b'\]"),
+        (lambda a: a.update({"f.b2.l0.w": np.zeros((24, 4))}), ConfigError,
+         r"name mismatch: \['f.b2.l0.w'\]"),
+        (lambda a: a.update({"f.b1.l0.w": np.zeros((24, 16))}), ConfigError,
+         r"shape mismatch for 'f.b1.l0.w': \(24, 16\) != \(16, 24\)"),
+        (lambda a: a.update({"c.a.b": ["x", "y", "z"]}), ConfigError,
+         "parameter 'c.a.b' is not a numeric array"),
+        (lambda a: a["f.b0.l1.bn_g"].__setitem__(0, np.inf), NumericError, "'f.b0.l1.bn_g'"),
+    ], ids=["missing", "extra", "shape", "non-numeric", "non-finite"])
+    def test_from_arrays_checks_every_array(self, store, edit, error, match):
+        arrays = {k: v.copy() for k, v in store.state_arrays().items()}
+        edit(arrays)
+        with pytest.raises(error, match=match):
+            ParamStore.from_arrays(ARCH, arrays)
 
 
 class TestSlicing:
@@ -531,6 +577,17 @@ class TestAdaBN:
         for _, model in adabn_pass(store, configs, x):
             assert model.features(x[:4]).requires_grad
 
+    def test_shared_pass_of_no_configs_yields_nothing(self, store):
+        x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
+        assert list(adabn_pass(store, [], x)) == []
+
+    def test_predict_on_no_rows_is_named(self, store):
+        x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
+        model = store.slice(ARCH.make_config((8, 12)))
+        adabn_recalibrate(model, x)
+        with pytest.raises(UsageError, match="at least one row of x"):
+            model.predict(x[:0])
+
     def test_calibrated_probs_need_recalibration(self, store):
         with pytest.raises(UsageError):
             store.slice(ARCH.make_config((8, 12))).calibrated_probs("a")
@@ -588,6 +645,83 @@ class TestEvalLayer:
         z = np.array([[-1.0], [1.0]])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             _eval_layer(z, np.array([1e308]), np.array([-1e308]), np.zeros(1), np.ones(1))
+
+
+def keepdims_softmax(z, axis):
+    """The eval softmax as it was, with `z.max(axis, keepdims=True)`."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def per_batch_probs(model, feats, head):
+    """A head's probabilities on one batch of eval features as they were
+    computed batch by batch, from `head_logits` and `keepdims_softmax`."""
+    logits = {h: model.head_logits(feats, h) for h in ("s", "t", "a")}
+    if head in logits:
+        return keepdims_softmax(logits[head], axis=1)
+    if head == "st":
+        return keepdims_softmax(np.concatenate([logits["s"], logits["t"]], axis=1), axis=1)
+    return (keepdims_softmax(logits["s"], axis=1) + keepdims_softmax(logits["t"], axis=1)) * 0.5
+
+
+class TestFastEvalOps:
+    """The eval path's faster expressions give the bytes of the plain numpy
+    expressions they replaced, which each test keeps as its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 600),
+           width=st.one_of(st.integers(1, 3), st.integers(1, 300)),
+           lead=st.integers(0, 5), trail=st.integers(0, 5),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]),
+           offset=st.sampled_from([0.0, 1.0, -1e4]))
+    def test_sum_of_squares_is_the_column_sum_of_the_squares(self, seed, n, width, lead, trail,
+                                                             scale, offset):
+        """`_descend`'s variance term on fresh arrays and on column views
+        (`lead` and `trail` columns cut off).  Its `einsum` alone differs
+        on a single column, which is why that case keeps the plain
+        expression."""
+        z = np.random.default_rng(seed).normal(size=(n, lead + width + trail)) * scale + offset
+        for arr in (z[:, lead:lead + width], np.ascontiguousarray(z[:, lead:lead + width])):
+            with np.errstate(over="ignore"):
+                want = np.square(arr).sum(axis=0)
+                got = _sum_of_squares(arr)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 600), width=st.integers(2, 9),
+           axis=st.sampled_from([0, 1]), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+           zeros=st.floats(0.0, 0.5))
+    def test_softmax_takes_the_keepdims_max(self, seed, n, width, axis, scale, zeros):
+        """Widths 2-9 along `axis`, with signed zeros and tied maxima."""
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, width)) * scale
+        z[rng.random(z.shape) < zeros] = 0.0
+        z[rng.random(z.shape) < zeros / 2] = -0.0
+        if axis == 0:
+            z = np.ascontiguousarray(z.T)
+        want = keepdims_softmax(z, axis)
+        assert _softmax(z, axis).tobytes() == want.tobytes()
+        assert ad.softmax(ad.Tensor(z), axis=axis).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("head", ["s", "t", "a", "st", "task"])
+    @pytest.mark.parametrize("layers_per_block,widths", [(1, (16, 24)), (2, (5, 9))])
+    @pytest.mark.parametrize("n", [2, 37, EVAL_BATCH, 600])
+    def test_head_probs_equal_the_per_batch_probs(self, head, layers_per_block, widths, n):
+        """One softmax over the joined logits against each batch's own
+        probabilities, joined: `calibrated_probs`, `predict` and `probs`."""
+        arch = Architecture(input_dim=6, block_max_widths=(16, 24),
+                            layers_per_block=layers_per_block, class_count=3)
+        store = ParamStore(arch, np.random.default_rng(layers_per_block))
+        x = np.random.default_rng(22).normal(size=(n, arch.input_dim)) * 2.0 + 0.3
+        model = store.slice(arch.make_config(widths))
+        adabn_recalibrate(model, x)
+        batches = model._calibrated
+        assert len(batches) == -(-n // EVAL_BATCH)
+        want = np.concatenate([per_batch_probs(model, f, head) for f in batches], axis=0)
+        assert model.calibrated_probs(head).tobytes() == want.tobytes()
+        assert model.predict(x, head=head).tobytes() == want.tobytes()
+        assert model.probs(batches[-1], head).tobytes() == \
+            per_batch_probs(model, batches[-1], head).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
