@@ -4,6 +4,8 @@ training seed, the step count, and the training mode."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from . import jsonio
 from .errors import ConfigError
 from .jsonio import field, list_of
@@ -15,12 +17,7 @@ __all__ = ["save_checkpoint", "load_checkpoint"]
 
 def save_checkpoint(path, bank: ParamStore, seed: int, step: int, mode: str) -> None:
     doc = {
-        "architecture": {
-            "input_dim": bank.arch.input_dim,
-            "block_max_widths": list(bank.arch.block_max_widths),
-            "layers_per_block": bank.arch.layers_per_block,
-            "class_count": bank.arch.class_count,
-        },
+        "architecture": asdict(bank.arch),
         "params": {name: t.data for name, t in sorted(bank.params.items())},
         "seed": int(seed),
         "step": int(step),

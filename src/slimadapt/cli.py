@@ -22,11 +22,10 @@ from .errors import ConfigError, NumericError, SearchError, UsageError
 from .jsonio import field, list_of
 from .search import (
     SearchPlan,
-    _anchor_probs,
     config_accuracy,
     correlation_coefficients,
     inherited_greedy_search,
-    random_search,
+    random_bands,
 )
 from .seeding import named_rng
 from .slimnet import Architecture
@@ -201,19 +200,6 @@ def _load_trained(exp: Experiment, labelled: bool):
     return bank, ds, labels, deploy_head(meta["mode"])
 
 
-def _random_bands(exp: Experiment, plan: SearchPlan, bank, ds, n: int, labels, head: str):
-    """Yield (budget ratio, scores) per budget of `plan`: n configs sampled
-    in the band from the experiment's "search" stream, each scored once
-    against one recalibrated anchor (with accuracies when `labels` given)."""
-    rng = named_rng(exp.seed, "search")
-    full = bank.arch.full_config().flops
-    anchor_probs = _anchor_probs(bank, ds.xt)
-    for ratio in plan.budgets(bank.arch):
-        _, scores = random_search(bank, ratio * full, n, ds.xt, rng, tolerance=plan.tolerance,
-                                  anchor_probs=anchor_probs, target_y=labels, head=head)
-        yield ratio, scores
-
-
 def cmd_search(args) -> int:
     exp = _load_experiment(args)
     if args.strategy == "random" and exp.n_random < 1:
@@ -230,7 +216,8 @@ def cmd_search(args) -> int:
             print(f"skipped budget ratio {ratio:.4f}: no candidate grows into it", file=sys.stderr)
         found = [(i, r, reached[r]) for i, r in enumerate(budgets) if r in reached]
     else:
-        bands = _random_bands(exp, plan, bank, ds, exp.n_random, labels, head)
+        bands = random_bands(bank, plan, exp.n_random, ds.xt, named_rng(exp.seed, "search"),
+                             labels, head)
         found = [(i, ratio, s) for i, (ratio, scores) in enumerate(bands) for s in scores]
 
     header = "step,budget_ratio,widths,delta,flops"
@@ -254,7 +241,8 @@ def cmd_correlate(args) -> int:
     exp = _load_experiment(args)
     bank, ds, labels, head = _load_trained(exp, labelled=True)  # evaluation-only
     scatter_rows, summary_rows = [], []
-    for ratio, scores in _random_bands(exp, exp.plan, bank, ds, args.n, labels, head):
+    bands = random_bands(bank, exp.plan, args.n, ds.xt, named_rng(exp.seed, "search"), labels, head)
+    for ratio, scores in bands:
         deltas = [s.delta for s in scores]
         accs = [s.accuracy for s in scores]
         scatter_rows += [",".join([_f(ratio), _f(d), _f(a, 4)]) for d, a in zip(deltas, accs)]
@@ -277,14 +265,12 @@ def cmd_eval(args) -> int:
         configs = [arch.make_config(w) for w in _parse_widths(args.widths)]
     else:
         configs = [full, arch.smallest_config()]
-    accs = {}  # one recalibration per distinct config, the full width included
-    for cfg in (full, *configs):
-        if cfg.widths not in accs:
-            accs[cfg.widths] = config_accuracy(bank, cfg, ds.xt, labels, head)
-    full_acc = accs[full.widths]
+    accs = {cfg: config_accuracy(bank, cfg, ds.xt, labels, head)  # once per distinct config
+            for cfg in dict.fromkeys((full, *configs))}
+    full_acc = accs[full]
     rows = []
     for cfg in configs:
-        acc = accs[cfg.widths]
+        acc = accs[cfg]
         rows.append(",".join([_widths_str(cfg), _f(cfg.flops / full.flops),
                               _f(acc, 4), _f(full_acc - acc, 4)]))
     _write_csv(exp.out_dir / EVAL_FILE, "widths,flops_ratio,accuracy,delta_vs_full", rows)

@@ -54,6 +54,20 @@ class ShiftSpec:
             raise ConfigError(f"noise_std must be positive, got {self.noise_std}")
 
 
+def _labels(name: str, y) -> np.ndarray:
+    """`y` as int64 labels; a value that is not a whole number is a
+    ConfigError naming the array, not truncated."""
+    raw = np.asarray(y)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN or Inf: fails the comparison below
+            labels = raw.astype(np.int64)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"dataset array {name} is not numeric: {exc}") from exc
+    if not np.array_equal(labels, raw):
+        raise ConfigError(f"dataset array {name} holds labels that are not integers")
+    return labels
+
+
 class DomainDataset:
     """Labelled source samples plus unlabelled target samples.
 
@@ -63,12 +77,12 @@ class DomainDataset:
 
     def __init__(self, xs, ys, xt, K, spec, seed, yt_hidden=None):
         self.xs = np.asarray(xs, dtype=np.float64)
-        self.ys = np.asarray(ys, dtype=np.int64)
+        self.ys = _labels("ys", ys)
         self.xt = np.asarray(xt, dtype=np.float64)
         self.K = int(K)
         self.spec = spec
         self.seed = int(seed)
-        self._yt = None if yt_hidden is None else np.asarray(yt_hidden, dtype=np.int64)
+        self._yt = None if yt_hidden is None else _labels("yt_hidden", yt_hidden)
         if self.xs.ndim != 2 or self.xt.shape[1:] != self.xs.shape[1:]:
             raise ConfigError(f"dataset xs {self.xs.shape} and xt {self.xt.shape} "
                               f"are not (n, d) arrays of one d")

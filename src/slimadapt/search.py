@@ -7,10 +7,10 @@ Since the largest model is statistically the most accurate one in a
 trained bank, a smaller discrepancy predicts higher accuracy, which
 makes the score usable without labels.
 
-Search strategies: random sampling inside a FLOPs band, and an inherited
-greedy ladder that walks from the slimmest configuration to the full one,
-at each budget widening the previous winner by randomly distributed
-channel increments and keeping the lowest-discrepancy candidate.
+Search strategies: random sampling in each FLOPs band (`random_bands`),
+and an inherited greedy ladder that walks from the slimmest configuration
+to the full one, at each budget widening the previous winner by randomly
+distributed channel increments and keeping the lowest-discrepancy one.
 
 Every scored config is recalibrated once, and its score (and accuracy,
 with labels) is read from that calibration.  A rung's candidates all grow
@@ -46,6 +46,7 @@ __all__ = [
     "sample_configs_spanning",
     "sample_config_at_budget",
     "random_search",
+    "random_bands",
     "inherited_greedy_search",
     "correlate",
     "monotonicity_probe",
@@ -100,7 +101,7 @@ class SearchPlan:
     budget_ratios: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.k < 1 or self.q < 1:
+        if not (self.k >= 1 and self.q >= 1):  # written so that NaN fails it
             raise UsageError(f"need k >= 1 and q >= 1, got k={self.k}, q={self.q}")
         _check_tolerance(self.tolerance)
 
@@ -161,9 +162,14 @@ def _squared_distance(probs: np.ndarray, anchor_probs: np.ndarray) -> float:
 
 
 def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
-    if np.shape(target_y) != probs.shape[:1]:
-        raise UsageError(f"target_y has shape {np.shape(target_y)}, not ({len(probs)},)")
-    return float((probs.argmax(axis=1) == np.asarray(target_y)).mean())
+    """Share of rows whose most probable class is the label in `target_y`,
+    which must hold one integer label in [0, K) per row of `probs`."""
+    target_y, k = np.asarray(target_y), probs.shape[1]
+    if target_y.shape != probs.shape[:1]:
+        raise UsageError(f"target_y has shape {target_y.shape}, not ({len(probs)},)")
+    if not np.isin(target_y, np.arange(k)).all():
+        raise UsageError(f"target_y holds values that are not integer labels in [0, {k})")
+    return float((probs.argmax(axis=1) == target_y).mean())
 
 
 def discrepancy_between(candidate: SlimModel, anchor_probs: np.ndarray) -> float:
@@ -290,6 +296,19 @@ def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
     return best.config, scores
 
 
+def random_bands(bank: ParamStore, plan: SearchPlan, n: int, target_x: np.ndarray,
+                 rng: np.random.Generator, target_y: np.ndarray | None = None, head: str = "a"):
+    """Yield (budget ratio, scores) per budget of `plan`: `random_search`'s
+    n configs sampled in the band from `rng`, each distinct one scored once
+    against one recalibrated anchor (with accuracies when `target_y` is given)."""
+    full = bank.arch.full_config().flops
+    anchor_probs = _anchor_probs(bank, target_x)
+    for ratio in plan.budgets(bank.arch):
+        _, scores = random_search(bank, ratio * full, n, target_x, rng, tolerance=plan.tolerance,
+                                  anchor_probs=anchor_probs, target_y=target_y, head=head)
+        yield ratio, scores
+
+
 def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthConfig,
                     lo_f: float, hi_f: float) -> tuple[WidthConfig, bool] | None:
     """Widen `base` by single channels on random blocks until its FLOPs
@@ -348,12 +367,8 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
                 candidates.append(grown)
         if not candidates:
             continue
-        best = None  # (delta, index, model) of the first candidate with the lowest delta
-        for i, model in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x):
-            delta = discrepancy_between(model, anchor_probs)
-            if best is None or (delta, i) < best[:2]:
-                best = (delta, i, model)
-        delta, i, model = best
+        delta, i, model = min((discrepancy_between(model, anchor_probs), i, model) for i, model
+                              in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x))
         current, saturated = candidates[i]
         accuracy = None if target_y is None else _accuracy(model.calibrated_probs(head), target_y)
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,

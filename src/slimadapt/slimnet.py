@@ -33,9 +33,10 @@ heads (`head_logits`, `probs`) take and return plain arrays and build no
 graph.  Each eval layer centres its fresh matmul output in place (the
 pass once per batch, as it takes the variance without a squared copy),
 and `_scaled_relu`, the one eval-BN routine, scales it and applies the
-affine and the ReLU.  The heads take one matmul per batch and then one
-softmax over all the set's rows; the eval softmax has the values of
-`autodiff.softmax`, with its row max taken the fast way, which is exact.
+affine and the ReLU.  The heads read each batch's logits from
+`head_logits` and then run one softmax over all the set's rows, through
+`autodiff.softmax_values`, the one softmax forward, which training's
+`autodiff.softmax` computes through as well.
 NaN/Inf is checked at the model's boundaries: every input (batch, target
 set, `predict` input), every loaded parameter, each eval layer before its
 ReLU, and the eval heads' probabilities per `probs`/`predict`/
@@ -380,20 +381,14 @@ class SlimModel:
 
     def _head_probs(self, feats, head: str) -> np.ndarray:
         """`head`'s probabilities over the rows of per-batch eval features,
-        checked once for NaN/Inf.  Each batch takes one matmul per head
-        read; the bias is added once to the joined logits, and one softmax
-        runs over all rows.  Every op after the matmul is row-wise, so each
-        row has the bits a per-batch softmax would give it."""
-        if head not in (*self.store.HEADS, "st", "task"):
-            raise ConfigError(f"unknown head {head!r}")
-        params = {h: self._head_params(h, arrays=True)
-                  for h in ((head,) if head in self.store.HEADS else ("s", "t"))}
-        parts = {h: [] for h in params}
-        for f in feats:
-            for h, (w, _) in params.items():
-                parts[h].append(f @ w)
-        logits = {h: np.concatenate(parts[h], axis=0) + b for h, (_, b) in params.items()}
-        probs = _softmax(logits[head], axis=1) if head in logits else _probs_of(logits)[head]
+        checked once for NaN/Inf.  Each batch's logits of each head read
+        come from `head_logits`, and one softmax runs over the joined rows.
+        Every op after the matmul is row-wise, so each row has the bits a
+        per-batch softmax would give it."""
+        heads = ("s", "t") if head in ("st", "task") else (head,)  # `head_logits` checks each
+        per_batch = [[self.head_logits(f, h) for h in heads] for f in feats]
+        logits = {h: np.concatenate(parts, axis=0) for h, parts in zip(heads, zip(*per_batch))}
+        probs = ad.softmax_values(logits[head], 1) if head in logits else _probs_of(logits)[head]
         ad.check_finite(probs, f"head {head!r} probabilities")
         return probs
 
@@ -406,22 +401,10 @@ class SlimModel:
 
     def predict(self, x: np.ndarray, head: str = "a") -> np.ndarray:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
-        if self.bn is None:
-            raise UsageError("predict needs AdaBN recalibration first")
         if len(x) == 0:
             raise UsageError("predict needs at least one row of x")
         return self._head_probs((self.features(x[lo:lo + EVAL_BATCH], mode="eval")
                                  for lo in range(0, len(x), EVAL_BATCH)), head)
-
-
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    """`autodiff.softmax`'s values on a plain array.  The max along `axis`
-    is taken over a contiguous copy with that axis first, which is far
-    faster on narrow rows and exact like any max; the sum keeps its ufunc
-    order."""
-    top = np.ascontiguousarray(np.moveaxis(z, axis, 0)).max(axis=0)
-    e = np.exp(z - np.expand_dims(top, axis))
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 class _probs_of(Mapping):  # named and called like a function, as `functools.partial` is
@@ -439,7 +422,8 @@ class _probs_of(Mapping):  # named and called like a function, as `functools.par
         self._logits, self._built = logits, {}
         self._heads = (*logits, "st", "task")
         graph = isinstance(logits["s"], Tensor)
-        self._softmax, self._concat = (ad.softmax, ad.concat) if graph else (_softmax, np.concatenate)
+        self._softmax, self._concat = ((ad.softmax, ad.concat) if graph
+                                       else (ad.softmax_values, np.concatenate))
 
     def __getitem__(self, head: str):
         if head not in self._built:

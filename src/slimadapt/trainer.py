@@ -16,20 +16,19 @@ differ only in how gradients are produced:
             remaining models through their task heads.
 
 Every step samples a model batch that always contains the largest and the
-smallest configurations.  Each model runs one feature forward per domain
-and reads its heads from one `SlimModel.routed_probs` record per domain:
+smallest configurations.  In `_model_batch`, each model runs one feature
+forward per domain and reads its heads from one `routed_probs` record:
 every (head, domain) is evaluated once, and the losses, the ensemble and
 the teacher targets all read that record, which builds only the heads
 they read.  A mode only lists its weighted losses and its models' loss
 parts; `_apply_step` is the one place a step is fused, checked, recorded
-and applied.  It sums the weighted losses into
-one scalar and runs one backward over it: routing is structural
-(classifier-side losses read the route whose gradient reaches only the
-heads, extractor-side losses the route whose gradient reaches only the
-features), so the two optimization roles touch disjoint parameters and
-never mix.  The resulting gradient is applied in one all-or-nothing SGD
-update over the whole bank, parameters the step never reached getting a
-zero gradient.
+and applied.  It sums the weighted losses into one scalar and runs one
+backward over it: routing is structural (classifier-side losses read the
+route whose gradient reaches only the heads, extractor-side losses the
+route whose gradient reaches only the features), so the two optimization
+roles touch disjoint parameters and never mix.  The resulting gradient is
+applied in one all-or-nothing SGD update over the whole bank, parameters
+the step never reached getting a zero gradient.
 """
 
 from __future__ import annotations
@@ -168,7 +167,7 @@ def ensemble(task_probs, confidences) -> np.ndarray:
 
 def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
     """Temperature sharpening: raise to 1/tau and renormalize per row."""
-    if tau <= 0:
+    if not tau > 0:  # written so that NaN fails it
         raise UsageError(f"tau must be positive, got {tau}")
     powered = np.asarray(g, dtype=np.float64) ** (1.0 / tau)
     return powered / powered.sum(axis=1, keepdims=True)
@@ -222,21 +221,26 @@ def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: floa
     return metrics
 
 
+def _model_batch(bank: ParamStore, cfg: TrainerConfig, rng_model: np.random.Generator,
+                 xs, xt, heads: tuple[str, ...]) -> tuple[list[WidthConfig], list[list]]:
+    """The sampled configs and each model's `routed_probs` over `heads` per domain."""
+    configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
+    models = [bank.slice(c) for c in configs]
+    return configs, [[mdl.routed_probs(mdl.features(x), heads) for x in (xs, xt)]
+                     for mdl in models]
+
+
 def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
                rng_model: np.random.Generator, capture: dict | None = None) -> dict:
     """One slimda update over a freshly sampled model batch."""
     arch = bank.arch
-    configs = sample_width_configs(rng_model, arch, cfg.model_batch_size)
-    models = [bank.slice(c) for c in configs]
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t", "a"))
     conf = confidence(configs, cfg.policy, arch)
-    m = len(models)
+    m = len(configs)
     w_dc = conf / conf.sum()
     anti = 1.0 - conf
     w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros(m)
     ys_onehot = one_hot(ys, arch.class_count)
-
-    routed = [[mdl.routed_probs(mdl.features(x), ("s", "t", "a")) for x in (xs, xt)]
-              for mdl in models]
 
     # Ensemble target: confidence-weighted task predictions, sharpened,
     # then treated as a constant (no gradient reaches its sources).
@@ -244,7 +248,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     g_seed = sharpen(ensemble(task_t, conf), cfg.tau)
 
     terms, parts, seed_vals = [], [], []
-    for j, (mdl, (rs, rt)) in enumerate(zip(models, routed)):
+    for j, (rs, rt) in enumerate(routed):
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
         seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
         terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
@@ -258,11 +262,8 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
 def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
                         rng_model: np.random.Generator, capture: dict | None = None) -> dict:
     """One step of plain model-batch averaging of the confusion losses."""
-    configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
-    models = [bank.slice(c) for c in configs]
-    m = len(models)
-
-    routed = [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)] for mdl in models]
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t"))
+    m = len(configs)
     terms, parts = [], []
     for rs, rt in routed:
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
@@ -279,11 +280,8 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     matches the teacher's task prediction (a constant) on both domains, the
     gradient reaching its task heads and its features alike.
     """
-    configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
-    models = [bank.slice(c) for c in configs]
-    m = len(models)
-
-    routed = [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)] for mdl in models]
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t"))
+    m = len(configs)
     dc = domain_confusion_targets(*routed[0], ys, w_ent=cfg.w_ent)
     teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
 

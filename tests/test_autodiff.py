@@ -420,6 +420,14 @@ class TestSgd:
         ad.sgd_step({"p": p}, {"p": np.zeros(2)}, state)
         np.testing.assert_array_equal(p.data, [5.0, -3.0])
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    def test_bad_learning_rate_is_named_and_commits_nothing(self, lr):
+        p = ad.Tensor([1.0], requires_grad=True, name="p")
+        state = ad.SgdState(lr=lr, momentum=0.0)
+        with pytest.raises(UsageError, match="learning rate must be positive"):
+            ad.sgd_step({"p": p}, {"p": np.array([1.0])}, state)
+        assert p.data.tolist() == [1.0] and not state.buffers
+
     def test_missing_gradient_is_usage_error(self):
         p = ad.Tensor([1.0], requires_grad=True, name="p")
         with pytest.raises(UsageError):

@@ -133,6 +133,29 @@ class TestLabelGuard:
                                       ds.target_labels(evaluation=True))
 
 
+class TestLabelValues:
+    """The constructor refuses labels that are not whole numbers, naming
+    the array, instead of truncating them to int64."""
+
+    @staticmethod
+    def build(ys, yt_hidden=None):
+        return DomainDataset(np.zeros((3, 2)), ys, np.zeros((3, 2)), 3, ShiftSpec("MIXED", 1.0),
+                             0, yt_hidden=yt_hidden)
+
+    @pytest.mark.parametrize("bad", [[1.7, 0.5, 2.9], [0, 1, float("nan")], [0, 1, float("inf")],
+                                     ["a", "b", "c"]], ids=["fractions", "nan", "inf", "strings"])
+    @pytest.mark.parametrize("name", ["ys", "yt_hidden"])
+    def test_non_integer_labels_are_named(self, name, bad):
+        args = (bad, None) if name == "ys" else ([0, 1, 2], bad)
+        with pytest.raises(ConfigError, match=rf"dataset array {name} "):
+            self.build(*args)
+
+    def test_whole_numbers_load_as_int64(self):
+        ds = self.build(np.array([2.0, 0.0, 1.0]), yt_hidden=[1, 2, 0])
+        assert ds.ys.dtype == np.int64 and ds.ys.tolist() == [2, 0, 1]
+        assert ds.target_labels(evaluation=True).tolist() == [1, 2, 0]
+
+
 class TestBatches:
     def make(self, n_s=100, n_t=80):
         rng = np.random.default_rng(0)

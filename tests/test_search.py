@@ -28,6 +28,7 @@ from slimadapt.search import (
     inherited_greedy_search,
     linear_budget_ladder,
     monotonicity_probe,
+    random_bands,
     random_search,
     recalibrated,
     sample_config_at_budget,
@@ -234,6 +235,44 @@ class TestEvalInputShapes:
         with pytest.raises(UsageError, match=rf"anchor_probs has shape \({rows}, 3\), not "
                                              rf"\({len(ds.xt)}, 3\)"):
             anchor_discrepancy(bank, ARCH.make_config((8, 12)), ds.xt, anchor_probs=anchor)
+
+
+BAD_LABELS = {"outside": 7, "negative": -1, "fraction": 1.5, "nan": float("nan")}
+
+
+class TestEvalLabelValues:
+    """A `target_y` value that is not an integer label in [0, K) is a
+    UsageError naming `target_y` on every labelled path, not an accuracy
+    of 0.0."""
+
+    @pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    def test_config_accuracy(self, trained, bad):
+        bank, ds = trained
+        with pytest.raises(UsageError, match="target_y holds values"):
+            config_accuracy(bank, ARCH.make_config((8, 12)), ds.xt[:50], np.full(50, bad))
+
+    @pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_anchor_discrepancy(self, trained, bad, head):
+        bank, ds = trained
+        y = np.full(len(ds.xt), bad)
+        with pytest.raises(UsageError, match="target_y holds values"):
+            anchor_discrepancy(bank, ARCH.make_config((8, 12)), ds.xt, target_y=y, head=head)
+
+    @pytest.mark.parametrize("bad", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    def test_labelled_ladder(self, trained, bad):
+        bank, ds = trained
+        y = ds.target_labels(evaluation=True).astype(float)
+        y[-1] = bad
+        with pytest.raises(UsageError, match="target_y holds values"):
+            inherited_greedy_search(bank, SearchPlan(k=2, q=2, seed=0), ds.xt, target_y=y)
+
+    def test_whole_number_floats_are_labels(self, trained):
+        bank, ds = trained
+        y = ds.target_labels(evaluation=True)
+        config = ARCH.make_config((8, 12))
+        assert config_accuracy(bank, config, ds.xt, y.astype(float)) == \
+            config_accuracy(bank, config, ds.xt, y)
 
 
 class TestBudgetSampling:
@@ -502,6 +541,17 @@ class TestRandomSearch:
         best_delta = min(s.delta for s in scores)
         assert any(s.config == best and s.delta == best_delta for s in scores)
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_bands_are_random_search_per_budget_from_one_stream(self, trained, labelled):
+        bank, ds = trained
+        plan = SearchPlan(k=3, tolerance=0.05)
+        y = ds.target_labels(evaluation=True) if labelled else None
+        got = list(random_bands(bank, plan, 4, ds.xt, np.random.default_rng(6), target_y=y))
+        rng, full = np.random.default_rng(6), ARCH.full_config().flops
+        want = [(r, random_search(bank, r * full, 4, ds.xt, rng, tolerance=0.05, target_y=y)[1])
+                for r in plan.budgets(ARCH)]
+        assert got == want
+
 
 class TestGreedy:
     def test_budgets_increase_and_winners_nest(self, trained):
@@ -578,6 +628,11 @@ class TestGreedy:
             SearchPlan(budget_ratios=(0.5, 0.5)).budgets(ARCH)
         with pytest.raises(UsageError):
             SearchPlan(budget_ratios=(0.5, 1.5)).budgets(ARCH)
+
+    @pytest.mark.parametrize("field", ["k", "q"])
+    def test_nan_ladder_size_rejected(self, field):
+        with pytest.raises(UsageError, match=r"need k >= 1 and q >= 1"):
+            SearchPlan(**{field: float("nan")})
 
 
 class TestScoringPasses:

@@ -22,7 +22,6 @@ from slimadapt.slimnet import (
     Architecture,
     ParamStore,
     _eval_layer,
-    _softmax,
     _sum_of_squares,
     adabn_pass,
     adabn_recalibrate,
@@ -588,6 +587,17 @@ class TestAdaBN:
         with pytest.raises(UsageError, match="at least one row of x"):
             model.predict(x[:0])
 
+    @pytest.mark.parametrize("read", ["calibrated_probs", "predict", "probs"])
+    def test_unknown_eval_head_is_named(self, store, read):
+        x = np.random.default_rng(17).normal(size=(20, ARCH.input_dim))
+        model = store.slice(ARCH.make_config((8, 12)))
+        adabn_recalibrate(model, x)
+        calls = {"calibrated_probs": lambda: model.calibrated_probs("x"),
+                 "predict": lambda: model.predict(x, head="x"),
+                 "probs": lambda: model.probs(model.features(x, mode="eval"), "x")}
+        with pytest.raises(ConfigError, match="unknown head 'x'"):
+            calls[read]()
+
     def test_calibrated_probs_need_recalibration(self, store):
         with pytest.raises(UsageError):
             store.slice(ARCH.make_config((8, 12))).calibrated_probs("a")
@@ -700,7 +710,7 @@ class TestFastEvalOps:
         if axis == 0:
             z = np.ascontiguousarray(z.T)
         want = keepdims_softmax(z, axis)
-        assert _softmax(z, axis).tobytes() == want.tobytes()
+        assert ad.softmax_values(z, axis).tobytes() == want.tobytes()
         assert ad.softmax(ad.Tensor(z), axis=axis).data.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("head", ["s", "t", "a", "st", "task"])

@@ -1,6 +1,7 @@
 """The public surface stays whole: every name a module lists in `__all__`
-exists, and so does every name the demos import from slimadapt.  The demos
-are parsed, not run."""
+exists, and so does every name the demos import from slimadapt.  No
+slimadapt module imports another's private (`_`-prefixed) names.  The
+sources and demos are parsed, not run."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import pytest
 import slimadapt
 
 MODULES = sorted(f"slimadapt.{m.name}" for m in pkgutil.iter_modules(slimadapt.__path__))
+SOURCES = sorted(Path(slimadapt.__file__).parent.glob("*.py"))
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -21,6 +23,22 @@ def demo_imports(path: Path):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "slimadapt":
             for alias in node.names:
                 yield node.module, alias.name
+
+
+def private_imports(path: Path):
+    """`module.name` for each `_`-prefixed name that `path` imports from
+    another slimadapt module, relatively or by its full name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "slimadapt"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(source):
+    found = list(private_imports(source))
+    assert not found, f"{source.name} imports private names: {found}"
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -174,6 +174,10 @@ class TestEnsembleAndSharpen:
         with pytest.raises(UsageError):
             sharpen(np.array([[1.0]]), 0.0)
 
+    def test_sharpen_rejects_nan_tau(self):
+        with pytest.raises(UsageError, match="tau must be positive, got nan"):
+            sharpen(np.array([[0.7, 0.3]]), float("nan"))
+
 
 class TestDistillationLoss:
     def test_prediction_equal_to_target_hits_entropy_floor(self):
