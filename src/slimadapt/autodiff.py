@@ -500,8 +500,8 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], stat
     them as they were.  Parameter data arrays are replaced (never mutated)
     so graphs built before the step stay valid.
     """
-    if not state.lr > 0:  # written so that NaN fails it
-        raise UsageError(f"learning rate must be positive, got {state.lr}")
+    if not 0 < state.lr < np.inf:  # written so that NaN fails it
+        raise UsageError(f"learning rate must be positive and finite, got {state.lr}")
     staged = []
     for name, p in params.items():
         if name not in grads:

@@ -101,8 +101,11 @@ class SearchPlan:
     budget_ratios: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (self.k >= 1 and self.q >= 1):  # written so that NaN fails it
-            raise UsageError(f"need k >= 1 and q >= 1, got k={self.k}, q={self.q}")
+        for name in ("k", "q"):
+            n = getattr(self, name)
+            # Written so that NaN fails it (as a float, and as "not n >= 1").
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not n >= 1:
+                raise UsageError(f"need k >= 1 and q >= 1 as integers, got {name}={n!r}")
         _check_tolerance(self.tolerance)
 
     def budgets(self, arch: Architecture) -> list[float]:

@@ -20,9 +20,9 @@ smallest configurations.  In `_model_batch`, each model runs one feature
 forward per domain and reads its heads from one `routed_probs` record:
 every (head, domain) is evaluated once, and the losses, the ensemble and
 the teacher targets all read that record, which builds only the heads
-they read.  A mode only lists its weighted losses and its models' loss
-parts; `_apply_step` is the one place a step is fused, checked, recorded
-and applied.  It sums the weighted losses into one scalar and runs one
+they read.  A mode only lists its weighted loss terms and its models' loss
+parts; `_apply_step` is the one place a step is fused, checked and
+applied.  It sums the weighted terms into one scalar and runs one
 backward over it: routing is structural (classifier-side losses read the
 route whose gradient reaches only the heads, extractor-side losses the
 route whose gradient reaches only the features), so the two optimization
@@ -193,14 +193,14 @@ def distillation_loss(routed_t, target_t: np.ndarray, routed_s, target_s: np.nda
     return loss(0), loss(1)
 
 
-def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float, mode: str,
-                capture: dict | None, **record) -> dict:
-    """Fuse, check, record and apply one step's (capture key, weight, loss)
-    terms: one backward over the sum of the non-zero-weight terms, then one
+def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float,
+                mode: str) -> dict:
+    """Fuse, check and apply one step's (role, weight, loss) terms: one
+    backward over the sum of the non-zero-weight terms, then one
     all-or-nothing SGD update (zero gradient where the sum never reached).
+    A role names the loss ("dc" confusion, "seed" SEED, "distill" teacher)
+    and the side it trains ("_cls" heads, "_ext" features).
     Returns the checked mean of the models' `DcLossParts` as step metrics.
-    `capture` receives `record`, one gradient dict per term under its key
-    (one extra backward each) and the "c."/"f." parts of the fused gradient.
     """
     total = None
     for _, w, loss in terms:
@@ -210,12 +210,6 @@ def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: floa
         total = term if total is None else total + term
     metrics = _step_metrics(parts, loss_seed, mode)
     grads = ad.gradients(total, bank.params)
-    if capture is not None:
-        capture.update(record, **{key: [] for key, _, _ in terms})
-        for key, _, loss in terms:
-            capture[key].append(ad.gradients(loss, bank.params))
-        capture["cls_grads"] = {n: g for n, g in grads.items() if n.startswith("c.")}
-        capture["ext_grads"] = {n: g for n, g in grads.items() if n.startswith("f.")}
     sgd_step(bank.params, {name: grads[name] if name in grads else np.zeros(p.shape)
                            for name, p in bank.params.items()}, state)
     return metrics
@@ -231,7 +225,7 @@ def _model_batch(bank: ParamStore, cfg: TrainerConfig, rng_model: np.random.Gene
 
 
 def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
-               rng_model: np.random.Generator, capture: dict | None = None) -> dict:
+               rng_model: np.random.Generator) -> dict:
     """One slimda update over a freshly sampled model batch."""
     arch = bank.arch
     configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t", "a"))
@@ -251,29 +245,28 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     for j, (rs, rt) in enumerate(routed):
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
         seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
-        terms += [("per_dc_cls", 1.0 / m, dc.classifier_loss), ("per_seed_cls", 1.0 / m, seed_cls),
-                  ("per_dc_ext", w_dc[j], dc.extractor_loss), ("per_seed_ext", w_seed[j], seed_ext)]
+        terms += [("dc_cls", 1.0 / m, dc.classifier_loss), ("seed_cls", 1.0 / m, seed_cls),
+                  ("dc_ext", w_dc[j], dc.extractor_loss), ("seed_ext", w_seed[j], seed_ext)]
         parts.append(dc.parts)
         seed_vals.append(seed_cls.item())
-    return _apply_step(bank, state, terms, parts, float(np.mean(seed_vals)), cfg.mode, capture,
-                       configs=configs, confidences=conf, g_seed=g_seed)
+    return _apply_step(bank, state, terms, parts, float(np.mean(seed_vals)), cfg.mode)
 
 
 def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
-                        rng_model: np.random.Generator, capture: dict | None = None) -> dict:
+                        rng_model: np.random.Generator) -> dict:
     """One step of plain model-batch averaging of the confusion losses."""
     configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t"))
     m = len(configs)
     terms, parts = [], []
     for rs, rt in routed:
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
-        terms += [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
+        terms += [("dc_cls", 1.0 / m, dc.classifier_loss), ("dc_ext", 1.0 / m, dc.extractor_loss)]
         parts.append(dc.parts)
-    return _apply_step(bank, state, terms, parts, 0.0, cfg.mode, capture, configs=configs)
+    return _apply_step(bank, state, terms, parts, 0.0, cfg.mode)
 
 
 def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
-                        rng_model: np.random.Generator, capture: dict | None = None) -> dict:
+                        rng_model: np.random.Generator) -> dict:
     """One step of largest-teaches-the-rest distillation.
 
     The largest model trains with the confusion losses; every other model
@@ -285,14 +278,13 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     dc = domain_confusion_targets(*routed[0], ys, w_ent=cfg.w_ent)
     teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
 
-    terms = [("per_cls", 1.0 / m, dc.classifier_loss), ("per_ext", 1.0 / m, dc.extractor_loss)]
+    terms = [("dc_cls", 1.0 / m, dc.classifier_loss), ("dc_ext", 1.0 / m, dc.extractor_loss)]
     distill_vals = []
     for rs, rt in routed[1:]:
         d_cls, d_ext = distillation_loss(rt, teacher_t, rs, teacher_s, head="task")
-        terms += [("per_cls", 1.0 / m, d_cls), ("per_ext", 1.0 / m, d_ext)]
+        terms += [("distill_cls", 1.0 / m, d_cls), ("distill_ext", 1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
-    return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode,
-                       capture, configs=configs, teacher_t=teacher_t)
+    return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode)
 
 
 def _step_metrics(parts, loss_seed: float, mode: str) -> dict:

@@ -2,8 +2,9 @@
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
 The heavy shared fixture trains the three modes on the default synthetic
-task over five seeds (roughly ten minutes end to end); everything is
-seeded, so every number here is reproducible bit for bit.
+task over five seeds (109 s to 127 s measured on a 2-core x86-64 box);
+everything is seeded, so every number here is reproducible bit for bit.
+Criteria 1 to 5 do not use it and take about a second together.
 
 One deliberate measurement note: the pipeline-reproducibility check
 (criterion 11) masks the wall-time column of metrics.csv before comparing
@@ -258,7 +259,7 @@ def test_criterion_04_distillation_mechanics():
 # -- criterion 5: gradient routing ------------------------------------------
 
 
-def test_criterion_05_gradient_routing():
+def test_criterion_05_gradient_routing(observe_step):
     arch = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
     cross_clean = True
     worst_mix = 0.0
@@ -268,21 +269,24 @@ def test_criterion_05_gradient_routing():
         xs = rng.normal(size=(10, 6))
         ys = rng.integers(0, 3, size=10)
         xt = rng.normal(size=(10, 6))
-        cap = {}
         cfg = TrainerConfig(model_batch_size=4, seed=step_seed)
-        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
-                   named_rng(step_seed, "model"), capture=cap)
-        for grads in cap["per_seed_cls"] + cap["per_seed_ext"]:
+        step = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                            named_rng(step_seed, "model"))
+        dc_cls, dc_ext, seed_cls, seed_ext = (
+            step.gradients(losses) for losses in (
+                [t.classifier_loss for t in step.dc], [t.extractor_loss for t in step.dc],
+                [d.cls for d in step.distill], [d.ext for d in step.distill]))
+        for grads in seed_cls + seed_ext:
             cross_clean &= not any(n.startswith(("c.s", "c.t")) for n in grads)
-        for grads in cap["per_dc_cls"] + cap["per_dc_ext"]:
+        for grads in dc_cls + dc_ext:
             cross_clean &= not any(n.startswith("c.a") for n in grads)
-        conf = cap["confidences"]
+        conf = confidence(step.configs, cfg.policy, arch)
         w_dc = conf / conf.sum()
         anti = 1 - conf
         w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros_like(conf)
-        for name, got in cap["ext_grads"].items():
-            want = sum(w * g.get(name, 0.0) for w, g in zip(w_dc, cap["per_dc_ext"]))
-            want = want + sum(w * g.get(name, 0.0) for w, g in zip(w_seed, cap["per_seed_ext"]))
+        for name, got in step.applied_to("f.").items():
+            want = sum(w * g.get(name, 0.0) for w, g in zip(w_dc, dc_ext))
+            want = want + sum(w * g.get(name, 0.0) for w, g in zip(w_seed, seed_ext))
             worst_mix = max(worst_mix, float(np.abs(got - want).max()))
     report(5, cross_clean and worst_mix < 1e-10,
            f"cross-gradients structurally zero: {cross_clean}, "

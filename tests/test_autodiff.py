@@ -420,7 +420,7 @@ class TestSgd:
         ad.sgd_step({"p": p}, {"p": np.zeros(2)}, state)
         np.testing.assert_array_equal(p.data, [5.0, -3.0])
 
-    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_learning_rate_is_named_and_commits_nothing(self, lr):
         p = ad.Tensor([1.0], requires_grad=True, name="p")
         state = ad.SgdState(lr=lr, momentum=0.0)

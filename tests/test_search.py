@@ -634,6 +634,18 @@ class TestGreedy:
         with pytest.raises(UsageError, match=r"need k >= 1 and q >= 1"):
             SearchPlan(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["k", "q"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+    def test_non_integer_ladder_size_rejected(self, field, value):
+        """A float, a bool or a string for `k` or `q` is refused by name,
+        before any ladder is built."""
+        with pytest.raises(UsageError, match=rf"need k >= 1 and q >= 1 as integers, got {field}="):
+            SearchPlan(**{field: value})
+
+    @pytest.mark.parametrize("field", ["k", "q"])
+    def test_numpy_integer_ladder_size_accepted(self, field):
+        assert getattr(SearchPlan(**{field: np.int64(3)}), field) == 3
+
 
 class TestScoringPasses:
     """Scores and accuracies come from each config's own calibration: no

@@ -1,16 +1,19 @@
 """The public surface stays whole: every name a module lists in `__all__`
 exists, and so does every name the demos import from slimadapt.  No
 slimadapt module imports another's private (`_`-prefixed) names.  The
-sources and demos are parsed, not run."""
+sources and demos are parsed, not run.  The three training steps share
+one positional signature, which takes no hook."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import slimadapt
+from slimadapt import trainer
 
 MODULES = sorted(f"slimadapt.{m.name}" for m in pkgutil.iter_modules(slimadapt.__path__))
 SOURCES = sorted(Path(slimadapt.__file__).parent.glob("*.py"))
@@ -57,3 +60,11 @@ def test_every_name_a_demo_imports_exists(demo):
     missing = [f"{module}.{name}" for module, name in demo_imports(demo)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("name", ["train_step", "train_step_baseline", "train_step_inplaced"])
+def test_training_steps_take_exactly_the_step_inputs(name):
+    params = inspect.signature(getattr(trainer, name)).parameters
+    assert list(params) == ["bank", "state", "xs", "ys", "xt", "cfg", "rng_model"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params.values())

@@ -47,6 +47,14 @@ def routed(model, xs, xt):
     return [model.routed_probs(model.features(x)) for x in (xs, xt)]
 
 
+def slimda_ext_weights(configs, cfg):
+    """slimda's extractor-term weights, recomputed from the sampled configs:
+    confusion by confidence, SEED by its complement (zero if all confident)."""
+    conf = confidence(configs, cfg.policy, ARCH)
+    anti = 1 - conf
+    return conf / conf.sum(), anti / anti.sum() if anti.sum() > 0 else np.zeros_like(conf)
+
+
 def small_batch(seed=0, n=16):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(n, ARCH.input_dim))
@@ -207,43 +215,43 @@ class TestDistillationLoss:
 
 
 class TestStepRouting:
-    def test_seed_gradients_never_reach_task_heads(self):
+    def test_seed_gradients_never_reach_task_heads(self, observe_step):
         bank = init_bank(ARCH, 6)
         cfg = TrainerConfig(model_batch_size=4, epochs=1)
         xs, ys, xt = small_batch(7)
-        cap = {}
-        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(0, "model"), capture=cap)
-        for grads in cap["per_seed_cls"]:
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(0, "model"))
+        for grads in probe.gradients(d.cls for d in probe.distill):
             assert all(name.startswith("c.a") for name in grads)
-        for grads in cap["per_dc_cls"]:
+        for grads in probe.gradients(t.classifier_loss for t in probe.dc):
             assert all(name.startswith(("c.s", "c.t")) for name in grads)
-        for grads in cap["per_dc_ext"] + cap["per_seed_ext"]:
+        for grads in probe.gradients(probe.ext_losses):
             assert all(name.startswith("f.") for name in grads)
 
-    def test_extractor_mixture_matches_reconstruction(self):
+    def test_extractor_mixture_matches_reconstruction(self, observe_step):
         bank = init_bank(ARCH, 8)
         cfg = TrainerConfig(model_batch_size=5, epochs=1)
         xs, ys, xt = small_batch(9)
-        cap = {}
-        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(1, "model"), capture=cap)
-        conf = cap["confidences"]
-        w_dc = conf / conf.sum()
-        anti = 1 - conf
-        w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros_like(conf)
-        for name, got in cap["ext_grads"].items():
-            want = sum(w * g.get(name, 0.0) for w, g in zip(w_dc, cap["per_dc_ext"]))
-            want = want + sum(w * g.get(name, 0.0) for w, g in zip(w_seed, cap["per_seed_ext"]))
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(1, "model"))
+        w_dc, w_seed = slimda_ext_weights(probe.configs, cfg)
+        dc_ext = probe.gradients(t.extractor_loss for t in probe.dc)
+        seed_ext = probe.gradients(d.ext for d in probe.distill)
+        assert set(probe.applied) == set(bank.params)
+        for name, got in probe.applied_to("f.").items():
+            want = sum(w * g.get(name, 0.0) for w, g in zip(w_dc, dc_ext))
+            want = want + sum(w * g.get(name, 0.0) for w, g in zip(w_seed, seed_ext))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_hard_policy_largest_model_is_always_confident(self):
+    def test_hard_policy_largest_model_is_always_confident(self, observe_step):
         bank = init_bank(ARCH, 9)
         cfg = TrainerConfig(model_batch_size=6)
         xs, ys, xt = small_batch(10)
-        cap = {}
-        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(2, "model"), capture=cap)
-        assert cap["confidences"][0] == 1.0
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(2, "model"))
+        assert confidence(probe.configs, cfg.policy, ARCH)[0] == 1.0
 
-    def test_degenerate_batch_equals_single_model_gradients(self):
+    def test_degenerate_batch_equals_single_model_gradients(self, observe_step):
         # An architecture whose smallest config IS the full config makes
         # every sampled batch identical models; the averaged step must
         # reproduce a single model's gradients exactly.
@@ -253,17 +261,17 @@ class TestStepRouting:
         xs = rng.normal(size=(6, 3))
         ys = rng.integers(0, 2, size=6)
         xt = rng.normal(size=(6, 3))
-        cap = {}
         cfg = TrainerConfig(model_batch_size=2, w_ent=0.1)
-        train_step_baseline(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
-                            np.random.default_rng(0), capture=cap)
+        probe = observe_step(train_step_baseline, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             np.random.default_rng(0))
         # bank params moved during the step; recompute the oracle on a fresh bank
         fresh = init_bank(arch, 0)
         single = domain_confusion_targets(*routed(fresh.slice(arch.full_config()), xs, xt), ys,
                                           w_ent=0.1)
         want_cls = ad.gradients(single.classifier_loss, fresh.params)
-        for name, got in cap["cls_grads"].items():
-            np.testing.assert_allclose(got, want_cls[name], atol=1e-12)
+        for name, got in probe.applied_to("c.").items():
+            # the unread deployment head "a" is applied a zero gradient
+            np.testing.assert_allclose(got, want_cls.get(name, 0.0), atol=1e-12)
 
     def test_parameter_isolation_single_step(self):
         # Combining gradients of two narrow models and applying one update
@@ -311,37 +319,36 @@ class TestFusedStep:
     gradients mixed with the same weights."""
 
     @pytest.mark.parametrize("mode", ["baseline", "inplaced"])
-    def test_fused_gradients_match_per_loss_reconstruction(self, mode):
+    def test_fused_gradients_match_per_loss_reconstruction(self, mode, observe_step):
         bank = init_bank(ARCH, 40)
         cfg = TrainerConfig(mode=mode, model_batch_size=5)
         xs, ys, xt = small_batch(41)
-        cap = {}
-        STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(5, "model"),
-                       capture=cap)
-        m = len(cap["configs"])
-        assert len(cap["per_cls"]) == len(cap["per_ext"]) == m
-        _assert_grads_close(cap["cls_grads"], _weighted_sum([1 / m] * m, cap["per_cls"]))
-        _assert_grads_close(cap["ext_grads"], _weighted_sum([1 / m] * m, cap["per_ext"]))
-        assert all(n.startswith("c.") for n in cap["cls_grads"])
-        assert all(n.startswith("f.") for n in cap["ext_grads"])
+        probe = observe_step(STEP_FNS[mode], bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(5, "model"))
+        m = len(probe.configs)
+        per_cls, per_ext = probe.gradients(probe.cls_losses), probe.gradients(probe.ext_losses)
+        assert len(per_cls) == len(per_ext) == m
+        assert set(probe.applied) == set(bank.params)
+        cls_grads, ext_grads = probe.applied_to("c."), probe.applied_to("f.")
+        _assert_grads_close(cls_grads, _weighted_sum([1 / m] * m, per_cls))
+        _assert_grads_close(ext_grads, _weighted_sum([1 / m] * m, per_ext))
+        assert all(n.startswith("c.") for grads in per_cls for n in grads)
+        assert all(n.startswith("f.") for grads in per_ext for n in grads)
 
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 20))
-    def test_slimda_fused_gradients_match_weighted_per_loss_sum(self, m, seed, n):
+    def test_slimda_fused_gradients_match_weighted_per_loss_sum(self, m, seed, n, observe_step):
         bank = init_bank(ARCH, seed)
         cfg = TrainerConfig(model_batch_size=m)
         xs, ys, xt = small_batch(seed, n=n)
-        cap = {}
-        train_step(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(seed, "model"),
-                   capture=cap)
-        conf = cap["confidences"]
-        w_dc = conf / conf.sum()
-        anti = 1 - conf
-        w_seed = anti / anti.sum() if anti.sum() > 0 else np.zeros_like(conf)
-        _assert_grads_close(cap["cls_grads"], _weighted_sum(
-            [1 / m] * (2 * m), cap["per_dc_cls"] + cap["per_seed_cls"]))
-        _assert_grads_close(cap["ext_grads"], _weighted_sum(
-            list(w_dc) + list(w_seed), cap["per_dc_ext"] + cap["per_seed_ext"]))
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(seed, "model"))
+        w_dc, w_seed = slimda_ext_weights(probe.configs, cfg)
+        assert len(probe.dc) == len(probe.distill) == m
+        _assert_grads_close(probe.applied_to("c."), _weighted_sum(
+            [1 / m] * (2 * m), probe.gradients(probe.cls_losses)))
+        _assert_grads_close(probe.applied_to("f."), _weighted_sum(
+            list(w_dc) + list(w_seed), probe.gradients(probe.ext_losses)))
 
     @pytest.mark.parametrize("mode", sorted(STEP_FNS))
     def test_one_backward_per_step(self, mode, monkeypatch):
@@ -452,27 +459,27 @@ class TestStepGraph:
 
 
 class TestInplaced:
-    def test_teacher_prediction_is_distillation_target(self):
+    def test_teacher_prediction_is_distillation_target(self, observe_step):
         bank = init_bank(ARCH, 14)
         cfg = TrainerConfig(mode="inplaced", model_batch_size=3)
         xs, ys, xt = small_batch(15)
-        cap = {}
-        train_step_inplaced(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
-                            named_rng(3, "model"), capture=cap)
+        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(3, "model"))
         fresh = init_bank(ARCH, 14)
-        teacher = fresh.slice(cap["configs"][0])
+        teacher = fresh.slice(probe.configs[0])
         want = teacher.probs(teacher.features(xt, mode="train").data, "task")
-        np.testing.assert_allclose(cap["teacher_t"], want, atol=1e-12)
+        assert len(probe.distill) == 2  # one call per student
+        for call in probe.distill:
+            np.testing.assert_allclose(call.target_t, want, atol=1e-12)
 
-    def test_students_receive_both_head_and_feature_gradients(self):
+    def test_students_receive_both_head_and_feature_gradients(self, observe_step):
         bank = init_bank(ARCH, 15)
         cfg = TrainerConfig(mode="inplaced", model_batch_size=3)
         xs, ys, xt = small_batch(16)
-        cap = {}
-        train_step_inplaced(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
-                            named_rng(4, "model"), capture=cap)
-        student_cls = cap["per_cls"][1]
-        student_ext = cap["per_ext"][1]
+        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                             named_rng(4, "model"))
+        student = probe.distill[0]
+        student_cls, student_ext = probe.gradients((student.cls, student.ext))
         assert any(name.startswith(("c.s", "c.t")) for name in student_cls)
         assert all(not name.startswith("c.a") for name in student_cls)
         assert all(name.startswith("f.") for name in student_ext)
@@ -518,18 +525,18 @@ class TestTrainLoop:
             assert ra["loss_task"] == rb["loss_task"]
             assert ra["loss_seed"] == rb["loss_seed"]
 
-    def test_modes_share_data_and_model_streams(self):
+    def test_modes_share_data_and_model_streams(self, observe_step):
         # First sampled model batch must be identical across modes.
         caps = {}
         for mode in ("slimda", "baseline", "inplaced"):
             bank = init_bank(ARCH, 30)
             cfg = TrainerConfig(mode=mode, model_batch_size=5)
             xs, ys, xt = small_batch(31)
-            cap = {}
             fn = {"slimda": train_step, "baseline": train_step_baseline,
                   "inplaced": train_step_inplaced}[mode]
-            fn(bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(9, "model"), capture=cap)
-            caps[mode] = [c.widths for c in cap["configs"]]
+            probe = observe_step(fn, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+                                 named_rng(9, "model"))
+            caps[mode] = [c.widths for c in probe.configs]
         assert caps["slimda"] == caps["baseline"] == caps["inplaced"]
 
     def test_invalid_config_rejected(self):
