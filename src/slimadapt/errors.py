@@ -1,8 +1,11 @@
-"""Exception taxonomy shared by the whole package.
+"""Exception taxonomy shared by the whole package, and the integer check
+the library constructors share.
 
 The CLI maps these onto process exit codes, so library code should raise
 the most specific class that applies instead of bare ValueError/RuntimeError.
 """
+
+import numbers
 
 
 class SlimAdaptError(Exception):
@@ -29,3 +32,9 @@ class SearchError(SlimAdaptError):
 
 class LabelLeakageError(UsageError):
     """Hidden target labels were requested outside an evaluation path."""
+
+
+def is_int_at_least(value, minimum: int) -> bool:
+    """Whether `value` is an integer (a Python or numpy int, never a bool)
+    of at least `minimum`; a float fails it, NaN and 2.0 included."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum

@@ -42,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SgdState, Tensor, lr_schedule, sgd_step
 from .datasets import DomainDataset, batches
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, NumericError, UsageError, is_int_at_least
 from .losses import domain_confusion_targets, one_hot
 from .seeding import named_rng
 from .slimnet import Architecture, ParamStore, WidthConfig
@@ -109,12 +109,11 @@ class TrainerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.epochs >= 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.batch_size >= 2:  # written so that NaN fails it
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.model_batch_size >= 2:
-            raise ConfigError(f"model batch size must be >= 2, got {self.model_batch_size}")
+        for label, value, minimum in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 2),
+                                      ("model batch size", self.model_batch_size, 2),
+                                      ("seed", self.seed, 0)):
+            if not is_int_at_least(value, minimum):
+                raise ConfigError(f"{label} must be >= {minimum}, got {value!r}; integers only")
         if not self.tau > 0:  # written so that NaN fails it
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.w_ent < np.inf:

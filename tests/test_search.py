@@ -646,6 +646,16 @@ class TestGreedy:
     def test_numpy_integer_ladder_size_accepted(self, field):
         assert getattr(SearchPlan(**{field: np.int64(3)}), field) == 3
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, -1, True, float("nan"), "3"])
+    def test_bad_seed_rejected(self, value):
+        """A seed that numpy's SeedSequence would refuse (or read as 1, for
+        True) is refused by name when the plan is built."""
+        with pytest.raises(UsageError, match=r"^seed must be >= 0, got .*; integers only$"):
+            SearchPlan(seed=value)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SearchPlan(seed=np.int64(3)).seed == 3
+
 
 class TestScoringPasses:
     """Scores and accuracies come from each config's own calibration: no
@@ -728,6 +738,41 @@ class TestCorrelationTools:
             pearson, spearman = correlation_coefficients(list(deltas), list(accs))
             assert pearson == stats.pearsonr(deltas, accs).statistic
             assert spearman == stats.spearmanr(deltas, accs).statistic
+
+    @pytest.mark.parametrize("deltas,accs", [
+        ([0.1, 0.2, np.nan, 0.4], [0.5, 0.7, 0.6, 0.8]),
+        ([0.1, 0.2, 0.3, 0.4], [0.5, np.nan, 0.6, 0.6]),
+        ([0.1, 0.2, np.inf, 0.4], [0.5, 0.7, 0.6, 0.8]),
+        ([0.1, -np.inf, 0.3], [0.5, 0.7, 0.6]),
+    ], ids=["nan-delta", "nan-acc", "inf", "minus-inf"])
+    def test_non_finite_coefficients_follow_scipy(self, deltas, accs):
+        """NaN makes both coefficients NaN; an infinity makes Pearson NaN
+        and leaves Spearman's ranks defined, as in scipy."""
+        import warnings
+        from scipy import stats
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = correlation_coefficients(deltas, accs)
+            want = (stats.pearsonr(deltas, accs).statistic, stats.spearmanr(deltas, accs).statistic)
+        np.testing.assert_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 60), scale=st.integers(-8, 8),
+           levels=st.integers(1, 6))
+    def test_coefficients_equal_scipy_statistics(self, data, n, scale, levels):
+        """The numpy coefficients are scipy's statistics bit for bit, with
+        ties (few distinct values), two points and magnitudes 1e-8 to 1e8;
+        None exactly when one input has zero range."""
+        from scipy import stats
+        whole = st.integers(-10 ** 6, 10 ** 6)
+        deltas = np.array(data.draw(st.lists(whole, min_size=n, max_size=n))) * 10.0 ** scale
+        accs = np.array(data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+        got = correlation_coefficients(list(deltas), list(accs))
+        if np.ptp(deltas) == 0 or np.ptp(accs) == 0:
+            assert got is None
+        else:
+            assert got == (stats.pearsonr(deltas, accs).statistic,
+                           stats.spearmanr(deltas, accs).statistic)
 
     def test_monotonicity_probe_needs_three(self, trained):
         bank, ds = trained

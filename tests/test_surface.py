@@ -2,12 +2,16 @@
 exists, and so does every name the demos import from slimadapt.  No
 slimadapt module imports another's private (`_`-prefixed) names.  The
 sources and demos are parsed, not run.  The three training steps share
-one positional signature, which takes no hook."""
+one positional signature, which takes no hook.  Importing the CLI loads
+no scipy: numpy is the only runtime dependency."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,14 @@ def test_training_steps_take_exactly_the_step_inputs(name):
     assert list(params) == ["bank", "state", "xs", "ys", "xt", "cfg", "rng_model"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
                for p in params.values())
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only oracle: a fresh interpreter that imports the
+    CLI must not load any scipy module."""
+    code = ("import sys, slimadapt.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(slimadapt.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout

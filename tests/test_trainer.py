@@ -562,3 +562,20 @@ class TestTrainLoop:
         """Each guard is written so that NaN fails it."""
         with pytest.raises(ConfigError, match=rf"^{name} must"):
             make()
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 1.5), ("epochs", 2.0), ("epochs", True), ("epochs", math.nan),
+        ("batch_size", 16.5), ("batch_size", "16"), ("model_batch_size", 2.5),
+        ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", math.nan),
+    ])
+    def test_integer_fields_refuse_other_values_by_name(self, field, value):
+        """A float, a bool, a string or a negative seed is refused when the
+        config is built, not by a bare TypeError or ValueError in `train`."""
+        name = "model batch size" if field == "model_batch_size" else field
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= \d, got .*; integers only$"):
+            TrainerConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = TrainerConfig(epochs=np.int64(1), batch_size=np.int32(16),
+                            model_batch_size=np.int64(3), seed=np.uint32(7))
+        assert (cfg.epochs, cfg.batch_size, cfg.model_batch_size, cfg.seed) == (1, 16, 3, 7)
