@@ -37,7 +37,7 @@ from .search import (
     correlate,
     inherited_greedy_search,
     monotonicity_probe,
-    random_search,
+    random_bands,
 )
 from .seeding import named_rng
 from .slimnet import (

@@ -50,7 +50,6 @@ __all__ = [
     "config_accuracy",
     "sample_configs_spanning",
     "sample_config_at_budget",
-    "random_search",
     "random_bands",
     "inherited_greedy_search",
     "correlate",
@@ -287,35 +286,21 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
     raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
 
 
-def random_search(bank: ParamStore, budget: float, n: int, target_x: np.ndarray,
-                  rng: np.random.Generator, tolerance: float = 0.02,
-                  anchor_probs: np.ndarray | None = None,
-                  target_y: np.ndarray | None = None, head: str = "a"
-                  ) -> tuple[WidthConfig, list[DiscrepancyScore]]:
-    """Sample n configs inside the budget band, return the lowest-score one
-    together with every sample's score, each distinct config scored once
-    (with accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
-    if n < 1:
-        raise UsageError(f"random search needs n >= 1 configs, got {n}")
-    configs = [sample_config_at_budget(rng, bank.arch, budget, tolerance) for _ in range(n)]
-    if anchor_probs is None:
-        anchor_probs = _anchor_probs(bank, target_x)
-    scores = _scores(bank, configs, target_x, anchor_probs, target_y, head)
-    best = min(scores, key=lambda s: s.delta)
-    return best.config, scores
-
-
 def random_bands(bank: ParamStore, plan: SearchPlan, n: int, target_x: np.ndarray,
                  rng: np.random.Generator, target_y: np.ndarray | None = None, head: str = "a"):
-    """Yield (budget ratio, scores) per budget of `plan`: `random_search`'s
-    n configs sampled in the band from `rng`, each distinct one scored once
-    against one recalibrated anchor (with accuracies when `target_y` is given)."""
-    full = bank.arch.full_config().flops
+    """Yield (budget ratio, scores) per budget of `plan`: n configs sampled
+    from `rng` within ±`plan.tolerance` of the budget, each distinct one
+    scored once against one recalibrated anchor (with accuracies when
+    `target_y` is given, as in `anchor_discrepancy`)."""
+    if n < 1:
+        raise UsageError(f"random search needs n >= 1 configs, got {n}")
+    arch = bank.arch
+    full = arch.full_config().flops
     anchor_probs = _anchor_probs(bank, target_x)
-    for ratio in plan.budgets(bank.arch):
-        _, scores = random_search(bank, ratio * full, n, target_x, rng, tolerance=plan.tolerance,
-                                  anchor_probs=anchor_probs, target_y=target_y, head=head)
-        yield ratio, scores
+    for ratio in plan.budgets(arch):
+        configs = [sample_config_at_budget(rng, arch, ratio * full, plan.tolerance)
+                   for _ in range(n)]
+        yield ratio, _scores(bank, configs, target_x, anchor_probs, target_y, head)
 
 
 def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthConfig,

@@ -194,15 +194,13 @@ def distillation_loss(routed_t, target_t: np.ndarray, routed_s, target_s: np.nda
 
 def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: float,
                 mode: str) -> dict:
-    """Fuse, check and apply one step's (role, weight, loss) terms: one
-    backward over the sum of the non-zero-weight terms, then one
-    all-or-nothing SGD update (zero gradient where the sum never reached).
-    A role names the loss ("dc" confusion, "seed" SEED, "distill" teacher)
-    and the side it trains ("_cls" heads, "_ext" features).
+    """Fuse, check and apply one step's (weight, loss) terms: one backward
+    over the sum of the non-zero-weight terms, then one all-or-nothing SGD
+    update (zero gradient where the sum never reached).
     Returns the checked mean of the models' `DcLossParts` as step metrics.
     """
     total = None
-    for _, w, loss in terms:
+    for w, loss in terms:
         if w == 0.0:
             continue
         term = loss * w
@@ -244,8 +242,8 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     for j, (rs, rt) in enumerate(routed):
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
         seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
-        terms += [("dc_cls", 1.0 / m, dc.classifier_loss), ("seed_cls", 1.0 / m, seed_cls),
-                  ("dc_ext", w_dc[j], dc.extractor_loss), ("seed_ext", w_seed[j], seed_ext)]
+        terms += [(1.0 / m, dc.classifier_loss), (1.0 / m, seed_cls),
+                  (w_dc[j], dc.extractor_loss), (w_seed[j], seed_ext)]
         parts.append(dc.parts)
         seed_vals.append(seed_cls.item())
     return _apply_step(bank, state, terms, parts, float(np.mean(seed_vals)), cfg.mode)
@@ -259,7 +257,7 @@ def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     terms, parts = [], []
     for rs, rt in routed:
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
-        terms += [("dc_cls", 1.0 / m, dc.classifier_loss), ("dc_ext", 1.0 / m, dc.extractor_loss)]
+        terms += [(1.0 / m, dc.classifier_loss), (1.0 / m, dc.extractor_loss)]
         parts.append(dc.parts)
     return _apply_step(bank, state, terms, parts, 0.0, cfg.mode)
 
@@ -277,11 +275,11 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     dc = domain_confusion_targets(*routed[0], ys, w_ent=cfg.w_ent)
     teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
 
-    terms = [("dc_cls", 1.0 / m, dc.classifier_loss), ("dc_ext", 1.0 / m, dc.extractor_loss)]
+    terms = [(1.0 / m, dc.classifier_loss), (1.0 / m, dc.extractor_loss)]
     distill_vals = []
     for rs, rt in routed[1:]:
         d_cls, d_ext = distillation_loss(rt, teacher_t, rs, teacher_s, head="task")
-        terms += [("distill_cls", 1.0 / m, d_cls), ("distill_ext", 1.0 / m, d_ext)]
+        terms += [(1.0 / m, d_cls), (1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
     return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode)
 

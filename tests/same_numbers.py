@@ -12,7 +12,7 @@ set is:
   ladder    the default greedy ladder with labels on seeds 1-10, on the
             `search` benchmark's bank (16 slimda steps): every rung's
             budget, widths, delta, accuracy and saturation;
-  random    labelled `random_search` (n=20 per rung of the default
+  random    labelled `random_bands` (n=20 per rung of the default
             ladder) on the same banks: every sampled config's widths,
             delta and accuracy;
   cli       every file the CLI writes for `perfbench.workloads.cli_config`
@@ -96,11 +96,9 @@ def search_digests():
         steps = search.inherited_greedy_search(seg.bank, plan, ds.xt, target_y=labels)
         yield f"ladder.seed{seed}", _digest(_json([
             [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
-        rng, full = named_rng(seed, "search"), ARCH.full_config().flops
         rows = []
-        for ratio in plan.budgets(ARCH):
-            _, scores = search.random_search(seg.bank, ratio * full, RANDOM_N, ds.xt, rng,
-                                             target_y=labels)
+        for _, scores in search.random_bands(seg.bank, plan, RANDOM_N, ds.xt,
+                                             named_rng(seed, "search"), target_y=labels):
             rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
         yield f"random.seed{seed}", _digest(_json(rows))
 

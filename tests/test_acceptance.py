@@ -2,8 +2,10 @@
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
 The heavy shared fixture trains the three modes on the default synthetic
-task over five seeds (109 s to 127 s measured on a 2-core x86-64 box);
-everything is seeded, so every number here is reproducible bit for bit.
+task over five seeds, one worker process per core, each worker at one
+BLAS thread (55 s with two workers against 105 s one run after another,
+on a 2-core x86-64 box); everything is seeded, so every number here is
+reproducible bit for bit.
 Criteria 1 to 5 do not use it and take about a second together.
 
 One deliberate measurement note: the pipeline-reproducibility check
@@ -15,7 +17,11 @@ of every CSV/JSON output must be identical across runs.
 import copy
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +36,7 @@ from slimadapt.search import (
     correlate,
     inherited_greedy_search,
     monotonicity_probe,
-    random_search,
+    random_bands,
     sample_configs_spanning,
 )
 from slimadapt.seeding import named_rng
@@ -67,26 +73,47 @@ def task_data():
     return out
 
 
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS")}
+
+
+def _train_run(seed, mode):
+    """One (seed, mode) run: the trained bank's arrays, its full/smallest
+    target accuracy, and the seconds from bank init to both accuracies."""
+    ds = make_dataset(seed=seed, **DEFAULT_TASK)
+    yt = ds.target_labels(evaluation=True)
+    t0 = time.perf_counter()
+    bank = init_bank(ARCH, seed)
+    cfg = TrainerConfig(mode=mode, epochs=20, batch_size=128, model_batch_size=10, seed=seed)
+    train(bank, ds, cfg)
+    head = deploy_head(mode)
+    acc_full = config_accuracy(bank, ARCH.full_config(), ds.xt, yt, head)
+    acc_small = config_accuracy(bank, ARCH.smallest_config(), ds.xt, yt, head)
+    return bank.state_arrays(), acc_full, acc_small, time.perf_counter() - t0
+
+
 @pytest.fixture(scope="module")
-def trained_runs(task_data):
-    """Per (seed, mode): trained bank, full/smallest target accuracy, seconds."""
-    runs = {}
-    for seed in SEEDS:
-        ds, yt = task_data[seed]
-        for mode in MODES:
-            t0 = time.perf_counter()
-            bank = init_bank(ARCH, seed)
-            cfg = TrainerConfig(mode=mode, epochs=20, batch_size=128,
-                                model_batch_size=10, seed=seed)
-            train(bank, ds, cfg)
-            head = deploy_head(mode)
-            runs[(seed, mode)] = {
-                "bank": bank,
-                "acc_full": config_accuracy(bank, ARCH.full_config(), ds.xt, yt, head),
-                "acc_small": config_accuracy(bank, ARCH.smallest_config(), ds.xt, yt, head),
-                "seconds": time.perf_counter() - t0,
-            }
-    return runs
+def trained_runs():
+    """Per (seed, mode): trained bank, full/smallest target accuracy, seconds.
+
+    The 15 independent runs train in a pool of spawned worker processes,
+    one per available core, and every worker runs at one BLAS thread, so
+    each run gives the bytes of a serial run at one BLAS thread whatever
+    this process uses.  The workers take that setting from the environment
+    they are spawned with.  With OpenBLAS's default of a thread per core in
+    every worker, the workers' spinning BLAS threads fight over the cores:
+    the pooled runs took over four minutes on a 2-core box, against 105 s
+    serially.  Spawning also avoids forking after OpenBLAS has started its
+    threads, which can hang.
+    """
+    keys = [(seed, mode) for seed in SEEDS for mode in MODES]
+    workers = min(len(keys), len(os.sched_getaffinity(0)))
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD), \
+            ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(_train_run, *zip(*keys)))
+    return {key: {"bank": ParamStore.from_arrays(ARCH, arrays), "acc_full": acc_full,
+                  "acc_small": acc_small, "seconds": seconds}
+            for key, (arrays, acc_full, acc_small, seconds) in zip(keys, results)}
 
 
 # -- criterion 1: gradient correctness ------------------------------------
@@ -356,13 +383,11 @@ def test_criterion_08a_greedy_vs_random(trained_runs, task_data):
     bank = trained_runs[(seed, "slimda")]["bank"]
     plan = SearchPlan(k=6, q=20, seed=seed, tolerance=0.02)
     steps = inherited_greedy_search(bank, plan, ds.xt)
-    rng = named_rng(seed, "search")
-    full = ARCH.full_config().flops
+    bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02)
+    sampled = random_bands(bank, bands, 100, ds.xt, named_rng(seed, "search"))
     wins, details = 0, []
-    for step in steps:
+    for step, (_, scores) in zip(steps, sampled):
         greedy_acc = config_accuracy(bank, step.config, ds.xt, yt, "a")
-        _, scores = random_search(bank, step.budget_ratio * full, 100, ds.xt, rng,
-                                  tolerance=0.02)
         median = float(np.median([config_accuracy(bank, s.config, ds.xt, yt, "a")
                                   for s in scores]))
         wins += greedy_acc >= median

@@ -405,7 +405,7 @@ class TestMalformedInput:
         assert "dataset" in err
 
     @pytest.mark.parametrize("n_random", [0, -3])
-    def test_random_search_without_samples_is_config_error(self, initialised, n_random):
+    def test_random_strategy_without_samples_is_config_error(self, initialised, n_random):
         cfg_path, _, _ = initialised
         doc = json.loads(cfg_path.read_text())
         doc["search"]["n_random"] = n_random
