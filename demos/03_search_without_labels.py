@@ -54,11 +54,10 @@ plan = SearchPlan(k=6, q=20, seed=SEED, tolerance=0.02)
 # target_y only reads each scored config's accuracy; selection stays label-free.
 steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
 # Random search over the same budgets: 30 sampled configs per band.
-bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02)
-sampled = random_bands(bank, bands, 30, ds.xt, named_rng(SEED, "search"), target_y=yt)
+bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02, seed=SEED)
+sampled = random_bands(bank, bands, 30, ds.xt, target_y=yt)
 print(f"{'budget':>7} {'winner widths':>18} {'score':>8} {'acc':>7} {'random median':>14}")
 for step, (_, scores) in zip(steps, sampled):
     med = float(np.median([s.accuracy for s in scores]))
-    widths = "x".join(str(w) for w in step.config.widths)
-    print(f"{step.budget_ratio:>7.3f} {widths:>18} {step.delta:>8.4f} {step.accuracy:>7.3f} "
+    print(f"{step.budget_ratio:>7.3f} {step.config!s:>18} {step.delta:>8.4f} {step.accuracy:>7.3f} "
           f"{med:>14.3f}")

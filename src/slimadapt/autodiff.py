@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12  # `log` clamps a probability to [PROB_FLOOR, 1]
+BN_EPS = 1e-5  # added to the variance by training BN here and eval BN in `slimnet`
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -383,7 +384,7 @@ def leading_slice(x: Tensor, sizes: Sequence[int]) -> Tensor:
     return _node(x.data[idx], (x,), vjp, "leading_slice")
 
 
-def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Training-mode batch normalization over axis 0 with affine
     scale/shift: each column is normalized by the batch's own mean and
     (population) variance.  The eval form, with running statistics, is
@@ -400,7 +401,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         raise UsageError("batchnorm needs batch size >= 2")
 
     xhat = x.data - x.data.sum(axis=0) / n  # centred once, then scaled in place
-    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=0) / n + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).sum(axis=0) / n + BN_EPS)
     xhat *= inv
     data = xhat * gamma.data
     data += beta.data

@@ -27,7 +27,6 @@ from .search import (
     inherited_greedy_search,
     random_bands,
 )
-from .seeding import named_rng
 from .slimnet import Architecture
 from .trainer import MODES, ConfidencePolicy, TrainerConfig, deploy_head, init_bank, train
 
@@ -68,7 +67,7 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
     dataset_fields = dict(
         spec=ShiftSpec(kind=field(doc, "dataset.kind", str),
                        magnitude=field(doc, "dataset.magnitude", float),
-                       noise_std=field(doc, "dataset.noise_std", float, 1.0)),
+                       noise_std=field(doc, "dataset.noise_std", float, ShiftSpec.noise_std)),
         K=field(doc, "dataset.K", int),
         d=d,
         n_s=field(doc, "dataset.n_s", int),
@@ -78,20 +77,20 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
     arch = Architecture(
         input_dim=d,
         block_max_widths=field(doc, "architecture.block_max_widths", list_of(int)),
-        layers_per_block=field(doc, "architecture.layers_per_block", int, 1),
+        layers_per_block=field(doc, "architecture.layers_per_block", int, Architecture.layers_per_block),
         class_count=dataset_fields["K"],
     )
 
-    policy = ConfidencePolicy(lam=field(doc, "trainer.lam", float, 0.5),
-                              s=field(doc, "trainer.confidence_s", float, 0.0),
-                              mode=field(doc, "trainer.confidence_mode", str, "hard"))
+    policy = ConfidencePolicy(lam=field(doc, "trainer.lam", float, ConfidencePolicy.lam),
+                              s=field(doc, "trainer.confidence_s", float, ConfidencePolicy.s),
+                              mode=field(doc, "trainer.confidence_mode", str, ConfidencePolicy.mode))
     trainer_cfg = TrainerConfig(
-        mode=mode_override or field(doc, "trainer.mode", str, "slimda"),
+        mode=mode_override or field(doc, "trainer.mode", str, TrainerConfig.mode),
         epochs=field(doc, "trainer.epochs", int),
         batch_size=field(doc, "trainer.batch_size", int),
-        model_batch_size=field(doc, "trainer.model_batch_size", int, 10),
-        w_ent=field(doc, "trainer.w_ent", float, 0.1),
-        tau=field(doc, "trainer.tau", float, 0.5),
+        model_batch_size=field(doc, "trainer.model_batch_size", int, TrainerConfig.model_batch_size),
+        w_ent=field(doc, "trainer.w_ent", float, TrainerConfig.w_ent),
+        tau=field(doc, "trainer.tau", float, TrainerConfig.tau),
         policy=policy,
         seed=seed,
     )
@@ -101,10 +100,10 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
                           f"dataset.n_t) = {domain}, got {trainer_cfg.batch_size}")
 
     plan = SearchPlan(
-        k=field(doc, "search.k", int, 6),
-        q=field(doc, "search.q", int, 20),
+        k=field(doc, "search.k", int, SearchPlan.k),
+        q=field(doc, "search.q", int, SearchPlan.q),
         seed=seed,
-        tolerance=field(doc, "search.tolerance", float, 0.02),
+        tolerance=field(doc, "search.tolerance", float, SearchPlan.tolerance),
         budget_ratios=field(doc, "search.budgets", list_of(float), ()),
     )
     return Experiment(seed=seed, out_dir=out_dir, dataset_fields=dataset_fields, arch=arch,
@@ -216,8 +215,7 @@ def cmd_search(args) -> int:
             print(f"skipped budget ratio {ratio:.4f}: no candidate grows into it", file=sys.stderr)
         found = [(i, r, reached[r]) for i, r in enumerate(budgets) if r in reached]
     else:
-        bands = random_bands(bank, plan, exp.n_random, ds.xt, named_rng(exp.seed, "search"),
-                             labels, head)
+        bands = random_bands(bank, plan, exp.n_random, ds.xt, labels, head)
         found = [(i, ratio, s) for i, (ratio, scores) in enumerate(bands) for s in scores]
 
     header = "step,budget_ratio,widths,delta,flops"
@@ -241,7 +239,7 @@ def cmd_correlate(args) -> int:
     exp = _load_experiment(args)
     bank, ds, labels, head = _load_trained(exp, labelled=True)  # evaluation-only
     scatter_rows, summary_rows = [], []
-    bands = random_bands(bank, exp.plan, args.n, ds.xt, named_rng(exp.seed, "search"), labels, head)
+    bands = random_bands(bank, exp.plan, args.n, ds.xt, labels, head)
     for ratio, scores in bands:
         deltas = [s.delta for s in scores]
         accs = [s.accuracy for s in scores]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchError, UsageError, is_int_at_least
+from .seeding import named_rng
 from .slimnet import (Architecture, ParamStore, SlimModel, WidthConfig, adabn_pass,
                       adabn_recalibrate, flops_per_sample, flops_step)
 
@@ -247,7 +248,7 @@ def sample_configs_spanning(rng: np.random.Generator, arch: Architecture, n: int
 
 
 def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget: float,
-                            tolerance: float = 0.02, max_tries: int = 200) -> WidthConfig:
+                            tolerance: float = SearchPlan.tolerance, max_tries: int = 200) -> WidthConfig:
     """A random legal config whose FLOPs land within ±tolerance of budget.
 
     Starts from a uniform random config and walks single-channel steps on
@@ -287,13 +288,14 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
 
 
 def random_bands(bank: ParamStore, plan: SearchPlan, n: int, target_x: np.ndarray,
-                 rng: np.random.Generator, target_y: np.ndarray | None = None, head: str = "a"):
-    """Yield (budget ratio, scores) per budget of `plan`: n configs sampled
-    from `rng` within ±`plan.tolerance` of the budget, each distinct one
-    scored once against one recalibrated anchor (with accuracies when
-    `target_y` is given, as in `anchor_discrepancy`)."""
-    if n < 1:
+                 target_y: np.ndarray | None = None, head: str = "a"):
+    """Yield (budget ratio, scores) per budget of `plan`: n configs drawn from
+    `named_rng(plan.seed, "search")` within ±`plan.tolerance` of the budget,
+    each distinct one scored once against one recalibrated anchor (with
+    accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
+    if not is_int_at_least(n, 1):
         raise UsageError(f"random search needs n >= 1 configs, got {n}")
+    rng = named_rng(plan.seed, "search")
     arch = bank.arch
     full = arch.full_config().flops
     anchor_probs = _anchor_probs(bank, target_x)
@@ -431,7 +433,7 @@ def monotonicity_probe(bank: ParamStore, target_x: np.ndarray, target_y: np.ndar
                        n: int, rng: np.random.Generator, head: str = "a") -> float:
     """Spearman rank correlation between FLOPs and true target accuracy
     over n spanning configurations (checks that capacity buys accuracy)."""
-    if n < 3:
+    if not is_int_at_least(n, 3):
         raise UsageError(f"monotonicity probe needs n >= 3, got {n}")
     configs = sample_configs_spanning(rng, bank.arch, n)
     accs = [config_accuracy(bank, c, target_x, target_y, head=head) for c in configs]

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError, UsageError
+from .autodiff import BN_EPS, Tensor
+from .errors import ConfigError, UsageError, is_int_at_least
 
 __all__ = [
     "Architecture",
@@ -76,7 +76,6 @@ __all__ = [
     "adabn_recalibrate",
 ]
 
-BN_EPS = 1e-5
 EVAL_BATCH = 256  # rows per batch of the AdaBN pass and the eval forward
 
 
@@ -100,8 +99,9 @@ class Architecture:
                 isinstance(w, (int, np.integer)) and not isinstance(w, bool) for w in widths):
             raise ConfigError(f"block_max_widths must be a list or tuple of ints, got {widths!r}")
         object.__setattr__(self, "block_max_widths", tuple(int(w) for w in widths))
-        if self.input_dim < 1 or self.layers_per_block < 1 or self.class_count < 2:
-            raise ConfigError(f"degenerate architecture: {self}")
+        for name, minimum in (("input_dim", 1), ("layers_per_block", 1), ("class_count", 2)):
+            if not is_int_at_least(value := getattr(self, name), minimum):
+                raise ConfigError(f"{name} must be >= {minimum}, got {value!r}; integers only")
         if not self.block_max_widths or any(w < 1 for w in self.block_max_widths):
             raise ConfigError(f"block widths must all be >= 1, got {self.block_max_widths}")
 
@@ -336,7 +336,7 @@ class SlimModel:
         if mode == "train":
             h = Tensor(h)
             for weight, gamma, beta in self.layers():
-                h = ad.relu(ad.batchnorm(h @ weight, gamma, beta, eps=BN_EPS))
+                h = ad.relu(ad.batchnorm(h @ weight, gamma, beta))
             return h
         if self.bn is None:
             raise UsageError("eval-mode forward needs recalibrated BN statistics")

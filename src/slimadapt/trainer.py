@@ -64,8 +64,6 @@ __all__ = [
     "deploy_head",
 ]
 
-MODES = ("slimda", "baseline", "inplaced")
-
 METRIC_KEYS = ("loss_task", "loss_dd", "loss_conf", "loss_ent", "loss_seed")
 
 
@@ -129,7 +127,7 @@ def sample_width_configs(rng: np.random.Generator, arch: Architecture, m: int) -
     """m configs sorted by FLOPs descending: the full and the smallest
     configuration always, plus m-2 with per-block widths drawn uniformly
     over the legal range."""
-    if m < 2:
+    if not is_int_at_least(m, 2):
         raise UsageError(f"model batch size must be >= 2, got {m}")
     configs = [arch.full_config(), arch.smallest_config()]
     lows, highs = arch.min_widths(), arch.block_max_widths
@@ -298,6 +296,7 @@ _STEP_FNS = {
     "baseline": train_step_baseline,
     "inplaced": train_step_inplaced,
 }
+MODES = tuple(_STEP_FNS)
 
 
 def deploy_head(mode: str) -> str:

@@ -39,7 +39,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from perfbench.workloads import FULL, Segment, cli_config  # noqa: E402
 from slimadapt import cli, datasets, search  # noqa: E402
-from slimadapt.seeding import named_rng  # noqa: E402
 from slimadapt.slimnet import Architecture  # noqa: E402
 from slimadapt.trainer import MODES  # noqa: E402
 
@@ -97,8 +96,7 @@ def search_digests():
         yield f"ladder.seed{seed}", _digest(_json([
             [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
         rows = []
-        for _, scores in search.random_bands(seg.bank, plan, RANDOM_N, ds.xt,
-                                             named_rng(seed, "search"), target_y=labels):
+        for _, scores in search.random_bands(seg.bank, plan, RANDOM_N, ds.xt, target_y=labels):
             rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
         yield f"random.seed{seed}", _digest(_json(rows))
 

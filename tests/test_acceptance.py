@@ -383,8 +383,9 @@ def test_criterion_08a_greedy_vs_random(trained_runs, task_data):
     bank = trained_runs[(seed, "slimda")]["bank"]
     plan = SearchPlan(k=6, q=20, seed=seed, tolerance=0.02)
     steps = inherited_greedy_search(bank, plan, ds.xt)
-    bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02)
-    sampled = random_bands(bank, bands, 100, ds.xt, named_rng(seed, "search"))
+    bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02,
+                       seed=seed)
+    sampled = random_bands(bank, bands, 100, ds.xt)
     wins, details = 0, []
     for step, (_, scores) in zip(steps, sampled):
         greedy_acc = config_accuracy(bank, step.config, ds.xt, yt, "a")

@@ -18,9 +18,11 @@ import pytest
 import slimadapt
 from slimadapt import cli, jsonio, search
 from slimadapt.checkpoint import load_checkpoint, save_checkpoint
+from slimadapt.datasets import ShiftSpec
 from slimadapt.errors import NumericError
+from slimadapt.search import SearchPlan
 from slimadapt.slimnet import Architecture, SlimModel
-from slimadapt.trainer import init_bank
+from slimadapt.trainer import ConfidencePolicy, TrainerConfig, init_bank
 
 CONFIG = {
     "seed": 3,
@@ -592,6 +594,43 @@ class TestMalformedInput:
         assert run(["train", "--config", cfg_path]) == 3
         assert (out / "checkpoint.json").read_bytes() == checkpoint
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "dataset.json"]
+
+
+class TestDefaults:
+    """A field left out of the config takes its owner's default: the
+    dataclass the CLI builds from it, not a value the CLI restates."""
+
+    REQUIRED = {"seed": 3, "out_dir": "run",
+                "dataset": {"kind": "MIXED", "magnitude": 0.8, "K": 3, "d": 6,
+                            "n_s": 120, "n_t": 120},
+                "architecture": {"block_max_widths": [16, 24]},
+                "trainer": {"epochs": 2, "batch_size": 32}}
+
+    def test_required_fields_alone_give_the_library_defaults(self):
+        exp = cli.parse_experiment(copy.deepcopy(self.REQUIRED))
+        assert exp.trainer == TrainerConfig(epochs=2, batch_size=32, seed=3)
+        assert exp.trainer.policy == ConfidencePolicy()
+        # An empty budget list, like None, keeps the default ladder.
+        assert exp.plan == SearchPlan(seed=3, budget_ratios=())
+        assert exp.plan.budgets(exp.arch) == SearchPlan(seed=3).budgets(exp.arch)
+        assert exp.dataset_fields["spec"] == ShiftSpec("MIXED", 0.8)
+        assert exp.arch == Architecture(input_dim=6, block_max_widths=(16, 24), class_count=3)
+
+    @pytest.mark.parametrize("owner, name, value", [
+        (ShiftSpec, "noise_std", 2.0), (Architecture, "layers_per_block", 2),
+        (ConfidencePolicy, "lam", 0.25), (ConfidencePolicy, "s", 1.0),
+        (ConfidencePolicy, "mode", "general"), (TrainerConfig, "mode", "baseline"),
+        (TrainerConfig, "model_batch_size", 4), (TrainerConfig, "w_ent", 0.2),
+        (TrainerConfig, "tau", 0.25), (SearchPlan, "k", 4), (SearchPlan, "q", 7),
+        (SearchPlan, "tolerance", 0.05),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_a_left_out_field_reads_its_owners_default(self, monkeypatch, owner, name, value):
+        monkeypatch.setattr(owner, name, value)
+        exp = cli.parse_experiment(copy.deepcopy(self.REQUIRED))
+        built = {ShiftSpec: exp.dataset_fields["spec"], Architecture: exp.arch,
+                 ConfidencePolicy: exp.trainer.policy, TrainerConfig: exp.trainer,
+                 SearchPlan: exp.plan}
+        assert getattr(built[owner], name) == value
 
 
 class TestGreedyLadderSkips:

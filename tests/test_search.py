@@ -33,6 +33,7 @@ from slimadapt.search import (
     sample_config_at_budget,
     sample_configs_spanning,
 )
+from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore, SlimModel, flops_per_sample, flops_step
 from slimadapt.trainer import TrainerConfig, init_bank, train
 
@@ -504,10 +505,10 @@ class TestDefaultLadder:
         assert SearchPlan(k=4).budgets(arch) == GEOMETRIC[2:]
 
 
-def one_band(bank, ratio, n, target_x, rng, tolerance=0.02, **kwargs):
+def one_band(bank, ratio, n, target_x, seed=0, tolerance=0.02, **kwargs):
     """`random_bands` over a plan of one budget: that band's scores."""
-    plan = SearchPlan(budget_ratios=(ratio,), tolerance=tolerance)
-    [(got_ratio, scores)] = random_bands(bank, plan, n, target_x, rng, **kwargs)
+    plan = SearchPlan(budget_ratios=(ratio,), tolerance=tolerance, seed=seed)
+    [(got_ratio, scores)] = random_bands(bank, plan, n, target_x, **kwargs)
     assert got_ratio == ratio
     return scores
 
@@ -515,41 +516,50 @@ def one_band(bank, ratio, n, target_x, rng, tolerance=0.02, **kwargs):
 class TestRandomSearch:
     def test_n1_returns_that_config(self, trained):
         bank, ds = trained
-        scores = one_band(bank, 0.5, 1, ds.xt, np.random.default_rng(3))
+        scores = one_band(bank, 0.5, 1, ds.xt, seed=3)
         assert len(scores) == 1
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_samples_rejected(self, trained, n):
         bank, ds = trained
         with pytest.raises(UsageError, match="n >= 1"):
-            one_band(bank, 0.5, n, ds.xt, np.random.default_rng(3))
+            one_band(bank, 0.5, n, ds.xt, seed=3)
 
     def test_no_samples_rejected_before_recalibrating(self, trained):
         bank, ds = trained
         with mock.patch.object(search, "recalibrated", side_effect=AssertionError("recalibrated")):
             with pytest.raises(UsageError, match="n >= 1"):
-                one_band(bank, 0.5, 0, ds.xt, np.random.default_rng(3))
+                one_band(bank, 0.5, 0, ds.xt, seed=3)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_non_integer_n_rejected_before_recalibrating(self, trained, n):
+        """A float (2.0 included) or a bool is no count: it is refused by
+        name before the anchor is recalibrated, not run as int(n) configs."""
+        bank, ds = trained
+        with mock.patch.object(search, "recalibrated", side_effect=AssertionError("recalibrated")):
+            with pytest.raises(UsageError, match="n >= 1"):
+                one_band(bank, 0.5, n, ds.xt, seed=3)
 
     @pytest.mark.parametrize("tolerance", [-0.1, 1.5])
     def test_tolerance_outside_unit_interval_rejected(self, trained, tolerance):
         bank, ds = trained
         with pytest.raises(UsageError, match=r"tolerance must be in \[0, 1\)"):
-            one_band(bank, 0.25, 3, ds.xt, np.random.default_rng(3), tolerance=tolerance)
+            one_band(bank, 0.25, 3, ds.xt, seed=3, tolerance=tolerance)
 
     def test_all_results_within_band(self, trained):
         bank, ds = trained
         budget = 0.4 * ARCH.full_config().flops
-        scores = one_band(bank, 0.4, 10, ds.xt, np.random.default_rng(4))
+        scores = one_band(bank, 0.4, 10, ds.xt, seed=4)
         for s in scores:
             assert abs(s.config.flops - budget) <= 0.02 * budget
 
     @pytest.mark.parametrize("labelled", [False, True])
     def test_bands_sample_each_budget_from_one_stream(self, trained, labelled):
         bank, ds = trained
-        plan = SearchPlan(k=3, tolerance=0.05)
+        plan = SearchPlan(k=3, tolerance=0.05, seed=6)
         y = ds.target_labels(evaluation=True) if labelled else None
-        got = list(random_bands(bank, plan, 4, ds.xt, np.random.default_rng(6), target_y=y))
-        rng, full = np.random.default_rng(6), ARCH.full_config().flops
+        got = list(random_bands(bank, plan, 4, ds.xt, target_y=y))
+        rng, full = named_rng(plan.seed, "search"), ARCH.full_config().flops
         want = []
         for r in plan.budgets(ARCH):
             configs = [sample_config_at_budget(rng, ARCH, r * full, 0.05) for _ in range(4)]
@@ -783,6 +793,13 @@ class TestCorrelationTools:
             monotonicity_probe(bank, ds.xt, np.zeros(len(ds.xt), dtype=int), 2,
                                np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [3.5, 4.0])
+    def test_monotonicity_probe_refuses_a_non_integer_n(self, trained, n):
+        bank, ds = trained
+        with pytest.raises(UsageError, match="n >= 3"):
+            monotonicity_probe(bank, ds.xt, np.zeros(len(ds.xt), dtype=int), n,
+                               np.random.default_rng(0))
+
     def test_spanning_sampler_is_legal_and_wide(self):
         rng = np.random.default_rng(6)
         configs = sample_configs_spanning(rng, ARCH, 50)
@@ -845,8 +862,7 @@ class TestDistinctScores:
         with mock.patch.object(search, "anchor_discrepancy", counted), \
                 mock.patch.object(search, "sample_config_at_budget",
                                   lambda *args, **kwargs: next(samples)):
-            scores = one_band(bank, 1.0, len(configs), ds.xt, np.random.default_rng(0),
-                              target_y=yt)
+            scores = one_band(bank, 1.0, len(configs), ds.xt, target_y=yt)
         assert calls == list(dict.fromkeys(configs))  # once per distinct config
         assert [(s.config, s.delta, s.accuracy) for s in scores] == \
             [(c, alone[c].delta, alone[c].accuracy) for c in configs]

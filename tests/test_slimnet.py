@@ -119,6 +119,17 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="^block_max_widths must be a list or tuple of ints"):
             Architecture(input_dim=6, block_max_widths=widths)
 
+    @pytest.mark.parametrize("name, value", [
+        ("input_dim", float("nan")), ("input_dim", 2.5), ("input_dim", 6.0), ("input_dim", 0),
+        ("layers_per_block", 1.5), ("layers_per_block", float("nan")), ("layers_per_block", True),
+        ("class_count", 2.5), ("class_count", 1)])
+    def test_sizes_must_be_integers_named_in_the_error(self, name, value):
+        """A float size (NaN and 6.0 included) or a bool is refused by the
+        constructor, naming the field, not by the first `ParamStore`."""
+        sizes = {"input_dim": 6, "layers_per_block": 1, "class_count": 3, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be >= "):
+            Architecture(block_max_widths=(16, 24), **sizes)
+
     def test_block_widths_take_numpy_ints_and_lists(self):
         arch = Architecture(input_dim=6, block_max_widths=[np.int64(16), 24])
         assert arch.block_max_widths == (16, 24) and type(arch.block_max_widths[0]) is int

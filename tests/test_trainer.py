@@ -85,6 +85,11 @@ class TestSampling:
         with pytest.raises(UsageError):
             sample_width_configs(np.random.default_rng(0), ARCH, 1)
 
+    @pytest.mark.parametrize("m", [2.5, 3.0])
+    def test_non_integer_m_rejected(self, m):
+        with pytest.raises(UsageError, match="model batch size must be >= 2"):
+            sample_width_configs(np.random.default_rng(0), ARCH, m)
+
     def test_width_coverage_over_many_draws(self):
         # Each block's sampled widths should cover at least half of the
         # legal range across 1000 draws.
