@@ -54,8 +54,9 @@ plan = SearchPlan(k=6, q=20, seed=SEED, tolerance=0.02)
 # target_y only reads each scored config's accuracy; selection stays label-free.
 steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
 # Random search over the same budgets: 30 sampled configs per band.
-bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02, seed=SEED)
-sampled = random_bands(bank, bands, 30, ds.xt, target_y=yt)
+bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02, seed=SEED,
+                   n_random=30)
+sampled = random_bands(bank, bands, ds.xt, target_y=yt)
 print(f"{'budget':>7} {'winner widths':>18} {'score':>8} {'acc':>7} {'random median':>14}")
 for step, (_, scores) in zip(steps, sampled):
     med = float(np.median([s.accuracy for s in scores]))

@@ -520,7 +520,7 @@ def sgd_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray], stat
         p.data = data
 
 
-def lr_schedule(progress: float, base: float = 0.01, alpha: float = 10.0, beta: float = 0.75) -> float:
+def lr_schedule(progress: float, base: float, alpha: float, beta: float) -> float:
     """Inverse-decay schedule base / (1 + alpha*p)^beta for p in [0, 1]."""
     if not (0.0 <= progress <= 1.0):
         raise UsageError(f"progress must be in [0, 1], got {progress}")

@@ -49,7 +49,6 @@ class Experiment:
     arch: Architecture
     trainer: TrainerConfig
     plan: SearchPlan
-    n_random: int
 
 
 def parse_experiment(doc: dict, seed_override: int | None = None,
@@ -104,11 +103,11 @@ def parse_experiment(doc: dict, seed_override: int | None = None,
         q=field(doc, "search.q", int, SearchPlan.q),
         seed=seed,
         tolerance=field(doc, "search.tolerance", float, SearchPlan.tolerance),
-        budget_ratios=field(doc, "search.budgets", list_of(float), ()),
+        budget_ratios=field(doc, "search.budgets", list_of(float), SearchPlan.budget_ratios),
+        n_random=field(doc, "search.n_random", int, SearchPlan.n_random),
     )
     return Experiment(seed=seed, out_dir=out_dir, dataset_fields=dataset_fields, arch=arch,
-                      trainer=trainer_cfg, plan=plan,
-                      n_random=field(doc, "search.n_random", int, 100))
+                      trainer=trainer_cfg, plan=plan)
 
 
 def _load_experiment(args) -> Experiment:
@@ -201,8 +200,6 @@ def _load_trained(exp: Experiment, labelled: bool):
 
 def cmd_search(args) -> int:
     exp = _load_experiment(args)
-    if args.strategy == "random" and exp.n_random < 1:
-        raise ConfigError(f"search.n_random must be at least 1, got {exp.n_random}")
     bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
     plan = exp.plan
     if args.budgets:
@@ -215,7 +212,7 @@ def cmd_search(args) -> int:
             print(f"skipped budget ratio {ratio:.4f}: no candidate grows into it", file=sys.stderr)
         found = [(i, r, reached[r]) for i, r in enumerate(budgets) if r in reached]
     else:
-        bands = random_bands(bank, plan, exp.n_random, ds.xt, labels, head)
+        bands = random_bands(bank, plan, ds.xt, labels, head)
         found = [(i, ratio, s) for i, (ratio, scores) in enumerate(bands) for s in scores]
 
     header = "step,budget_ratio,widths,delta,flops"
@@ -234,20 +231,18 @@ def cmd_search(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
     exp = _load_experiment(args)
+    plan = exp.plan if args.n is None else replace(exp.plan, n_random=args.n)
     bank, ds, labels, head = _load_trained(exp, labelled=True)  # evaluation-only
     scatter_rows, summary_rows = [], []
-    bands = random_bands(bank, exp.plan, args.n, ds.xt, labels, head)
-    for ratio, scores in bands:
+    for ratio, scores in random_bands(bank, plan, ds.xt, labels, head):
         deltas = [s.delta for s in scores]
         accs = [s.accuracy for s in scores]
         scatter_rows += [",".join([_f(ratio), _f(d), _f(a, 4)]) for d, a in zip(deltas, accs)]
         # A band whose scores or accuracies do not vary has no defined
         # correlation; it keeps its row with empty pearson/spearman cells.
         pearson, spearman = correlation_coefficients(deltas, accs) or (None, None)
-        summary_rows.append(",".join([_f(ratio), _f(pearson, 4), _f(spearman, 4), str(args.n)]))
+        summary_rows.append(",".join([_f(ratio), _f(pearson, 4), _f(spearman, 4), str(plan.n_random)]))
     _write_csv(exp.out_dir / CORR_SCATTER_FILE, "budget_ratio,delta,accuracy", scatter_rows)
     _write_csv(exp.out_dir / CORR_SUMMARY_FILE, "budget_ratio,pearson,spearman,n", summary_rows)
     print(f"wrote {exp.out_dir / CORR_SCATTER_FILE} and {exp.out_dir / CORR_SUMMARY_FILE}")
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="score-vs-accuracy correlation per budget band")
     common(p)
-    p.add_argument("--n", type=int, default=100, help="configs sampled per budget band")
+    p.add_argument("--n", type=int, help="configs per budget band (default: search.n_random)")
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("eval", help="per-width target accuracy report")

@@ -247,7 +247,7 @@ def load_dataset(path, evaluation: bool = False) -> DomainDataset:
     section is skipped entirely, so a training path cannot reach it."""
     doc = jsonio.load(path)
     floats, ints = partial(np.asarray, dtype=np.float64), list_of(int)
-    yt = field(doc, "yt_hidden", ints) if evaluation and "yt_hidden" in doc else None
+    yt = field(doc, "yt_hidden", ints, None) if evaluation else None
     return DomainDataset(field(doc, "xs", floats), field(doc, "ys", ints), field(doc, "xt", floats),
                          field(doc, "K", int), field(doc, "spec", lambda v: ShiftSpec(**v)),
                          field(doc, "seed", int), yt_hidden=yt)

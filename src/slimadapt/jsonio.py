@@ -19,6 +19,8 @@ from .errors import ConfigError, NumericError
 
 __all__ = ["dump_exact", "write_atomic", "load", "field", "list_of"]
 
+_REQUIRED = object()  # `field`'s default when the caller gives none
+
 
 def _to_builtin(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -57,18 +59,18 @@ def load(path) -> dict:
     return doc
 
 
-def field(doc: dict, path: str, kind, default=None):
+def field(doc: dict, path: str, kind, default=_REQUIRED):
     """Field `path` ("section.name" or "name") of `doc` read through `kind`,
-    required unless a `default` is given.  A missing field, a non-object
-    section, a rejected value or a non-finite float is a ConfigError naming
-    it.  `int` and `float` are strict: an int field refuses a bool, a float
-    and a string, a float field a bool and a string."""
+    required unless a `default`, None included, is given.  A missing field,
+    a non-object section, a rejected value or a non-finite float is a
+    ConfigError naming it.  `int` and `float` are strict: an int field
+    refuses a bool, a float and a string, a float field a bool and a string."""
     section, _, name = path.rpartition(".")
     doc = doc.get(section, {}) if section else doc
     if not isinstance(doc, dict):
         raise ConfigError(f"field {section} is not an object")
     if name not in doc:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"missing field {path}")
         return default
     try:

@@ -43,6 +43,8 @@ __all__ = [
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):  # a bool array would index as a mask
+        raise UsageError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise UsageError(f"labels outside [0, {classes})")
     return np.eye(classes)[labels]

@@ -86,7 +86,7 @@ class CorrelationReport:
 
 @dataclass(frozen=True)
 class SearchPlan:
-    """Budget ladder for the inherited greedy search.
+    """Budget ladder of both searches: `q` candidates a greedy rung, `n_random` configs a band.
 
     The default ladder is geometric, halving from full FLOPs k times
     (k = 6 gives 1/32, 1/16, ..., 1/2, 1), which concentrates budgets in
@@ -104,12 +104,15 @@ class SearchPlan:
     seed: int = 0
     tolerance: float = 0.02
     budget_ratios: tuple[float, ...] | None = None
+    n_random: int = 100
 
     def __post_init__(self):
         for name in ("k", "q"):
             n = getattr(self, name)
             if not is_int_at_least(n, 1):
                 raise UsageError(f"need k >= 1 and q >= 1 as integers, got {name}={n!r}")
+        if not is_int_at_least(self.n_random, 1):
+            raise UsageError(f"search.n_random: need n >= 1 as an integer, got {self.n_random!r}")
         if not is_int_at_least(self.seed, 0):  # numpy's generators take no negative seed
             raise UsageError(f"seed must be >= 0, got {self.seed!r}; integers only")
         _check_tolerance(self.tolerance)
@@ -287,21 +290,19 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
     raise SearchError(f"no legal config found within ±{tolerance:.0%} of budget {budget:.1f}")
 
 
-def random_bands(bank: ParamStore, plan: SearchPlan, n: int, target_x: np.ndarray,
+def random_bands(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
                  target_y: np.ndarray | None = None, head: str = "a"):
-    """Yield (budget ratio, scores) per budget of `plan`: n configs drawn from
-    `named_rng(plan.seed, "search")` within ±`plan.tolerance` of the budget,
-    each distinct one scored once against one recalibrated anchor (with
+    """Yield (budget ratio, scores) per budget of `plan`: `plan.n_random` configs
+    drawn from `named_rng(plan.seed, "search")` within ±`plan.tolerance` of the
+    budget, each distinct one scored once against one recalibrated anchor (with
     accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
-    if not is_int_at_least(n, 1):
-        raise UsageError(f"random search needs n >= 1 configs, got {n}")
     rng = named_rng(plan.seed, "search")
     arch = bank.arch
     full = arch.full_config().flops
     anchor_probs = _anchor_probs(bank, target_x)
     for ratio in plan.budgets(arch):
         configs = [sample_config_at_budget(rng, arch, ratio * full, plan.tolerance)
-                   for _ in range(n)]
+                   for _ in range(plan.n_random)]
         yield ratio, _scores(bank, configs, target_x, anchor_probs, target_y, head)
 
 

@@ -91,12 +91,12 @@ def search_digests():
         seg = Segment("slimda", ds, ARCH, FULL, seed)
         for _ in range(FULL.pretrain_steps):
             seg.step(*seg.next_batch())
-        plan = search.SearchPlan(seed=seed)
+        plan = search.SearchPlan(seed=seed, n_random=RANDOM_N)
         steps = search.inherited_greedy_search(seg.bank, plan, ds.xt, target_y=labels)
         yield f"ladder.seed{seed}", _digest(_json([
             [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
         rows = []
-        for _, scores in search.random_bands(seg.bank, plan, RANDOM_N, ds.xt, target_y=labels):
+        for _, scores in search.random_bands(seg.bank, plan, ds.xt, target_y=labels):
             rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
         yield f"random.seed{seed}", _digest(_json(rows))
 

@@ -382,15 +382,16 @@ def test_criterion_08a_greedy_vs_random(trained_runs, task_data):
     ds, yt = task_data[seed]
     bank = trained_runs[(seed, "slimda")]["bank"]
     plan = SearchPlan(k=6, q=20, seed=seed, tolerance=0.02)
-    steps = inherited_greedy_search(bank, plan, ds.xt)
+    # The labels only read each scored config's accuracy from its own
+    # recalibration; both searches select without them.
+    steps = inherited_greedy_search(bank, plan, ds.xt, target_y=yt)
     bands = SearchPlan(budget_ratios=tuple(s.budget_ratio for s in steps), tolerance=0.02,
-                       seed=seed)
-    sampled = random_bands(bank, bands, 100, ds.xt)
+                       seed=seed, n_random=100)
+    sampled = random_bands(bank, bands, ds.xt, target_y=yt)
     wins, details = 0, []
     for step, (_, scores) in zip(steps, sampled):
-        greedy_acc = config_accuracy(bank, step.config, ds.xt, yt, "a")
-        median = float(np.median([config_accuracy(bank, s.config, ds.xt, yt, "a")
-                                  for s in scores]))
+        greedy_acc = step.accuracy
+        median = float(np.median([s.accuracy for s in scores]))
         wins += greedy_acc >= median
         details.append(f"{step.budget_ratio:.3f}: {greedy_acc:.3f} vs {median:.3f}")
     report(8, wins >= 5, f"greedy >= random median on {wins}/6 budgets [{'; '.join(details)}]")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
 from slimadapt.errors import ConfigError, NumericError, UsageError
+from slimadapt.trainer import TrainerConfig
 
 
 def finite_difference(f, arrays, h=1e-5):
@@ -457,22 +458,32 @@ class TestSgd:
 
 
 class TestLrSchedule:
+    """The schedule at the trainer's constants, which it takes from its caller."""
+
+    TRAINER = dict(base=TrainerConfig.lr0, alpha=TrainerConfig.lr_alpha, beta=TrainerConfig.lr_beta)
+
     def test_start_value(self):
-        assert ad.lr_schedule(0.0) == pytest.approx(0.01)
+        assert ad.lr_schedule(0.0, **self.TRAINER) == pytest.approx(0.01)
 
     def test_end_value(self):
-        assert ad.lr_schedule(1.0) == pytest.approx(0.01 / 11 ** 0.75, rel=1e-12)
-        assert ad.lr_schedule(1.0) == pytest.approx(0.0016557, rel=1e-4)
+        assert ad.lr_schedule(1.0, **self.TRAINER) == pytest.approx(0.01 / 11 ** 0.75, rel=1e-12)
+        assert ad.lr_schedule(1.0, **self.TRAINER) == pytest.approx(0.0016557, rel=1e-4)
 
     def test_alpha_zero_is_constant(self):
         for p in (0.0, 0.3, 1.0):
-            assert ad.lr_schedule(p, alpha=0.0) == pytest.approx(0.01)
+            assert ad.lr_schedule(p, **{**self.TRAINER, "alpha": 0.0}) == pytest.approx(0.01)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(UsageError):
-            ad.lr_schedule(1.5)
+            ad.lr_schedule(1.5, **self.TRAINER)
         with pytest.raises(UsageError):
-            ad.lr_schedule(-0.1)
+            ad.lr_schedule(-0.1, **self.TRAINER)
+
+    def test_no_defaults_restate_the_trainers(self):
+        """The trainer's `lr0`, `lr_alpha` and `lr_beta` are the schedule's
+        only constants: each must be passed."""
+        with pytest.raises(TypeError):
+            ad.lr_schedule(0.5)
 
 
 class TestLeadingSliceScatter:

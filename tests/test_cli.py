@@ -71,6 +71,17 @@ class TestGenData:
         counts = json.loads(out[out.index("["): out.index("]") + 1])
         assert sum(counts) == CONFIG["dataset"]["n_s"]
 
+    def test_random_sample_count_below_one_is_refused_when_parsed(self, workdir, capsys):
+        """`search.n_random` belongs to the plan, so every command refuses
+        a count below one, not only a random search."""
+        cfg_path, out = workdir
+        doc = json.loads(cfg_path.read_text())
+        doc["search"]["n_random"] = 0
+        cfg_path.write_text(json.dumps(doc))
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        assert "search.n_random" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_writes_checkpoint_and_metrics(self, workdir):
@@ -283,6 +294,16 @@ class TestSearchEvalCorrelate:
             assert len(calls) == 1
             assert passes == [per_band] * k
         assert predicts == []
+
+    def test_correlate_samples_n_random_configs_without_n(self, trained):
+        cfg_path, out = trained
+        assert run(["correlate", "--config", cfg_path]) == 0
+        n, k = CONFIG["search"]["n_random"], CONFIG["search"]["k"]
+        scatter = (out / "correlate_scatter.csv").read_text().strip().split("\n")
+        summary = (out / "correlate_summary.csv").read_text().strip().split("\n")
+        assert len(scatter) == 1 + k * n
+        assert len(summary) == 1 + k
+        assert [line.split(",")[-1] for line in summary[1:]] == [str(n)] * k
 
     def test_correlate_rejects_n_below_one(self, trained):
         cfg_path, _ = trained
@@ -610,8 +631,7 @@ class TestDefaults:
         exp = cli.parse_experiment(copy.deepcopy(self.REQUIRED))
         assert exp.trainer == TrainerConfig(epochs=2, batch_size=32, seed=3)
         assert exp.trainer.policy == ConfidencePolicy()
-        # An empty budget list, like None, keeps the default ladder.
-        assert exp.plan == SearchPlan(seed=3, budget_ratios=())
+        assert exp.plan == SearchPlan(seed=3)
         assert exp.plan.budgets(exp.arch) == SearchPlan(seed=3).budgets(exp.arch)
         assert exp.dataset_fields["spec"] == ShiftSpec("MIXED", 0.8)
         assert exp.arch == Architecture(input_dim=6, block_max_widths=(16, 24), class_count=3)
@@ -622,7 +642,8 @@ class TestDefaults:
         (ConfidencePolicy, "mode", "general"), (TrainerConfig, "mode", "baseline"),
         (TrainerConfig, "model_batch_size", 4), (TrainerConfig, "w_ent", 0.2),
         (TrainerConfig, "tau", 0.25), (SearchPlan, "k", 4), (SearchPlan, "q", 7),
-        (SearchPlan, "tolerance", 0.05),
+        (SearchPlan, "tolerance", 0.05), (SearchPlan, "budget_ratios", (0.5, 1.0)),
+        (SearchPlan, "n_random", 7),
     ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
     def test_a_left_out_field_reads_its_owners_default(self, monkeypatch, owner, name, value):
         monkeypatch.setattr(owner, name, value)

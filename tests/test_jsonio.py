@@ -114,6 +114,14 @@ def test_field_kinds_take_their_own_values(kind, value, want):
     assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize("path", ["x", "s.x"])
+def test_field_returns_a_none_default(path):
+    """None is a default like any other; only a field given no default is required."""
+    assert jsonio.field({"s": {}}, path, int, None) is None
+    with pytest.raises(ConfigError, match=f"^missing field {path}$"):
+        jsonio.field({"s": {}}, path, int)
+
+
 @pytest.mark.parametrize("text", ['{"seed": 1, "out', "", "[1, 2]", '"text"', "\xff"])
 def test_undecodable_or_non_object_file_is_config_error(tmp_path, text):
     path = tmp_path / "bad.json"

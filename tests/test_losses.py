@@ -102,6 +102,27 @@ class TestTaskLoss:
             parts(fresh_model(), xs, np.full(6, K), xt)
 
 
+class TestOneHotLabels:
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False, True]),
+                                        np.array([], dtype=float)],
+                             ids=["float", "bool", "empty-float"])
+    def test_non_integer_labels_rejected(self, labels):
+        """Float labels would fail as a bare IndexError, and bool labels
+        would index as a mask (two rows for three labels)."""
+        with pytest.raises(UsageError, match="labels must be integers"):
+            losses.one_hot(labels, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_integer_labels_of_any_width_accepted(self, dtype):
+        got = losses.one_hot(np.array([2, 0], dtype=dtype), 3)
+        np.testing.assert_array_equal(got, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+    def test_float_labels_rejected_by_the_step_losses(self, batch):
+        xs, ys, xt = batch
+        with pytest.raises(UsageError, match="labels must be integers"):
+            parts(fresh_model(), xs, ys.astype(float), xt)
+
+
 class TestDomainDiscrimination:
     def test_uniform_joint_head(self, batch):
         model = fresh_model()

@@ -507,8 +507,8 @@ class TestDefaultLadder:
 
 def one_band(bank, ratio, n, target_x, seed=0, tolerance=0.02, **kwargs):
     """`random_bands` over a plan of one budget: that band's scores."""
-    plan = SearchPlan(budget_ratios=(ratio,), tolerance=tolerance, seed=seed)
-    [(got_ratio, scores)] = random_bands(bank, plan, n, target_x, **kwargs)
+    plan = SearchPlan(budget_ratios=(ratio,), tolerance=tolerance, seed=seed, n_random=n)
+    [(got_ratio, scores)] = random_bands(bank, plan, target_x, **kwargs)
     assert got_ratio == ratio
     return scores
 
@@ -556,9 +556,9 @@ class TestRandomSearch:
     @pytest.mark.parametrize("labelled", [False, True])
     def test_bands_sample_each_budget_from_one_stream(self, trained, labelled):
         bank, ds = trained
-        plan = SearchPlan(k=3, tolerance=0.05, seed=6)
+        plan = SearchPlan(k=3, tolerance=0.05, seed=6, n_random=4)
         y = ds.target_labels(evaluation=True) if labelled else None
-        got = list(random_bands(bank, plan, 4, ds.xt, target_y=y))
+        got = list(random_bands(bank, plan, ds.xt, target_y=y))
         rng, full = named_rng(plan.seed, "search"), ARCH.full_config().flops
         want = []
         for r in plan.budgets(ARCH):
@@ -669,6 +669,19 @@ class TestGreedy:
 
     def test_numpy_integer_seed_accepted(self):
         assert SearchPlan(seed=np.int64(3)).seed == 3
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True])
+    def test_bad_random_sample_count_rejected(self, value):
+        """The plan owns random search's per-band count: a count below one,
+        a float or a bool is refused by the config field's name when the
+        plan is built."""
+        with pytest.raises(UsageError, match=r"^search\.n_random: .*n >= 1"):
+            SearchPlan(n_random=value)
+
+    def test_random_sample_count_is_the_last_field(self):
+        """Appended last, so a positional plan keeps its meaning."""
+        assert [f.name for f in dataclasses.fields(SearchPlan)][-1] == "n_random"
+        assert SearchPlan(6, 20, 0, 0.02, None).n_random == SearchPlan.n_random == 100
 
 
 class TestScoringPasses:

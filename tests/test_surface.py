@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import slimadapt
-from slimadapt import trainer
+from slimadapt import search, trainer
 
 MODULES = sorted(f"slimadapt.{m.name}" for m in pkgutil.iter_modules(slimadapt.__path__))
 SOURCES = sorted(Path(slimadapt.__file__).parent.glob("*.py"))
@@ -72,6 +72,15 @@ def test_training_steps_take_exactly_the_step_inputs(name):
     assert list(params) == ["bank", "state", "xs", "ys", "xt", "cfg", "rng_model"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
                for p in params.values())
+
+
+def test_both_searches_take_the_same_parameters():
+    """A `SearchPlan` fully determines either search, so the random bands
+    and the greedy ladder take the same inputs, in the same order."""
+    random, greedy = (inspect.signature(getattr(search, name)).parameters
+                      for name in ("random_bands", "inherited_greedy_search"))
+    assert list(random.items()) == list(greedy.items())
+    assert list(random) == ["bank", "plan", "target_x", "target_y", "head"]
 
 
 def test_cli_import_loads_no_scipy():
