@@ -9,7 +9,9 @@ error, 3 numeric error, 4 IO error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,13 +22,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import DomainDataset, ShiftSpec, load_dataset, make_dataset, save_dataset
 from .errors import ConfigError, NumericError, SearchError, UsageError
 from .jsonio import field, list_of
-from .search import (
-    SearchPlan,
-    config_accuracy,
-    correlation_coefficients,
-    inherited_greedy_search,
-    random_bands,
-)
+from .search import (SearchPlan, config_accuracy, correlation_coefficients,
+                     inherited_greedy_search, random_bands)
 from .slimnet import Architecture
 from .trainer import MODES, ConfidencePolicy, TrainerConfig, deploy_head, init_bank, train
 
@@ -51,69 +48,90 @@ class Experiment:
     plan: SearchPlan
 
 
-def parse_experiment(doc: dict, seed_override: int | None = None,
-                     out_override: str | None = None,
+# Each config key: its JSON reader, the class attribute it sets, and its default:
+# "owner" (that class's own), "required" (none) or the config key it falls back to.
+Setting = namedtuple("Setting", "reader owner attr default", defaults=("owner",))
+CONFIG_FIELDS = {
+    "seed": Setting(int, Experiment, "seed", "required"),
+    "out_dir": Setting(Path, Experiment, "out_dir", "required"),
+    "dataset.kind": Setting(str, ShiftSpec, "kind", "required"),
+    "dataset.magnitude": Setting(float, ShiftSpec, "magnitude", "required"),
+    "dataset.noise_std": Setting(float, ShiftSpec, "noise_std"),
+    "dataset.K": Setting(int, DomainDataset, "K", "required"),
+    "dataset.d": Setting(int, DomainDataset, "d", "required"),
+    "dataset.n_s": Setting(int, DomainDataset, "n_s", "required"),
+    "dataset.n_t": Setting(int, DomainDataset, "n_t", "required"),
+    "architecture.input_dim": Setting(int, Architecture, "input_dim", "dataset.d"),
+    "architecture.block_max_widths": Setting(list_of(int), Architecture, "block_max_widths", "required"),
+    "architecture.layers_per_block": Setting(int, Architecture, "layers_per_block"),
+    "trainer.mode": Setting(str, TrainerConfig, "mode"),
+    "trainer.epochs": Setting(int, TrainerConfig, "epochs", "required"),
+    "trainer.batch_size": Setting(int, TrainerConfig, "batch_size", "required"),
+    "trainer.model_batch_size": Setting(int, TrainerConfig, "model_batch_size"),
+    "trainer.w_ent": Setting(float, TrainerConfig, "w_ent"),
+    "trainer.tau": Setting(float, TrainerConfig, "tau"),
+    "trainer.lam": Setting(float, ConfidencePolicy, "lam"),
+    "trainer.confidence_s": Setting(float, ConfidencePolicy, "s"),
+    "trainer.confidence_mode": Setting(str, ConfidencePolicy, "mode"),
+    "search.k": Setting(int, SearchPlan, "k"),
+    "search.q": Setting(int, SearchPlan, "q"),
+    "search.tolerance": Setting(float, SearchPlan, "tolerance"),
+    "search.budgets": Setting(list_of(float), SearchPlan, "budget_ratios"),
+    "search.n_random": Setting(int, SearchPlan, "n_random"),
+}
+_TOP_LEVEL = dict.fromkeys(key.partition(".")[0] for key in CONFIG_FIELDS)
+
+
+def _refuse_unknown_keys(doc: dict) -> None:
+    """A top-level or section key that `CONFIG_FIELDS` does not list is a
+    ConfigError naming it and the nearest known name."""
+    for top, value in doc.items():
+        inner = value if top not in CONFIG_FIELDS and isinstance(value, dict) else {}
+        for name, known in [(top, _TOP_LEVEL), *((f"{top}.{k}", CONFIG_FIELDS) for k in inner)]:
+            if name not in known:
+                near = difflib.get_close_matches(name, known, n=1)
+                hint = f" (did you mean {near[0]}?)" if near else ""
+                raise ConfigError(f"unknown field {name}{hint}")
+
+
+def parse_experiment(doc: dict, seed_override: int | None = None, out_override: str | None = None,
                      mode_override: str | None = None) -> Experiment:
-    seed = seed_override if seed_override is not None else field(doc, "seed", int)
+    _refuse_unknown_keys(doc)
+    given = {"seed": seed_override, "out_dir": out_override, "trainer.mode": mode_override}
+    values, kwargs = {}, {s.owner: {} for s in CONFIG_FIELDS.values()}
+    for key, s in CONFIG_FIELDS.items():
+        if given.get(key) is not None:
+            value = s.reader(given[key])
+        elif s.default == "required":
+            value = field(doc, key, s.reader)
+        else:
+            fallback = values[s.default] if s.default in values else getattr(s.owner, s.attr)
+            value = field(doc, key, s.reader, fallback)
+        values[key] = kwargs[s.owner][s.attr] = value
+    seed, d = values["seed"], values["dataset.d"]
     if seed < 0:  # numpy's generators take no negative seed
         name = "--seed" if seed_override is not None else "field seed"
         raise ConfigError(f"{name}: must be >= 0, got {seed}")
-    out_dir = Path(out_override) if out_override is not None else field(doc, "out_dir", Path)
-
-    d = field(doc, "dataset.d", int)
-    if field(doc, "architecture.input_dim", int, d) != d:
+    if values["architecture.input_dim"] != d:
         raise ConfigError(f"field architecture.input_dim: must equal dataset.d = {d} or be left out")
-    dataset_fields = dict(
-        spec=ShiftSpec(kind=field(doc, "dataset.kind", str),
-                       magnitude=field(doc, "dataset.magnitude", float),
-                       noise_std=field(doc, "dataset.noise_std", float, ShiftSpec.noise_std)),
-        K=field(doc, "dataset.K", int),
-        d=d,
-        n_s=field(doc, "dataset.n_s", int),
-        n_t=field(doc, "dataset.n_t", int),
-    )
-
-    arch = Architecture(
-        input_dim=d,
-        block_max_widths=field(doc, "architecture.block_max_widths", list_of(int)),
-        layers_per_block=field(doc, "architecture.layers_per_block", int, Architecture.layers_per_block),
-        class_count=dataset_fields["K"],
-    )
-
-    policy = ConfidencePolicy(lam=field(doc, "trainer.lam", float, ConfidencePolicy.lam),
-                              s=field(doc, "trainer.confidence_s", float, ConfidencePolicy.s),
-                              mode=field(doc, "trainer.confidence_mode", str, ConfidencePolicy.mode))
-    trainer_cfg = TrainerConfig(
-        mode=mode_override or field(doc, "trainer.mode", str, TrainerConfig.mode),
-        epochs=field(doc, "trainer.epochs", int),
-        batch_size=field(doc, "trainer.batch_size", int),
-        model_batch_size=field(doc, "trainer.model_batch_size", int, TrainerConfig.model_batch_size),
-        w_ent=field(doc, "trainer.w_ent", float, TrainerConfig.w_ent),
-        tau=field(doc, "trainer.tau", float, TrainerConfig.tau),
-        policy=policy,
-        seed=seed,
-    )
-    domain = min(dataset_fields["n_s"], dataset_fields["n_t"])
-    if trainer_cfg.batch_size > domain:
+    data = dict(spec=ShiftSpec(**kwargs[ShiftSpec]), **kwargs[DomainDataset])
+    arch = Architecture(class_count=data["K"], **kwargs[Architecture])
+    trainer_cfg = TrainerConfig(policy=ConfidencePolicy(**kwargs[ConfidencePolicy]), seed=seed,
+                                **kwargs[TrainerConfig])
+    if trainer_cfg.batch_size > (domain := min(data["n_s"], data["n_t"])):
         raise ConfigError(f"field trainer.batch_size: must be at most min(dataset.n_s, "
                           f"dataset.n_t) = {domain}, got {trainer_cfg.batch_size}")
-
-    plan = SearchPlan(
-        k=field(doc, "search.k", int, SearchPlan.k),
-        q=field(doc, "search.q", int, SearchPlan.q),
-        seed=seed,
-        tolerance=field(doc, "search.tolerance", float, SearchPlan.tolerance),
-        budget_ratios=field(doc, "search.budgets", list_of(float), SearchPlan.budget_ratios),
-        n_random=field(doc, "search.n_random", int, SearchPlan.n_random),
-    )
-    return Experiment(seed=seed, out_dir=out_dir, dataset_fields=dataset_fields, arch=arch,
-                      trainer=trainer_cfg, plan=plan)
+    plan = SearchPlan(seed=seed, **kwargs[SearchPlan])
+    try:  # the default ladder is always legal and is not built here
+        if plan.budget_ratios:
+            plan.budgets(arch)
+    except UsageError as exc:
+        raise ConfigError(f"field search.budgets: {exc}") from exc
+    return Experiment(dataset_fields=data, arch=arch, trainer=trainer_cfg, plan=plan, **kwargs[Experiment])
 
 
 def _load_experiment(args) -> Experiment:
-    doc = jsonio.load(args.config)
-    return parse_experiment(doc, seed_override=args.seed, out_override=args.out,
-                            mode_override=getattr(args, "mode", None))
+    return parse_experiment(jsonio.load(args.config), args.seed, args.out, getattr(args, "mode", None))
 
 
 def _f(x, digits=6) -> str:
@@ -279,38 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "domain-adaptive model banks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen-data", help="generate the paired-domain dataset file")
-    common(p)
-    p.set_defaults(fn=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the model bank and write a checkpoint")
-    common(p)
+    command("gen-data", cmd_gen_data, "generate the paired-domain dataset file")
+    p = command("train", cmd_train, "train the model bank and write a checkpoint")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("search", help="architecture search under FLOPs budgets")
-    common(p)
+    p = command("search", cmd_search, "architecture search under FLOPs budgets")
     p.add_argument("--strategy", choices=("greedy", "random"), default="greedy")
     p.add_argument("--budgets", default=None, help="comma-separated FLOPs ratios")
     p.add_argument("--reveal-labels", action="store_true",
                    help="add a true-accuracy column (evaluation only)")
-    p.set_defaults(fn=cmd_search)
-
-    p = sub.add_parser("correlate", help="score-vs-accuracy correlation per budget band")
-    common(p)
+    p = command("correlate", cmd_correlate, "score-vs-accuracy correlation per budget band")
     p.add_argument("--n", type=int, help="configs per budget band (default: search.n_random)")
-    p.set_defaults(fn=cmd_correlate)
-
-    p = sub.add_parser("eval", help="per-width target accuracy report")
-    common(p)
+    p = command("eval", cmd_eval, "per-width target accuracy report")
     p.add_argument("--widths", default=None,
                    help="semicolon-separated width configs, e.g. '8,16,32,64;4,8,16,32'")
-    p.set_defaults(fn=cmd_eval)
     return parser
 
 

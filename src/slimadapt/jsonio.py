@@ -63,8 +63,9 @@ def field(doc: dict, path: str, kind, default=_REQUIRED):
     """Field `path` ("section.name" or "name") of `doc` read through `kind`,
     required unless a `default`, None included, is given.  A missing field,
     a non-object section, a rejected value or a non-finite float is a
-    ConfigError naming it.  `int` and `float` are strict: an int field
-    refuses a bool, a float and a string, a float field a bool and a string."""
+    ConfigError naming it.  `int`, `float` and `str` are strict: an int
+    field refuses a bool, a float and a string, a float field a bool and a
+    string, and a str field anything but a string."""
     section, _, name = path.rpartition(".")
     doc = doc.get(section, {}) if section else doc
     if not isinstance(doc, dict):
@@ -75,10 +76,8 @@ def field(doc: dict, path: str, kind, default=_REQUIRED):
         return default
     try:
         value = _read(kind, doc[name])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"field {path}: {exc}") from exc
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"field {path}: {value} is not finite")
     return value
 
 
@@ -93,12 +92,18 @@ def list_of(kind):
     return read
 
 
+_STRICT = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
 def _read(kind, value):
-    """`kind(value)`, except that `int` takes only an int and `float` only
-    an int or a float (never a bool, which JSON's `true` loads as)."""
-    if kind in (int, float):
-        allowed = int if kind is int else (int, float)
+    """`kind(value)`, except that `int` takes only an int, `float` only a
+    finite int or float and `str` only a string (never a bool, which JSON's
+    `true` loads as, nor a list or null read as its text)."""
+    if kind in _STRICT:
+        allowed, noun = _STRICT[kind]
         if isinstance(value, bool) or not isinstance(value, allowed):
-            noun = "an integer" if kind is int else "a number"
             raise TypeError(f"expected {noun}, got {type(value).__name__} {value!r}")
-    return kind(value)
+    value = kind(value)
+    if kind is float and not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value

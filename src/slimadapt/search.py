@@ -400,10 +400,18 @@ def correlation_coefficients(deltas, accs) -> tuple[float, float] | None:
     """(Pearson, Spearman) between scores and accuracies, or None when the
     correlation is undefined: zero range in the scores or the accuracies."""
     deltas, accs = np.asarray(deltas, dtype=float), np.asarray(accs, dtype=float)
-    if np.ptp(deltas) == 0 or np.ptp(accs) == 0:
+    spearman = _spearman(deltas, accs)
+    return None if spearman is None else (float(_pearson(deltas, accs)), spearman)
+
+
+def _spearman(x, y) -> float | None:
+    """Spearman's rho, equal to scipy's `spearmanr` statistic, or None when
+    x or y has zero range and the correlation is undefined."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
         return None
-    ranks = np.column_stack((_average_ranks(deltas), _average_ranks(accs)))
-    return float(_pearson(deltas, accs)), float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -438,8 +446,8 @@ def monotonicity_probe(bank: ParamStore, target_x: np.ndarray, target_y: np.ndar
         raise UsageError(f"monotonicity probe needs n >= 3, got {n}")
     configs = sample_configs_spanning(rng, bank.arch, n)
     accs = [config_accuracy(bank, c, target_x, target_y, head=head) for c in configs]
-    coefficients = correlation_coefficients([c.flops for c in configs], accs)
-    if coefficients is None:
+    spearman = _spearman([c.flops for c in configs], accs)
+    if spearman is None:
         raise UsageError("monotonicity probe undefined: zero variance")
-    return coefficients[1]
+    return spearman
 

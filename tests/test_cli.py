@@ -44,6 +44,11 @@ def workdir(tmp_path):
     return cfg_path, out
 
 
+REQUIRED_KEYS = [key for key, s in cli.CONFIG_FIELDS.items() if s.default == "required"]
+OWNER_DEFAULT_KEYS = [key for key, s in cli.CONFIG_FIELDS.items() if s.default == "owner"]
+FLOAT_KEYS = [key for key, s in cli.CONFIG_FIELDS.items() if s.reader is float] + ["search.budgets"]
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 
@@ -471,16 +476,18 @@ class TestMalformedInput:
         assert run(["search", "--budgets", "0.5,nan", "--config", cfg_path]) == 2
         assert "budget ratios" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,name", [("trainer", "tau"), ("dataset", "noise_std")])
-    def test_non_finite_config_number_is_named(self, workdir, capsys, section, name):
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_config_number_is_named(self, workdir, capsys, key):
+        """Every number key of the schema, and each item of `search.budgets`."""
         cfg_path, _ = workdir
         doc = json.loads(cfg_path.read_text())
-        doc[section][name] = float("nan")
+        section, _, name = key.rpartition(".")
+        nan = float("nan")
+        (doc[section] if section else doc)[name] = [0.5, nan] if key == "search.budgets" else nan
         cfg_path.write_text(json.dumps(doc))  # the stdlib reader accepts its NaN token
         capsys.readouterr()
         assert run(["gen-data", "--config", cfg_path]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: field {section}.{name}") and "not finite" in err
+        assert capsys.readouterr().err == f"error: field {key}: nan is not finite\n"
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "search", "correlate", "eval"])
     def test_input_dim_other_than_dataset_d_is_named(self, workdir, capsys, command):
@@ -636,22 +643,128 @@ class TestDefaults:
         assert exp.dataset_fields["spec"] == ShiftSpec("MIXED", 0.8)
         assert exp.arch == Architecture(input_dim=6, block_max_widths=(16, 24), class_count=3)
 
-    @pytest.mark.parametrize("owner, name, value", [
-        (ShiftSpec, "noise_std", 2.0), (Architecture, "layers_per_block", 2),
-        (ConfidencePolicy, "lam", 0.25), (ConfidencePolicy, "s", 1.0),
-        (ConfidencePolicy, "mode", "general"), (TrainerConfig, "mode", "baseline"),
-        (TrainerConfig, "model_batch_size", 4), (TrainerConfig, "w_ent", 0.2),
-        (TrainerConfig, "tau", 0.25), (SearchPlan, "k", 4), (SearchPlan, "q", 7),
-        (SearchPlan, "tolerance", 0.05), (SearchPlan, "budget_ratios", (0.5, 1.0)),
-        (SearchPlan, "n_random", 7),
-    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
-    def test_a_left_out_field_reads_its_owners_default(self, monkeypatch, owner, name, value):
-        monkeypatch.setattr(owner, name, value)
+    # A legal value other than the owner's default, for each key that
+    # takes its owner's default when left out.
+    OTHER_VALUES = {"dataset.noise_std": 2.0, "architecture.layers_per_block": 2,
+                    "trainer.mode": "baseline", "trainer.model_batch_size": 4,
+                    "trainer.w_ent": 0.2, "trainer.tau": 0.25, "trainer.lam": 0.25,
+                    "trainer.confidence_s": 1.0, "trainer.confidence_mode": "general",
+                    "search.k": 4, "search.q": 7, "search.tolerance": 0.05,
+                    "search.budgets": (0.5, 1.0), "search.n_random": 7}
+
+    def test_the_required_keys_are_the_tables(self):
+        sections = {top: value for top, value in self.REQUIRED.items() if isinstance(value, dict)}
+        keys = [top for top in self.REQUIRED if top not in sections]
+        keys += [f"{top}.{key}" for top, names in sections.items() for key in names]
+        assert sorted(keys) == sorted(REQUIRED_KEYS)
+
+    @pytest.mark.parametrize("key", OWNER_DEFAULT_KEYS)
+    def test_a_left_out_field_reads_its_owners_default(self, monkeypatch, key):
+        owner, name = cli.CONFIG_FIELDS[key].owner, cli.CONFIG_FIELDS[key].attr
+        monkeypatch.setattr(owner, name, self.OTHER_VALUES[key])
         exp = cli.parse_experiment(copy.deepcopy(self.REQUIRED))
         built = {ShiftSpec: exp.dataset_fields["spec"], Architecture: exp.arch,
                  ConfidencePolicy: exp.trainer.policy, TrainerConfig: exp.trainer,
                  SearchPlan: exp.plan}
-        assert getattr(built[owner], name) == value
+        assert getattr(built[owner], name) == self.OTHER_VALUES[key]
+
+    @pytest.mark.parametrize("key", REQUIRED_KEYS)
+    def test_a_left_out_required_field_is_named(self, tmp_path, capsys, key):
+        doc = copy.deepcopy(self.REQUIRED)
+        section, _, name = key.rpartition(".")
+        del (doc[section] if section else doc)[name]
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["gen-data", "--config", p]) == 2
+        assert capsys.readouterr().err == f"error: missing field {key}\n"
+
+
+class TestConfigSchema:
+    """`cli.CONFIG_FIELDS` is the one declared schema: every key it lists
+    is read strictly, and every key or section it does not list is
+    refused, by every command, before anything is read or written."""
+
+    @staticmethod
+    def config(tmp_path, key, value):
+        """The test config, writing into tmp_path/run, with the dotted
+        `key` set to `value`; the path of its file."""
+        doc = dict(copy.deepcopy(CONFIG), out_dir=str(tmp_path / "run"))
+        section, _, name = key.rpartition(".")
+        (doc[section] if section else doc)[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("value", [None, True, {}], ids=["null", "true", "object"])
+    @pytest.mark.parametrize("key", list(cli.CONFIG_FIELDS))
+    def test_a_value_of_the_wrong_json_type_is_named(self, tmp_path, capsys, key, value):
+        """No key reads null, a bool or an object: `"trainer.mode": null`
+        is not the mode "None", and `"out_dir": true` is not a path."""
+        capsys.readouterr()
+        assert run(["gen-data", "--config", self.config(tmp_path, key, value)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: field {key}: expected ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "search", "correlate", "eval"])
+    @pytest.mark.parametrize("key,value,near", [
+        ("dataset.noise_sdt", 1.0, "dataset.noise_std"),
+        ("architecture.layer_per_block", 2, "architecture.layers_per_block"),
+        ("trainer.tua", 0.25, "trainer.tau"),
+        ("search.n_radnom", 7, "search.n_random"),
+        ("serach", {"k": 3}, "search"),
+        ("ouput_dir", "elsewhere", "out_dir"),
+    ], ids=["dataset", "architecture", "trainer", "search", "section", "top-level"])
+    def test_a_misspelt_key_is_named_by_every_command(self, tmp_path, capsys, command, key, value,
+                                                      near):
+        capsys.readouterr()
+        assert run([command, "--config", self.config(tmp_path, key, value)]) == 2
+        assert capsys.readouterr().err == f"error: unknown field {key} (did you mean {near}?)\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [("trainer.learning_rate", 0.1), ("search.seed", 4),
+                                           ("dataset.dataset", {})],
+                             ids=["unknown", "top-level-key-in-a-section", "section-in-a-section"])
+    def test_a_key_the_table_does_not_list_is_named(self, tmp_path, capsys, key, value):
+        capsys.readouterr()
+        assert run(["gen-data", "--config", self.config(tmp_path, key, value)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown field {key}")
+
+    def test_a_dotted_key_at_the_top_level_is_not_read_as_a_section_key(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CONFIG, "out_dir": str(tmp_path / "run"), "trainer.tau": 0.25}))
+        capsys.readouterr()
+        assert run(["gen-data", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown field trainer.tau")
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("budgets,message", [
+        ([0.9, 0.5], "budget ratios must be strictly increasing"),
+        ([0.5, 1.5], "budget ratios must lie in ("),
+    ], ids=["decreasing", "above-full"])
+    def test_a_bad_budget_ladder_is_refused_when_parsed(self, tmp_path, capsys, command, budgets,
+                                                        message):
+        """Every command refuses a ladder `search` would refuse, before a
+        dataset is written or a bank trained."""
+        capsys.readouterr()
+        assert run([command, "--config", self.config(tmp_path, "search.budgets", budgets)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: field search.budgets: {message}")
+        assert not (tmp_path / "run").exists()
+
+    def test_every_config_key_is_documented_once_in_the_readme(self):
+        """The README's config reference lists the table's keys in its
+        order, with the attribute each sets and its default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        reference = readme[readme.index("### Config reference"):]
+        table = next(chunk for chunk in reference.split("\n\n") if chunk.startswith("| Key |"))
+        rows = [line.split(" | ") for line in table.splitlines()[2:]]
+        assert [row[0].strip("| `") for row in rows] == list(cli.CONFIG_FIELDS)
+        for (key, _type, sets, default, *_), s in zip(rows, cli.CONFIG_FIELDS.values()):
+            assert sets == f"`{s.owner.__name__}.{s.attr}`", key
+            if s.default == "owner":
+                assert default == f"`{json.dumps(getattr(s.owner, s.attr))}`", key
+            else:
+                assert default == ("required" if s.default == "required" else f"`{s.default}`"), key
 
 
 class TestGreedyLadderSkips:

@@ -106,6 +106,43 @@ def test_field_kinds_are_strict(kind, value):
         jsonio.field({"s": {"x": value}}, "s.x", kind)
 
 
+@pytest.mark.parametrize("value,got", [(["MIXED"], "list"), (None, "NoneType"), (3, "int"),
+                                       (0.5, "float"), (True, "bool"), ({}, "dict")])
+def test_a_str_field_refuses_a_non_string(value, got):
+    """A str field is strict as well: ["MIXED"] is not read as the text
+    "['MIXED']", nor null as "None"."""
+    with pytest.raises(ConfigError, match=f"^field dataset.kind: expected a string, got {got}"):
+        jsonio.field({"dataset": {"kind": value}}, "dataset.kind", str)
+
+
+def test_a_checkpoint_mode_that_is_not_a_string_is_named(tmp_path):
+    arch = Architecture(input_dim=5, block_max_widths=(8, 12), layers_per_block=1, class_count=3)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, init_bank(arch, 0), seed=0, step=0, mode="slimda")
+    doc = jsonio.load(path)
+    doc["mode"] = None
+    jsonio.dump_exact(doc, path)
+    with pytest.raises(ConfigError, match="^field mode: expected a string, got NoneType"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind,value", [(float, 10 ** 400), (jsonio.list_of(float), [0.5, 10 ** 400])],
+                         ids=["float", "float-list"])
+def test_an_integer_too_large_for_a_float_is_named(kind, value):
+    """JSON holds integers of any length; one past float64's range is a
+    ConfigError, not an OverflowError out of the reader."""
+    with pytest.raises(ConfigError, match="^field s.x: int too large to convert to float"):
+        jsonio.field({"s": {"x": value}}, "s.x", kind)
+
+
+@pytest.mark.parametrize("kind,value", [(float, float("nan")), (float, float("-inf")),
+                                        (jsonio.list_of(float), [0.5, float("nan")])],
+                         ids=["nan", "minus-inf", "nan-in-a-list"])
+def test_a_non_finite_number_is_named(kind, value):
+    with pytest.raises(ConfigError, match=r"^field s.x: (nan|-inf) is not finite$"):
+        jsonio.field({"s": {"x": value}}, "s.x", kind)
+
+
 @pytest.mark.parametrize("kind,value,want", [(int, 3, 3), (float, 3, 3.0), (float, 0.25, 0.25),
                                              (jsonio.list_of(float), [1, 0.5], (1.0, 0.5))],
                          ids=["int", "float-from-int", "float", "float-list"])

@@ -800,6 +800,26 @@ class TestCorrelationTools:
             assert got == (stats.pearsonr(deltas, accs).statistic,
                            stats.spearmanr(deltas, accs).statistic)
 
+    def test_spearman_equals_scipy(self):
+        from scipy import stats
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 17, 60):
+            x, y = rng.uniform(0, 1, n), np.round(rng.uniform(0, 1, n), 1)  # ties in y
+            assert search._spearman(x, y) == stats.spearmanr(x, y).statistic
+        assert search._spearman(np.ones(4), np.arange(4.0)) is None
+
+    def test_monotonicity_probe_computes_spearman_only(self, trained, monkeypatch):
+        """The probe reports Spearman's rho alone; it computes no Pearson
+        coefficient, and its rho is scipy's over the same configs."""
+        from scipy import stats
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        configs = sample_configs_spanning(np.random.default_rng(2), bank.arch, 12)
+        accs = [config_accuracy(bank, c, ds.xt, yt) for c in configs]
+        monkeypatch.setattr(search, "_pearson", lambda *a: pytest.fail("computed Pearson"))
+        rho = monotonicity_probe(bank, ds.xt, yt, 12, np.random.default_rng(2))
+        assert rho == stats.spearmanr([c.flops for c in configs], accs).statistic
+
     def test_monotonicity_probe_needs_three(self, trained):
         bank, ds = trained
         with pytest.raises(UsageError):
