@@ -36,7 +36,6 @@ from .search import (
     config_accuracy,
     correlate,
     inherited_greedy_search,
-    monotonicity_probe,
     random_bands,
 )
 from .seeding import named_rng

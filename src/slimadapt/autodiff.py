@@ -485,7 +485,7 @@ class SgdState:
     """SGD-with-momentum state: v <- mu*v + g ; p <- p - lr*v."""
 
     lr: float
-    momentum: float = 0.9
+    momentum: float
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -115,6 +115,8 @@ def parse_experiment(doc: dict, seed_override: int | None = None, out_override: 
     if values["architecture.input_dim"] != d:
         raise ConfigError(f"field architecture.input_dim: must equal dataset.d = {d} or be left out")
     data = dict(spec=ShiftSpec(**kwargs[ShiftSpec]), **kwargs[DomainDataset])
+    if data["K"] < 2:  # named here: Architecture would name its class_count
+        raise ConfigError(f"field dataset.K: must be >= 2, got {data['K']}")
     arch = Architecture(class_count=data["K"], **kwargs[Architecture])
     trainer_cfg = TrainerConfig(policy=ConfidencePolicy(**kwargs[ConfidencePolicy]), seed=seed,
                                 **kwargs[TrainerConfig])
@@ -122,10 +124,11 @@ def parse_experiment(doc: dict, seed_override: int | None = None, out_override: 
         raise ConfigError(f"field trainer.batch_size: must be at most min(dataset.n_s, "
                           f"dataset.n_t) = {domain}, got {trainer_cfg.batch_size}")
     plan = SearchPlan(seed=seed, **kwargs[SearchPlan])
-    try:  # the default ladder is always legal and is not built here
-        if plan.budget_ratios:
-            plan.budgets(arch)
+    try:  # every command refuses a ladder that `search` would refuse
+        plan.budgets(arch)
     except UsageError as exc:
+        if not plan.budget_ratios:  # a search.k above the FLOPs levels, named by SearchPlan
+            raise
         raise ConfigError(f"field search.budgets: {exc}") from exc
     return Experiment(dataset_fields=data, arch=arch, trainer=trainer_cfg, plan=plan, **kwargs[Experiment])
 

@@ -84,7 +84,7 @@ class DcGradTargets:
 
 
 def domain_confusion_targets(routed_s: tuple, routed_t: tuple, ys: np.ndarray,
-                             w_ent: float = 0.1) -> DcGradTargets:
+                             w_ent: float) -> DcGradTargets:
     """Both routed loss roles of one model's confusion losses, from its
     `routed_probs` records of the source batch (`routed_s`, labels `ys`)
     and the target batch (`routed_t`); K is the width of their "s" head."""

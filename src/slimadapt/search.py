@@ -54,7 +54,6 @@ __all__ = [
     "random_bands",
     "inherited_greedy_search",
     "correlate",
-    "monotonicity_probe",
     "linear_budget_ladder",
 ]
 
@@ -80,8 +79,12 @@ class SearchStep:
 
 @dataclass(frozen=True)
 class CorrelationReport:
+    """Pearson and Spearman between scores and accuracies, and Spearman
+    between FLOPs and accuracies (None when either has zero range)."""
+
     pearson: float
     spearman: float
+    capacity_spearman: float | None
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ class SearchPlan:
     config can land in the lowest geometric rung's band (the slimmest
     model is too large for it, or its cheapest one-channel step jumps past
     it), the FLOPs gap between the slimmest and the full model is divided
-    into k equal increments instead.  An explicit `budget_ratios` list
+    into k equal increments instead.  FLOPs are even integers, so neither
+    ladder takes a k above the (full - slimmest) / 2 + 1 FLOPs levels of
+    the architecture.  An explicit `budget_ratios` list
     (fractions of full FLOPs, strictly increasing) overrides both; an
     empty one does not.  `tolerance`, each band's half-width over its budget, is in [0, 1).
     """
@@ -118,9 +123,9 @@ class SearchPlan:
         _check_tolerance(self.tolerance)
 
     def budgets(self, arch: Architecture) -> list[float]:
-        full = arch.full_config().flops
-        lo = arch.smallest_config().flops / full
+        full, slimmest = arch.full_config().flops, arch.smallest_config().flops
         if self.budget_ratios:
+            lo = slimmest / full
             ratios = [float(r) for r in self.budget_ratios]
             # Written so that a NaN ratio fails each check.
             if not all(a < b for a, b in zip(ratios, ratios[1:])):
@@ -128,6 +133,10 @@ class SearchPlan:
             if not (lo < ratios[0] and ratios[-1] <= 1.0 + 1e-12):
                 raise UsageError(f"budget ratios must lie in ({lo:.4f}, 1]")
             return ratios
+        levels = int(full - slimmest) // 2 + 1  # FLOPs are even integers
+        if self.k > levels:
+            raise UsageError(f"search.k: need k <= {levels}, the FLOPs levels of this "
+                             f"architecture, got {self.k}")
         geometric = [2.0 ** -(self.k - 1 - i) for i in range(self.k)]
         if _may_land_in_band(arch, geometric[0] * full, self.tolerance):
             return geometric
@@ -378,7 +387,9 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
 def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndarray,
               head: str = "a") -> CorrelationReport:
     """Pearson and Spearman correlation between anchor discrepancies and
-    true target accuracies over a set of configurations (evaluation only).
+    true target accuracies over a set of configurations (evaluation only),
+    and Spearman's rho between FLOPs and the same accuracies, which checks
+    the anchor's assumption that capacity buys accuracy.
 
     Each distinct config is recalibrated once (`anchor_discrepancy` with
     labels), and that one model gives both its discrepancy and its accuracy.
@@ -393,7 +404,8 @@ def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndar
     if coefficients is None:
         raise UsageError("correlation undefined: zero variance in scores or accuracies")
     pearson, spearman = coefficients
-    return CorrelationReport(pearson=pearson, spearman=spearman)
+    return CorrelationReport(pearson=pearson, spearman=spearman,
+                             capacity_spearman=_spearman([c.flops for c in configs], accs))
 
 
 def correlation_coefficients(deltas, accs) -> tuple[float, float] | None:
@@ -436,18 +448,3 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     if np.isnan(ordered[-1]):
         return np.full(len(v), np.nan)
     return (np.searchsorted(ordered, v, "left") + np.searchsorted(ordered, v, "right") + 1) / 2
-
-
-def monotonicity_probe(bank: ParamStore, target_x: np.ndarray, target_y: np.ndarray,
-                       n: int, rng: np.random.Generator, head: str = "a") -> float:
-    """Spearman rank correlation between FLOPs and true target accuracy
-    over n spanning configurations (checks that capacity buys accuracy)."""
-    if not is_int_at_least(n, 3):
-        raise UsageError(f"monotonicity probe needs n >= 3, got {n}")
-    configs = sample_configs_spanning(rng, bank.arch, n)
-    accs = [config_accuracy(bank, c, target_x, target_y, head=head) for c in configs]
-    spearman = _spearman([c.flops for c in configs], accs)
-    if spearman is None:
-        raise UsageError("monotonicity probe undefined: zero variance")
-    return spearman
-

@@ -103,7 +103,7 @@ class Architecture:
             if not is_int_at_least(value := getattr(self, name), minimum):
                 raise ConfigError(f"{name} must be >= {minimum}, got {value!r}; integers only")
         if not self.block_max_widths or any(w < 1 for w in self.block_max_widths):
-            raise ConfigError(f"block widths must all be >= 1, got {self.block_max_widths}")
+            raise ConfigError(f"block_max_widths must all be >= 1, got {self.block_max_widths}")
 
     @property
     def n_blocks(self) -> int:

@@ -107,11 +107,9 @@ class TrainerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for label, value, minimum in (("epochs", self.epochs, 0), ("batch_size", self.batch_size, 2),
-                                      ("model batch size", self.model_batch_size, 2),
-                                      ("seed", self.seed, 0)):
-            if not is_int_at_least(value, minimum):
-                raise ConfigError(f"{label} must be >= {minimum}, got {value!r}; integers only")
+        for name, minimum in (("epochs", 0), ("batch_size", 2), ("model_batch_size", 2), ("seed", 0)):
+            if not is_int_at_least(value := getattr(self, name), minimum):
+                raise ConfigError(f"{name} must be >= {minimum}, got {value!r}; integers only")
         if not self.tau > 0:  # written so that NaN fails it
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not 0 <= self.w_ent < np.inf:

@@ -1,10 +1,13 @@
 """SHA-256 digests of the bit-identity set, one line per item.
 
-    PYTHONPATH=src:. python tests/same_numbers.py
+    PYTHONPATH=src:. python tests/same_numbers.py > head.txt
+    PYTHONPATH=src:. python tests/same_numbers.py --compare base.txt head.txt
 
 A change that claims "same numbers, bit for bit" prints the same lines as
-its parent; run this script on both checkouts and diff the outputs.  The
-set is:
+its parent.  Run each checkout's own script on its own src/, then compare
+the two outputs with `--compare`: it reports changed, added and removed
+names, and exits 1 when a common line changed that `MOVED` does not
+declare, or when `MOVED` names a line that did not change.  The set is:
 
   params    every parameter after 32 steps of each training mode at
             `DEFAULT_TASK` (blocks 32-256, m=10, batch 128, seed 1), each
@@ -50,6 +53,9 @@ STEPS = 32
 SEARCH_SEEDS = range(1, 11)
 CLI_SEEDS = (1, 4)
 RANDOM_N = 20
+# The names of the lines this change moves on purpose; every other common
+# line must keep its digest.  Empty for a change that keeps every number.
+MOVED: tuple[str, ...] = ()
 # (argv before --config, the files it writes)
 CLI_COMMANDS = (
     (["gen-data"], (cli.DATASET_FILE,)),
@@ -128,7 +134,36 @@ def cli_digests(work_dir: Path):
                 yield f"cli.seed{seed}.{name}.{filename}", _digest(_masked(out / filename))
 
 
-def main() -> int:
+def _read_digests(path) -> dict[str, str]:
+    return dict(line.split() for line in Path(path).read_text(encoding="utf-8").splitlines()
+                if line.strip())
+
+
+def compare(base: dict[str, str], head: dict[str, str], moved=MOVED) -> tuple[list[str], bool]:
+    """The report of `head`'s digests against `base`'s, matched by name,
+    and whether it passes: no common line changed unless `moved` declares
+    it, and every name in `moved` is a common line that changed."""
+    changed = [name for name in base if name in head and base[name] != head[name]]
+    undeclared = [name for name in changed if name not in moved]
+    unmoved = [name for name in moved if name not in changed]
+    common = sum(name in head for name in base)
+    report = [f"{common} common lines, {len(changed)} changed ({len(changed) - len(undeclared)} "
+              f"declared in MOVED)"]
+    report += [f"changed  {name}{'' if name in moved else '  (not in MOVED)'}" for name in changed]
+    report += [f"added    {name}" for name in head if name not in base]
+    report += [f"removed  {name}" for name in base if name not in head]
+    report += [f"unmoved  {name}  (in MOVED, but its line did not change)" for name in unmoved]
+    return report, not undeclared and not unmoved
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        report, ok = compare(_read_digests(argv[1]), _read_digests(argv[2]))
+        print("\n".join(report))
+        return 0 if ok else 1
+    if argv:
+        raise SystemExit("usage: same_numbers.py [--compare BASE_FILE HEAD_FILE]")
     with tempfile.TemporaryDirectory() as tmp:
         for items in (params_digests(), search_digests(), cli_digests(Path(tmp))):
             for name, digest in items:

@@ -432,7 +432,7 @@ class TestSgd:
     def test_missing_gradient_is_usage_error(self):
         p = ad.Tensor([1.0], requires_grad=True, name="p")
         with pytest.raises(UsageError):
-            ad.sgd_step({"p": p}, {}, ad.SgdState(lr=0.1))
+            ad.sgd_step({"p": p}, {}, ad.SgdState(lr=0.1, momentum=0.9))
 
     def test_non_finite_update_commits_nothing(self):
         # The last parameter's gradient carries an inf: the step must fail

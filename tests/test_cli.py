@@ -8,6 +8,7 @@ interfaces and reproducibility, not model quality.
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -542,8 +543,13 @@ class TestMalformedInput:
         ("trainer", "batch_size", CONFIG["dataset"]["n_t"] + 1,
          "error: field trainer.batch_size: must be at most min(dataset.n_s, dataset.n_t) = "
          "120, got 121"),
+        ("trainer", "model_batch_size", -1, "error: model_batch_size must be >= 2, got -1"),
+        ("dataset", "K", 0, "error: field dataset.K: must be >= 2, got 0\n"),
+        ("architecture", "block_max_widths", [0, 6],
+         "error: block_max_widths must all be >= 1, got (0, 6)"),
     ], ids=["epochs-float", "seed-bool", "K-string", "tau-string", "epochs-negative",
-            "batch_size-zero", "batch_size-one", "batch_size-negative", "batch_size-above-n_t"])
+            "batch_size-zero", "batch_size-one", "batch_size-negative", "batch_size-above-n_t",
+            "model_batch_size-negative", "K-zero", "block_max_widths-zero"])
     def test_mistyped_or_negative_number_is_named(self, workdir, capsys, section, name, value,
                                                   message):
         """No config number is truncated or coerced: 1.5 is not 1 epoch,
@@ -751,6 +757,15 @@ class TestConfigSchema:
         assert capsys.readouterr().err.startswith(f"error: field search.budgets: {message}")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train", "search"])
+    def test_a_k_no_ladder_can_hold_is_refused_when_parsed(self, tmp_path, capsys, command):
+        """The (16, 24) bank has 526 FLOPs levels; every command refuses a
+        default ladder of more rungs before anything is written."""
+        capsys.readouterr()
+        assert run([command, "--config", self.config(tmp_path, "search.k", 527)]) == 2
+        assert capsys.readouterr().err.startswith("error: search.k: need k <= 526, ")
+        assert not (tmp_path / "run").exists()
+
     def test_every_config_key_is_documented_once_in_the_readme(self):
         """The README's config reference lists the table's keys in its
         order, with the attribute each sets and its default."""
@@ -765,6 +780,63 @@ class TestConfigSchema:
                 assert default == f"`{json.dumps(getattr(s.owner, s.attr))}`", key
             else:
                 assert default == ("required" if s.default == "required" else f"`{s.default}`"), key
+
+
+class TestConfigFuzz:
+    """Every config key, set to each kind of bad value, through `gen-data`:
+    the command either runs (and so do `train` and `search` after it) or
+    exits 2 with one error line that names the key or the attribute it
+    sets.  Huge values are left out: refusing them needs a size policy."""
+
+    TINY = {"seed": 3, "out_dir": "PLACEHOLDER",
+            "dataset": {"kind": "MIXED", "magnitude": 0.8, "noise_std": 1.0,
+                        "K": 3, "d": 6, "n_s": 60, "n_t": 60},
+            "architecture": {"input_dim": 6, "block_max_widths": [4, 6], "layers_per_block": 1},
+            "trainer": {"mode": "slimda", "epochs": 1, "batch_size": 32, "model_batch_size": 3},
+            "search": {"k": 3, "q": 4, "tolerance": 0.05, "n_random": 5}}
+    LISTS = {"architecture.block_max_widths": [4, 6], "search.budgets": [0.5, 1.0]}
+    NUMBERS = {"nan": float("nan"), "inf": float("inf"), "minus-one": -1, "zero": 0}
+    CASES = ["wrong-type", *NUMBERS, "left-out", "misspelt"]
+
+    def config(self, tmp_path, key, case):
+        """TINY writing into tmp_path/run, with `key` bent by `case`; a
+        list key takes a bad number as its first item."""
+        doc = dict(copy.deepcopy(self.TINY), out_dir=str(tmp_path / "run"))
+        section, _, name = key.rpartition(".")
+        table = doc[section] if section else doc
+        reader = cli.CONFIG_FIELDS[key].reader
+        if case == "left-out":
+            table.pop(name, None)
+        elif case == "misspelt":
+            table[name + name[-1]] = table.pop(name, 1)
+        elif case == "wrong-type":
+            table[name] = 1 if reader in (str, Path) else "1"
+        elif key in self.LISTS:
+            table[name] = [self.NUMBERS[case], *self.LISTS[key][1:]]
+        else:
+            table[name] = self.NUMBERS[case]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("key", list(cli.CONFIG_FIELDS))
+    def test_a_bad_value_runs_or_is_refused_by_name(self, tmp_path, monkeypatch, capsys, key,
+                                                     case):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir lands here
+        path = self.config(tmp_path, key, case)
+        capsys.readouterr()
+        code = run(["gen-data", "--config", path])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 2:
+            attr = cli.CONFIG_FIELDS[key].attr
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert key in err or re.search(rf"\b{attr}\b", err), err
+            assert not (tmp_path / "run").exists()
+            return
+        for command in ("train", "search"):
+            assert run([command, "--config", path]) in (0, 2), capsys.readouterr().err
 
 
 class TestGreedyLadderSkips:

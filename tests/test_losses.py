@@ -52,7 +52,7 @@ def routed(model, xs, xt):
 
 def parts(model, xs, ys, xt):
     """The model's confusion-loss parts on one batch."""
-    return losses.domain_confusion_targets(*routed(model, xs, xt), ys).parts
+    return losses.domain_confusion_targets(*routed(model, xs, xt), ys, w_ent=0.1).parts
 
 
 def task_loss(model, batch) -> float:
@@ -215,7 +215,7 @@ class TestRoutingAndParts:
     def test_all_parts_nonnegative(self, batch):
         xs, ys, xt = batch
         for seed in range(5):
-            t = losses.domain_confusion_targets(*routed(fresh_model(seed), xs, xt), ys)
+            t = losses.domain_confusion_targets(*routed(fresh_model(seed), xs, xt), ys, w_ent=0.1)
             p = t.parts
             for v in (p.task_s, p.task_t, p.domain_disc, p.cat_confusion,
                       p.dom_confusion, p.entropy_min):
@@ -224,7 +224,7 @@ class TestRoutingAndParts:
     def test_classifier_loss_never_touches_extractor(self, batch):
         xs, ys, xt = batch
         model = fresh_model(seed=3)
-        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
+        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys, w_ent=0.1)
         grads = ad.gradients(t.classifier_loss, model.store.params)
         assert all(name.startswith("c.") for name in grads)
         assert any(name.startswith("c.s") for name in grads)
@@ -233,15 +233,15 @@ class TestRoutingAndParts:
     def test_extractor_loss_never_touches_classifiers(self, batch):
         xs, ys, xt = batch
         model = fresh_model(seed=4)
-        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
+        t = losses.domain_confusion_targets(*routed(model, xs, xt), ys, w_ent=0.1)
         grads = ad.gradients(t.extractor_loss, model.store.params)
         assert all(name.startswith("f.") for name in grads)
         assert grads, "extractor must receive gradient"
 
     def test_deterministic_for_fixed_inputs(self, batch):
         xs, ys, xt = batch
-        a = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys)
-        b = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys)
+        a = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys, w_ent=0.1)
+        b = losses.domain_confusion_targets(*routed(fresh_model(9), xs, xt), ys, w_ent=0.1)
         assert a.classifier_loss.item() == b.classifier_loss.item()
         assert a.extractor_loss.item() == b.extractor_loss.item()
 
@@ -297,7 +297,7 @@ class TestCrossEntropyTerms:
             model.store[f"c.{h}.w"].data *= scale
         xs, xt = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))
         ys = rng.integers(0, k, size=rows)
-        got = losses.domain_confusion_targets(*routed(model, xs, xt), ys)
+        got = losses.domain_confusion_targets(*routed(model, xs, xt), ys, w_ent=0.1)
         cls_ref, ext_ref, parts_ref = mask_and_sum_targets(*routed(model, xs, xt), ys)
         for loss, ref in ((got.classifier_loss, cls_ref), (got.extractor_loss, ext_ref)):
             grads = ad.gradients(loss, model.store.params)

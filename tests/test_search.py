@@ -27,7 +27,6 @@ from slimadapt.search import (
     discrepancy_between,
     inherited_greedy_search,
     linear_budget_ladder,
-    monotonicity_probe,
     random_bands,
     recalibrated,
     sample_config_at_budget,
@@ -498,6 +497,17 @@ class TestDefaultLadder:
                             layers_per_block=layers_per_block, class_count=DEFAULT_TASK["K"])
         assert SearchPlan().budgets(arch) == GEOMETRIC
 
+    def test_a_k_above_the_flops_levels_is_refused_by_name(self):
+        """FLOPs are even integers, so no ladder on ARCH holds more than
+        (full - slimmest) / 2 + 1 = 526 distinct rungs; the default ladder
+        refuses a larger k, and an explicit one does not read k."""
+        levels = int(ARCH.full_config().flops - ARCH.smallest_config().flops) // 2 + 1
+        assert levels == 526
+        assert len(SearchPlan(k=levels).budgets(ARCH)) == levels
+        with pytest.raises(UsageError, match=r"^search\.k: need k <= 526, .* got 527$"):
+            SearchPlan(k=levels + 1).budgets(ARCH)
+        assert SearchPlan(k=levels + 1, budget_ratios=(0.5, 1.0)).budgets(ARCH) == [0.5, 1.0]
+
     def test_slimmest_config_inside_the_band_keeps_the_geometric_ladder(self):
         arch = Architecture(input_dim=5, block_max_widths=(8,), class_count=3)
         full = arch.full_config().flops
@@ -808,30 +818,23 @@ class TestCorrelationTools:
             assert search._spearman(x, y) == stats.spearmanr(x, y).statistic
         assert search._spearman(np.ones(4), np.arange(4.0)) is None
 
-    def test_monotonicity_probe_computes_spearman_only(self, trained, monkeypatch):
-        """The probe reports Spearman's rho alone; it computes no Pearson
-        coefficient, and its rho is scipy's over the same configs."""
+    def test_capacity_spearman_is_scipys_over_flops_and_accuracy(self, trained):
+        """`correlate` also reports Spearman's rho between the configs'
+        FLOPs and their `config_accuracy`, scipy's statistic bit for bit."""
         from scipy import stats
         bank, ds = trained
         yt = ds.target_labels(evaluation=True)
         configs = sample_configs_spanning(np.random.default_rng(2), bank.arch, 12)
         accs = [config_accuracy(bank, c, ds.xt, yt) for c in configs]
-        monkeypatch.setattr(search, "_pearson", lambda *a: pytest.fail("computed Pearson"))
-        rho = monotonicity_probe(bank, ds.xt, yt, 12, np.random.default_rng(2))
+        rho = correlate(bank, configs, ds.xt, yt).capacity_spearman
         assert rho == stats.spearmanr([c.flops for c in configs], accs).statistic
 
-    def test_monotonicity_probe_needs_three(self, trained):
+    def test_capacity_spearman_is_none_over_configs_of_equal_flops(self, trained):
         bank, ds = trained
-        with pytest.raises(UsageError):
-            monotonicity_probe(bank, ds.xt, np.zeros(len(ds.xt), dtype=int), 2,
-                               np.random.default_rng(0))
-
-    @pytest.mark.parametrize("n", [3.5, 4.0])
-    def test_monotonicity_probe_refuses_a_non_integer_n(self, trained, n):
-        bank, ds = trained
-        with pytest.raises(UsageError, match="n >= 3"):
-            monotonicity_probe(bank, ds.xt, np.zeros(len(ds.xt), dtype=int), n,
-                               np.random.default_rng(0))
+        configs = [ARCH.make_config(w) for w in [(3, 24), (6, 14), (9, 9), (12, 6), (15, 4)]]
+        assert len({c.flops for c in configs}) == 1
+        rep = correlate(bank, configs, ds.xt, ds.target_labels(evaluation=True))
+        assert rep.capacity_spearman is None
 
     def test_spanning_sampler_is_legal_and_wide(self):
         rng = np.random.default_rng(6)

@@ -224,7 +224,7 @@ class TestStepRouting:
         bank = init_bank(ARCH, 6)
         cfg = TrainerConfig(model_batch_size=4, epochs=1)
         xs, ys, xt = small_batch(7)
-        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(0, "model"))
         for grads in probe.gradients(d.cls for d in probe.distill):
             assert all(name.startswith("c.a") for name in grads)
@@ -237,7 +237,7 @@ class TestStepRouting:
         bank = init_bank(ARCH, 8)
         cfg = TrainerConfig(model_batch_size=5, epochs=1)
         xs, ys, xt = small_batch(9)
-        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(1, "model"))
         w_dc, w_seed = slimda_ext_weights(probe.configs, cfg)
         dc_ext = probe.gradients(t.extractor_loss for t in probe.dc)
@@ -252,7 +252,7 @@ class TestStepRouting:
         bank = init_bank(ARCH, 9)
         cfg = TrainerConfig(model_batch_size=6)
         xs, ys, xt = small_batch(10)
-        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(2, "model"))
         assert confidence(probe.configs, cfg.policy, ARCH)[0] == 1.0
 
@@ -267,7 +267,7 @@ class TestStepRouting:
         ys = rng.integers(0, 2, size=6)
         xt = rng.normal(size=(6, 3))
         cfg = TrainerConfig(model_batch_size=2, w_ent=0.1)
-        probe = observe_step(train_step_baseline, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step_baseline, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              np.random.default_rng(0))
         # bank params moved during the step; recompute the oracle on a fresh bank
         fresh = init_bank(arch, 0)
@@ -286,12 +286,12 @@ class TestStepRouting:
         narrow = [ARCH.make_config((4, 6)), ARCH.make_config((8, 6))]
         losses = []
         for mdl in (bank.slice(c) for c in narrow):
-            t = domain_confusion_targets(*routed(mdl, xs, xt), ys)
+            t = domain_confusion_targets(*routed(mdl, xs, xt), ys, w_ent=0.1)
             losses += [t.classifier_loss, t.extractor_loss]
         grads = ad.gradients(sum(loss * 0.25 for loss in losses), bank.params)
         combined = {n: grads.get(n, np.zeros(p.shape)) for n, p in bank.params.items()}
         before = {k: v.copy() for k, v in bank.state_arrays().items()}
-        ad.sgd_step(bank.params, combined, ad.SgdState(lr=0.05))
+        ad.sgd_step(bank.params, combined, ad.SgdState(lr=0.05, momentum=0.9))
         w = bank["f.b0.l0.w"].data
         assert np.array_equal(w[:, 8:], before["f.b0.l0.w"][:, 8:])  # outside widest slice
         assert not np.array_equal(w[:, :4], before["f.b0.l0.w"][:, :4])
@@ -328,7 +328,7 @@ class TestFusedStep:
         bank = init_bank(ARCH, 40)
         cfg = TrainerConfig(mode=mode, model_batch_size=5)
         xs, ys, xt = small_batch(41)
-        probe = observe_step(STEP_FNS[mode], bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(STEP_FNS[mode], bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(5, "model"))
         m = len(probe.configs)
         per_cls, per_ext = probe.gradients(probe.cls_losses), probe.gradients(probe.ext_losses)
@@ -346,7 +346,7 @@ class TestFusedStep:
         bank = init_bank(ARCH, seed)
         cfg = TrainerConfig(model_batch_size=m)
         xs, ys, xt = small_batch(seed, n=n)
-        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(seed, "model"))
         w_dc, w_seed = slimda_ext_weights(probe.configs, cfg)
         assert len(probe.dc) == len(probe.distill) == m
@@ -363,7 +363,7 @@ class TestFusedStep:
         bank = init_bank(ARCH, 42)
         cfg = TrainerConfig(mode=mode, model_batch_size=4)
         xs, ys, xt = small_batch(43)
-        STEP_FNS[mode](bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg, named_rng(6, "model"))
+        STEP_FNS[mode](bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg, named_rng(6, "model"))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mode, heads", [("slimda", 3), ("baseline", 2), ("inplaced", 2)])
@@ -386,7 +386,7 @@ class TestFusedStep:
                             counted("head_logits", SlimModel.head_logits))
         m = 5
         cfg = TrainerConfig(mode=mode, model_batch_size=m)
-        STEP_FNS[mode](init_bank(ARCH, 44), ad.SgdState(lr=0.01), *small_batch(45), cfg,
+        STEP_FNS[mode](init_bank(ARCH, 44), ad.SgdState(lr=0.01, momentum=0.9), *small_batch(45), cfg,
                        named_rng(7, "model"))
         layers = ARCH.n_blocks * ARCH.layers_per_block
         assert calls == {"affine_routes": heads * 2 * m, "head_logits": 0,
@@ -404,7 +404,7 @@ class TestNonFiniteStep:
         momentum buffer as it was."""
         bank = init_bank(ARCH, 50)
         cfg = TrainerConfig(mode=mode, model_batch_size=4)
-        state, rng = ad.SgdState(lr=0.01), named_rng(8, "model")
+        state, rng = ad.SgdState(lr=0.01, momentum=0.9), named_rng(8, "model")
         xs, ys, xt = small_batch(51)
         STEP_FNS[mode](bank, state, xs, ys, xt, cfg, rng)  # fills the momentum buffers
         bank[name].data[:, 0] = 1e308
@@ -437,7 +437,7 @@ class TestStepGraph:
 
         monkeypatch.setattr(ad, "_node", record_node)
         monkeypatch.setattr(ad, "gradients", record_loss)
-        STEP_FNS[mode](init_bank(ARCH, 60), ad.SgdState(lr=0.01), xs, ys, xt,
+        STEP_FNS[mode](init_bank(ARCH, 60), ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt,
                        TrainerConfig(mode=mode, model_batch_size=4), named_rng(9, "model"))
         (loss,) = losses
         reached, stack = {id(loss)}, [loss]
@@ -468,7 +468,7 @@ class TestInplaced:
         bank = init_bank(ARCH, 14)
         cfg = TrainerConfig(mode="inplaced", model_batch_size=3)
         xs, ys, xt = small_batch(15)
-        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(3, "model"))
         fresh = init_bank(ARCH, 14)
         teacher = fresh.slice(probe.configs[0])
@@ -481,7 +481,7 @@ class TestInplaced:
         bank = init_bank(ARCH, 15)
         cfg = TrainerConfig(mode="inplaced", model_batch_size=3)
         xs, ys, xt = small_batch(16)
-        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+        probe = observe_step(train_step_inplaced, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                              named_rng(4, "model"))
         student = probe.distill[0]
         student_cls, student_ext = probe.gradients((student.cls, student.ext))
@@ -539,7 +539,7 @@ class TestTrainLoop:
             xs, ys, xt = small_batch(31)
             fn = {"slimda": train_step, "baseline": train_step_baseline,
                   "inplaced": train_step_inplaced}[mode]
-            probe = observe_step(fn, bank, ad.SgdState(lr=0.01), xs, ys, xt, cfg,
+            probe = observe_step(fn, bank, ad.SgdState(lr=0.01, momentum=0.9), xs, ys, xt, cfg,
                                  named_rng(9, "model"))
             caps[mode] = [c.widths for c in probe.configs]
         assert caps["slimda"] == caps["baseline"] == caps["inplaced"]
@@ -560,7 +560,7 @@ class TestTrainLoop:
         (lambda: ConfidencePolicy(s=math.nan), "s"),
         (lambda: TrainerConfig(batch_size=math.nan), "batch_size"),
         (lambda: TrainerConfig(batch_size=1), "batch_size"),
-        (lambda: TrainerConfig(model_batch_size=math.nan), "model batch size"),
+        (lambda: TrainerConfig(model_batch_size=math.nan), "model_batch_size"),
     ], ids=["tau-nan", "w_ent-nan", "w_ent-inf", "w_ent-negative", "s-nan", "batch_size-nan",
             "batch_size-one", "model_batch_size-nan"])
     def test_nan_and_out_of_range_values_are_refused(self, make, name):
@@ -576,8 +576,7 @@ class TestTrainLoop:
     def test_integer_fields_refuse_other_values_by_name(self, field, value):
         """A float, a bool, a string or a negative seed is refused when the
         config is built, not by a bare TypeError or ValueError in `train`."""
-        name = "model batch size" if field == "model_batch_size" else field
-        with pytest.raises(ConfigError, match=rf"^{name} must be >= \d, got .*; integers only$"):
+        with pytest.raises(ConfigError, match=rf"^{field} must be >= \d, got .*; integers only$"):
             TrainerConfig(**{field: value})
 
     def test_numpy_integer_fields_accepted(self):
