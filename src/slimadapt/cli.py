@@ -12,7 +12,7 @@ import argparse
 import difflib
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,8 @@ from .jsonio import field, list_of
 from .search import (SearchPlan, config_accuracy, correlation_coefficients,
                      inherited_greedy_search, random_bands)
 from .slimnet import Architecture
-from .trainer import MODES, ConfidencePolicy, TrainerConfig, deploy_head, init_bank, train
+from .trainer import (METRIC_KEYS, MODES, PROBE_KEYS, ConfidencePolicy, TrainerConfig, deploy_head,
+                      init_bank, train)
 
 DATASET_FILE = "dataset.json"
 CHECKPOINT_FILE = "checkpoint.json"
@@ -35,7 +36,7 @@ CORR_SCATTER_FILE = "correlate_scatter.csv"
 CORR_SUMMARY_FILE = "correlate_summary.csv"
 EVAL_FILE = "eval.csv"
 
-METRICS_HEADER = "epoch,mode,loss_task,loss_dd,loss_conf,loss_ent,loss_seed,probe_acc_1,probe_acc_64th,seconds"
+METRICS_HEADER = ",".join(("epoch", "mode", *METRIC_KEYS, *PROBE_KEYS, "seconds"))
 
 
 @dataclass
@@ -181,10 +182,27 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _dataset_values(spec: ShiftSpec, K: int, d: int, n_s: int, n_t: int) -> dict:
+    return {**asdict(spec), "K": K, "d": d, "n_s": n_s, "n_t": n_t}
+
+
+def _load_dataset(exp: Experiment, evaluation: bool) -> DomainDataset:
+    """The experiment's dataset file.  One whose shift or sizes differ from
+    the config's `dataset` section is a config error naming the first
+    differing key."""
+    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=evaluation)
+    have = _dataset_values(ds.spec, ds.K, ds.d, ds.n_s, ds.n_t)
+    for key, want in _dataset_values(**exp.dataset_fields).items():
+        if have[key] != want:
+            raise ConfigError(f"{DATASET_FILE} does not match the experiment config: dataset.{key} "
+                              f"is {have[key]!r} in the file, {want!r} in the config")
+    return ds
+
+
 def cmd_train(args) -> int:
     exp = _load_experiment(args)
     exp.out_dir.mkdir(parents=True, exist_ok=True)
-    full = load_dataset(exp.out_dir / DATASET_FILE, evaluation=True)
+    full = _load_dataset(exp, evaluation=True)
     try:
         labels = full.target_labels(evaluation=True)  # probe diagnostics only
     except UsageError:
@@ -195,13 +213,9 @@ def cmd_train(args) -> int:
     log = train(bank, ds, exp.trainer, eval_labels=labels)
     steps = sum(row["steps"] for row in log)
     save_checkpoint(exp.out_dir / CHECKPOINT_FILE, bank, exp.seed, steps, exp.trainer.mode)
-    rows = [
-        ",".join([str(r["epoch"]), r["mode"], _f(r["loss_task"]), _f(r["loss_dd"]),
-                  _f(r["loss_conf"]), _f(r["loss_ent"]), _f(r["loss_seed"]),
-                  _f(r["probe_acc_1"], 4), _f(r["probe_acc_64th"], 4),
-                  _f(r["seconds"], 3)])
-        for r in log
-    ]
+    rows = [",".join([str(r["epoch"]), r["mode"], *(_f(r[k]) for k in METRIC_KEYS),
+                      *(_f(r[k], 4) for k in PROBE_KEYS), _f(r["seconds"], 3)])
+            for r in log]
     _write_csv(exp.out_dir / METRICS_FILE, METRICS_HEADER, rows)
     print(f"wrote {exp.out_dir / CHECKPOINT_FILE} and {exp.out_dir / METRICS_FILE}")
     return 0
@@ -210,11 +224,12 @@ def cmd_train(args) -> int:
 def _load_trained(exp: Experiment, labelled: bool):
     """The experiment's checkpoint, dataset, target labels (None unless
     `labelled`) and deployment head.  A checkpoint of another architecture
-    than the config's is a config error."""
+    than the config's, or a dataset of another shift or size, is a config
+    error."""
     bank, meta = load_checkpoint(exp.out_dir / CHECKPOINT_FILE)
     if bank.arch != exp.arch:
         raise ConfigError("checkpoint architecture does not match the experiment config")
-    ds = load_dataset(exp.out_dir / DATASET_FILE, evaluation=labelled)
+    ds = _load_dataset(exp, evaluation=labelled)
     labels = ds.target_labels(evaluation=True) if labelled else None
     return bank, ds, labels, deploy_head(meta["mode"])
 

@@ -3,6 +3,9 @@
 The selection signal is the anchor discrepancy: the mean squared
 difference between a candidate sub-model's deployment-head predictions
 and the full-width model's, both AdaBN-recalibrated on the target set.
+Every search takes that head as `head` ("a" by default; the CLI passes
+the checkpoint mode's `deploy_head`), and reads the anchor, each score
+and each accuracy under it through one distance, `discrepancy_between`.
 Since the largest model is statistically the most accurate one in a
 trained bank, a smaller discrepancy predicts higher accuracy, which
 makes the score usable without labels.
@@ -175,13 +178,6 @@ def recalibrated(bank: ParamStore, config: WidthConfig, target_x: np.ndarray) ->
     return model
 
 
-def _squared_distance(probs: np.ndarray, anchor_probs: np.ndarray) -> float:
-    """Mean over samples of the squared distance between two prediction sets."""
-    if np.shape(anchor_probs) != probs.shape:
-        raise UsageError(f"anchor_probs has shape {np.shape(anchor_probs)}, not {probs.shape}")
-    return float(((probs - anchor_probs) ** 2).sum()) / len(probs)
-
-
 def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
     """Share of rows whose most probable class is the label in `target_y`,
     which must hold one integer label in [0, K) per row of `probs`."""
@@ -193,33 +189,32 @@ def _accuracy(probs: np.ndarray, target_y: np.ndarray) -> float:
     return float((probs.argmax(axis=1) == target_y).mean())
 
 
-def discrepancy_between(candidate: SlimModel, anchor_probs: np.ndarray) -> float:
-    """Squared output distance to the anchor's predictions, per sample,
-    on the target set the candidate was recalibrated on (a UsageError
-    before recalibration)."""
-    return _squared_distance(candidate.calibrated_probs("a"), anchor_probs)
+def discrepancy_between(probs: np.ndarray, anchor_probs: np.ndarray) -> float:
+    """Mean over rows of the squared distance between a candidate's
+    predictions and the anchor's, both read under one head on one target
+    set (a UsageError when their shapes differ)."""
+    if np.shape(anchor_probs) != probs.shape:
+        raise UsageError(f"anchor_probs has shape {np.shape(anchor_probs)}, not {probs.shape}")
+    return float(((probs - anchor_probs) ** 2).sum()) / len(probs)
 
 
 def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
                        anchor_probs: np.ndarray | None = None,
                        target_y: np.ndarray | None = None, head: str = "a") -> DiscrepancyScore:
-    """Score one configuration against the full-width anchor.
+    """Score one configuration against the full-width anchor under `head`.
 
     Both the candidate and the anchor are recalibrated on `target_x`, and
-    their predictions come from that recalibration pass; pass
-    `anchor_probs` to reuse the anchor's predictions across many calls.
-    With `target_y` (evaluation only), the score also carries the
-    config's accuracy under `head`, read from the same recalibration.
+    their `head` predictions come from that recalibration pass.  Pass
+    `anchor_probs` to reuse the anchor's predictions across many calls; it
+    must be the anchor's under the same `head`.  With `target_y`
+    (evaluation only), the score also carries the config's accuracy, read
+    from the same predictions as its delta.
     """
     if anchor_probs is None:
-        anchor_probs = _anchor_probs(bank, target_x)
-    candidate = recalibrated(bank, config, target_x)
-    probs = candidate.calibrated_probs("a")
-    accuracy = None
-    if target_y is not None:
-        head_probs = probs if head == "a" else candidate.calibrated_probs(head)
-        accuracy = _accuracy(head_probs, target_y)
-    return DiscrepancyScore(config=config, delta=_squared_distance(probs, anchor_probs),
+        anchor_probs = _anchor_probs(bank, target_x, head)
+    probs = recalibrated(bank, config, target_x).calibrated_probs(head)
+    accuracy = None if target_y is None else _accuracy(probs, target_y)
+    return DiscrepancyScore(config=config, delta=discrepancy_between(probs, anchor_probs),
                             accuracy=accuracy)
 
 
@@ -230,8 +225,8 @@ def _scores(bank, configs, target_x, anchor_probs, target_y, head) -> list[Discr
     return [scored[c] for c in configs]
 
 
-def _anchor_probs(bank: ParamStore, target_x: np.ndarray) -> np.ndarray:
-    return recalibrated(bank, bank.arch.full_config(), target_x).calibrated_probs("a")
+def _anchor_probs(bank: ParamStore, target_x: np.ndarray, head: str) -> np.ndarray:
+    return recalibrated(bank, bank.arch.full_config(), target_x).calibrated_probs(head)
 
 
 def config_accuracy(bank: ParamStore, config: WidthConfig, target_x: np.ndarray,
@@ -303,12 +298,12 @@ def random_bands(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
                  target_y: np.ndarray | None = None, head: str = "a"):
     """Yield (budget ratio, scores) per budget of `plan`: `plan.n_random` configs
     drawn from `named_rng(plan.seed, "search")` within ±`plan.tolerance` of the
-    budget, each distinct one scored once against one recalibrated anchor (with
-    accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
+    budget, each distinct one scored once under `head` against one recalibrated
+    anchor (with accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
     rng = named_rng(plan.seed, "search")
     arch = bank.arch
     full = arch.full_config().flops
-    anchor_probs = _anchor_probs(bank, target_x)
+    anchor_probs = _anchor_probs(bank, target_x, head)
     for ratio in plan.budgets(arch):
         configs = [sample_config_at_budget(rng, arch, ratio * full, plan.tolerance)
                    for _ in range(plan.n_random)]
@@ -345,17 +340,17 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
 
     At each budget, q candidates are grown out of the previous winner by
     adding channels to random blocks until the budget band is reached;
-    one shared AdaBN pass calibrates them all, and the lowest-discrepancy
-    candidate (the first grown on a tie) wins and seeds the next budget,
-    so winners are blockwise non-decreasing along the ladder.  A budget no
-    candidate grows into gets no step (SearchError if no budget is reached).
-    With `target_y` (evaluation only), each step also carries its winner's
-    accuracy under `head`, read from the model the ladder recalibrated;
-    selection never reads the labels.
+    one shared AdaBN pass calibrates them all, and the candidate whose
+    `head` predictions sit closest to the anchor's (the first grown on a
+    tie) wins and seeds the next budget, so winners are blockwise
+    non-decreasing along the ladder.  A budget no candidate grows into gets
+    no step (SearchError if no budget is reached).  With `target_y`
+    (evaluation only), each step also carries its winner's accuracy, read
+    from the predictions it was scored by; selection never reads the labels.
     """
     arch = bank.arch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(11,)))
-    anchor_probs = _anchor_probs(bank, target_x)
+    anchor_probs = _anchor_probs(bank, target_x, head)
     full = arch.full_config().flops
 
     current = arch.smallest_config()
@@ -373,10 +368,11 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
                 candidates.append(grown)
         if not candidates:
             continue
-        delta, i, model = min((discrepancy_between(model, anchor_probs), i, model) for i, model
-                              in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x))
+        scored = ((i, model.calibrated_probs(head))
+                  for i, model in adabn_pass(bank, [cfg for cfg, _ in candidates], target_x))
+        delta, i, probs = min((discrepancy_between(p, anchor_probs), i, p) for i, p in scored)
         current, saturated = candidates[i]
-        accuracy = None if target_y is None else _accuracy(model.calibrated_probs(head), target_y)
+        accuracy = None if target_y is None else _accuracy(probs, target_y)
         steps.append(SearchStep(budget_ratio=ratio, config=current, delta=delta,
                                 saturated=saturated, accuracy=accuracy))
     if not steps:
@@ -392,12 +388,13 @@ def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndar
     the anchor's assumption that capacity buys accuracy.
 
     Each distinct config is recalibrated once (`anchor_discrepancy` with
-    labels), and that one model gives both its discrepancy and its accuracy.
+    labels), and that one model's `head` predictions give both its
+    discrepancy and its accuracy; the anchor is read under `head` too.
     """
     configs = list(configs)
     if len(configs) < 3:
         raise UsageError(f"correlation needs at least 3 configs, got {len(configs)}")
-    scores = _scores(bank, configs, target_x, _anchor_probs(bank, target_x), target_y, head)
+    scores = _scores(bank, configs, target_x, _anchor_probs(bank, target_x, head), target_y, head)
     deltas = [s.delta for s in scores]
     accs = [s.accuracy for s in scores]
     coefficients = correlation_coefficients(deltas, accs)

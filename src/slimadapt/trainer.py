@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 METRIC_KEYS = ("loss_task", "loss_dd", "loss_conf", "loss_ent", "loss_seed")
+PROBE_KEYS = ("probe_acc_1", "probe_acc_64th")  # the full and the smallest config's accuracy
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ def train(bank: ParamStore, dataset: DomainDataset, cfg: TrainerConfig,
             steps += 1
         row = {"epoch": epoch, "mode": cfg.mode, "steps": steps}
         row.update({k: sums[k] / max(steps, 1) for k in METRIC_KEYS})
-        for key, probe in zip(("probe_acc_1", "probe_acc_64th"), probes):
+        for key, probe in zip(PROBE_KEYS, probes):
             row[key] = (None if eval_labels is None
                         else config_accuracy(bank, probe, dataset.xt, eval_labels, head))
         row["seconds"] = time.perf_counter() - t0

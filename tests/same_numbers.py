@@ -18,6 +18,9 @@ declare, or when `MOVED` names a line that did not change.  The set is:
   random    labelled `random_bands` (n=20 per rung of the default
             ladder) on the same banks: every sampled config's widths,
             delta and accuracy;
+  baseline  the same ladder and random search, `ladder.baseline.seed1`
+            and `random.baseline.seed1`, on a seed-1 bank after as many
+            baseline steps, scored under its deployment head ("task");
   cli       every file the CLI writes for `perfbench.workloads.cli_config`
             seeds 1 and 4 after gen-data, train, correlate --n 10, search
             (greedy with and without labels, random with labels) and eval,
@@ -43,7 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from perfbench.workloads import FULL, Segment, cli_config  # noqa: E402
 from slimadapt import cli, datasets, search  # noqa: E402
 from slimadapt.slimnet import Architecture  # noqa: E402
-from slimadapt.trainer import MODES  # noqa: E402
+from slimadapt.trainer import MODES, deploy_head  # noqa: E402
 
 # The train and search benchmarks' bank: one layer per block.
 ARCH = Architecture(input_dim=FULL.task["d"], block_max_widths=FULL.blocks,
@@ -92,19 +95,26 @@ def params_digests():
 
 def search_digests():
     for seed in SEARCH_SEEDS:
-        ds = datasets.make_dataset(seed=seed, **FULL.task)
-        labels = ds.target_labels(evaluation=True)
-        seg = Segment("slimda", ds, ARCH, FULL, seed)
-        for _ in range(FULL.pretrain_steps):
-            seg.step(*seg.next_batch())
-        plan = search.SearchPlan(seed=seed, n_random=RANDOM_N)
-        steps = search.inherited_greedy_search(seg.bank, plan, ds.xt, target_y=labels)
-        yield f"ladder.seed{seed}", _digest(_json([
-            [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
-        rows = []
-        for _, scores in search.random_bands(seg.bank, plan, ds.xt, target_y=labels):
-            rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
-        yield f"random.seed{seed}", _digest(_json(rows))
+        yield from _searched("slimda", seed, f"seed{seed}")
+    yield from _searched("baseline", 1, "baseline.seed1")
+
+
+def _searched(mode: str, seed: int, tag: str):
+    """The labelled ladder and random search on a bank after
+    `FULL.pretrain_steps` steps of `mode`, under its deployment head."""
+    ds = datasets.make_dataset(seed=seed, **FULL.task)
+    labels = ds.target_labels(evaluation=True)
+    seg = Segment(mode, ds, ARCH, FULL, seed)
+    for _ in range(FULL.pretrain_steps):
+        seg.step(*seg.next_batch())
+    plan, head = search.SearchPlan(seed=seed, n_random=RANDOM_N), deploy_head(mode)
+    steps = search.inherited_greedy_search(seg.bank, plan, ds.xt, target_y=labels, head=head)
+    yield f"ladder.{tag}", _digest(_json([
+        [s.budget_ratio, s.config.widths, s.delta, s.accuracy, s.saturated] for s in steps]))
+    rows = []
+    for _, scores in search.random_bands(seg.bank, plan, ds.xt, target_y=labels, head=head):
+        rows += [[s.config.widths, s.delta, s.accuracy] for s in scores]
+    yield f"random.{tag}", _digest(_json(rows))
 
 
 def _masked(path: Path) -> bytes:

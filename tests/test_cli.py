@@ -839,6 +839,169 @@ class TestConfigFuzz:
             assert run([command, "--config", path]) in (0, 2), capsys.readouterr().err
 
 
+# One value per key of the config's dataset section that differs from CONFIG's.
+DATASET_CHANGES = {"dataset.kind": "ROTATION", "dataset.magnitude": 0.5, "dataset.noise_std": 1.5,
+                   "dataset.K": 5, "dataset.d": 5, "dataset.n_s": 100, "dataset.n_t": 100}
+
+
+class TestDatasetMatchesConfig:
+    """A dataset file made for another config is refused by every command
+    that reads it, with the first differing `dataset.*` key named; it is
+    not trained on (a K = 5 config on a K = 3 file) nor failed later by
+    its labels or its input shape."""
+
+    def test_every_dataset_key_is_changed(self):
+        assert list(DATASET_CHANGES) == [k for k in cli.CONFIG_FIELDS if k.startswith("dataset.")]
+
+    @pytest.mark.parametrize("command", ["train", "search", "correlate", "eval"])
+    @pytest.mark.parametrize("key", DATASET_CHANGES)
+    def test_a_dataset_of_another_config_is_named(self, workdir, capsys, key, command):
+        cfg_path, out = workdir
+        assert run(["gen-data", "--config", cfg_path]) == 0
+        doc = json.loads(cfg_path.read_text())
+        doc["dataset"][key.partition(".")[2]] = DATASET_CHANGES[key]
+        del doc["architecture"]["input_dim"]  # it follows dataset.d
+        cfg_path.write_text(json.dumps(doc))
+        # A checkpoint of the changed config's architecture, so only the dataset differs.
+        arch = cli.parse_experiment(doc).arch
+        save_checkpoint(out / "checkpoint.json", init_bank(arch, 0), 0, 0, "slimda")
+        checkpoint = (out / "checkpoint.json").read_bytes()
+        capsys.readouterr()
+        assert run([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset.json does not match the experiment config: "
+                              f"{key} is ") and err.count("\n") == 1, err
+        assert (out / "checkpoint.json").read_bytes() == checkpoint
+
+    def test_the_first_differing_key_is_named(self, workdir, capsys):
+        cfg_path, out = workdir
+        assert run(["gen-data", "--config", cfg_path]) == 0
+        doc = json.loads(cfg_path.read_text())
+        doc["dataset"].update(K=5, n_t=100)
+        cfg_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["train", "--config", cfg_path]) == 2
+        assert "dataset.K is 3 in the file, 5 in the config" in capsys.readouterr().err
+
+    def test_a_seed_override_reads_the_same_dataset(self, workdir):
+        """The dataset's seed is not part of the check: `--seed` retrains
+        on the generated data."""
+        cfg_path, _ = workdir
+        assert run(["gen-data", "--config", cfg_path]) == 0
+        assert run(["train", "--config", cfg_path, "--seed", "9"]) == 0
+
+
+def _set(path, value):
+    """A mutation that sets the item at `path` (keys and indices) of a document."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+DATASET_MUTATIONS = {
+    "xt-nan": _set(("xt", 1, 0), float("nan")),
+    "xt-inf": _set(("xt", 1, 0), float("inf")),
+    "xs-minus-inf": _set(("xs", 0, 2), float("-inf")),
+    "xt-ragged-row": lambda doc: doc["xt"][1].pop(),
+    "wrong-d": lambda doc: doc.update({n: [row[:-1] for row in doc[n]] for n in ("xs", "xt")}),
+    "xt-empty": _set(("xt",), []),
+    "xt-one-row": lambda doc: doc.update(xt=doc["xt"][:1], yt_hidden=doc["yt_hidden"][:1]),
+    "yt-short": lambda doc: doc["yt_hidden"].pop(),
+    "spec-bad-kind": _set(("spec", "kind"), "SPIN"),
+    "spec-list": lambda doc: doc.update(spec=list(doc["spec"].values())),
+    "spec-string-magnitude": _set(("spec", "magnitude"), "0.8"),
+    "K-string": _set(("K",), "3"),
+    "K-missing": lambda doc: doc.pop("K"),
+    "xs-string-cell": _set(("xs", 0, 0), "1.0"),
+    "xt-bool-cell": _set(("xt", 0, 0), True),
+    "ys-string": _set(("ys",), "012"),
+    "xt-not-a-list": _set(("xt",), {"rows": 60}),
+    "truncated": None,
+}
+
+CHECKPOINT_MUTATIONS = {
+    "param-nan": _set(("params", "c.a.w", 0, 0), float("nan")),
+    "param-inf": _set(("params", "f.b0.l0.w", 1, 1), float("-inf")),
+    "param-ragged-row": lambda doc: doc["params"]["f.b0.l0.w"][1].pop(),
+    "param-string-cell": _set(("params", "c.t.w", 0, 0), "0.5"),
+    "param-bool-cell": _set(("params", "c.s.b", 0), True),
+    "param-string": _set(("params", "c.a.b"), "x"),
+    "param-scalar": _set(("params", "f.b1.l0.bn_g"), 1.0),
+    "param-missing": lambda doc: doc["params"].pop("c.t.b"),
+    "params-list": _set(("params",), []),
+    "widths-string": _set(("architecture", "block_max_widths"), "46"),
+    "widths-bool": _set(("architecture", "block_max_widths", 0), True),
+    "architecture-missing": lambda doc: doc.pop("architecture"),
+    "class-count-float": _set(("architecture", "class_count"), 3.0),
+    "mode-list": _set(("mode",), ["slimda"]),
+    "step-string": _set(("step",), "1"),
+    "truncated": None,
+}
+
+
+class TestFileFuzz:
+    """Each kind of damage to the two files the CLI reads, after a tiny
+    `gen-data` and `train`: `search` and `eval` (and `train`, for the
+    dataset) either run or stop with exit 2 or 3 and one `error:` or
+    `numeric error:` line.  None may end in a traceback (an exception out
+    of `cli.main`, exit 1 in a process)."""
+
+    @pytest.fixture(scope="class")
+    def trained_files(self, tmp_path_factory):
+        """The TINY config's dataset and checkpoint bytes after one epoch."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg_path = tmp / "config.json"
+        cfg_path.write_text(json.dumps(dict(TestConfigFuzz.TINY, out_dir=str(tmp / "run"))))
+        for command in ("gen-data", "train"):
+            assert run([command, "--config", cfg_path]) == 0
+        return {name: (tmp / "run" / name).read_text() for name in ("dataset.json",
+                                                                     "checkpoint.json")}
+
+    def damaged_run(self, tmp_path, trained_files, name, mutate):
+        """A run directory whose file `name` is edited by `mutate`, or cut
+        in half when `mutate` is None; returns its config's path."""
+        out = tmp_path / "run"
+        out.mkdir()
+        for filename, text in trained_files.items():
+            if filename == name and mutate is None:
+                text = text[: len(text) // 2]
+            elif filename == name:
+                doc = json.loads(text)
+                mutate(doc)
+                text = json.dumps(doc)
+            (out / filename).write_text(text)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(TestConfigFuzz.TINY, out_dir=str(out))))
+        return cfg_path
+
+    def assert_contract(self, capsys, commands, cfg_path):
+        for command in commands:
+            capsys.readouterr()
+            code = run([command, "--config", cfg_path])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), err
+            if code:
+                prefix = "error: " if code == 2 else "numeric error: "
+                assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mutation", DATASET_MUTATIONS)
+    def test_a_damaged_dataset(self, tmp_path, capsys, trained_files, mutation):
+        cfg_path = self.damaged_run(tmp_path, trained_files, "dataset.json",
+                                    DATASET_MUTATIONS[mutation])
+        self.assert_contract(capsys, ("search", "eval", "train"), cfg_path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mutation", CHECKPOINT_MUTATIONS)
+    def test_a_damaged_checkpoint(self, tmp_path, capsys, trained_files, mutation):
+        cfg_path = self.damaged_run(tmp_path, trained_files, "checkpoint.json",
+                                    CHECKPOINT_MUTATIONS[mutation])
+        self.assert_contract(capsys, ("search", "eval"), cfg_path)
+
+
 class TestGreedyLadderSkips:
     def test_unreachable_rungs_are_named_and_left_out(self, workdir, capsys):
         """With two layers per block at tolerance 0.02, two rungs of this

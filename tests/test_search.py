@@ -34,16 +34,16 @@ from slimadapt.search import (
 )
 from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore, SlimModel, flops_per_sample, flops_step
-from slimadapt.trainer import TrainerConfig, init_bank, train
+from slimadapt.trainer import TrainerConfig, deploy_head, init_bank, train
 
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
 
 
-def trained_bank(arch):
+def trained_bank(arch, mode="slimda"):
     ds = make_dataset(ShiftSpec("MIXED", 0.8, noise_std=1.0), K=3, d=6,
                       n_s=400, n_t=400, seed=0)
     bank = init_bank(arch, 0)
-    train(bank, ds, TrainerConfig(epochs=4, batch_size=64, model_batch_size=4, seed=0))
+    train(bank, ds, TrainerConfig(mode=mode, epochs=4, batch_size=64, model_batch_size=4, seed=0))
     return bank, ds
 
 
@@ -67,7 +67,7 @@ def per_candidate_ladder(bank, plan, target_x, target_y=None, head="a"):
     AdaBN pass each: the reference the shared-prefix pass must match."""
     arch = bank.arch
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(11,)))
-    anchor_probs = recalibrated(bank, arch.full_config(), target_x).calibrated_probs("a")
+    anchor_probs = recalibrated(bank, arch.full_config(), target_x).calibrated_probs(head)
     full = arch.full_config().flops
     current, steps = arch.smallest_config(), []
     for ratio in plan.budgets(arch):
@@ -82,7 +82,7 @@ def per_candidate_ladder(bank, plan, target_x, target_y=None, head="a"):
         best = None
         for cfg, saturated in candidates:
             model = recalibrated(bank, cfg, target_x)
-            delta = discrepancy_between(model, anchor_probs)
+            delta = discrepancy_between(model.calibrated_probs(head), anchor_probs)
             if best is None or delta < best[0]:
                 best = (delta, cfg, saturated, model)
         delta, current, saturated, model = best
@@ -194,12 +194,10 @@ class TestDiscrepancy:
 
     def test_symmetric_in_the_two_outputs(self, trained):
         bank, ds = trained
-        a = recalibrated(bank, ARCH.make_config((8, 12)), ds.xt)
-        b_probs = recalibrated(bank, ARCH.make_config((12, 20)), ds.xt).predict(ds.xt, head="a")
-        d1 = discrepancy_between(a, b_probs)
-        a_probs = a.predict(ds.xt, head="a")
-        b = recalibrated(bank, ARCH.make_config((12, 20)), ds.xt)
-        d2 = discrepancy_between(b, a_probs)
+        a_probs = recalibrated(bank, ARCH.make_config((8, 12)), ds.xt).calibrated_probs("a")
+        b_probs = recalibrated(bank, ARCH.make_config((12, 20)), ds.xt).calibrated_probs("a")
+        d1 = discrepancy_between(a_probs, b_probs)
+        d2 = discrepancy_between(b_probs, a_probs)
         assert d1 == pytest.approx(d2, rel=1e-12)
 
     def test_invariant_to_target_order(self, trained):
@@ -211,10 +209,65 @@ class TestDiscrepancy:
         assert shuffled == pytest.approx(base, abs=1e-9)
 
     def test_unrecalibrated_candidate_rejected(self, trained):
+        """An unrecalibrated model has no predictions to score: its
+        `calibrated_probs` refuses before any distance is taken."""
         bank, ds = trained
         model = bank.slice(ARCH.make_config((8, 12)))
-        with pytest.raises(UsageError):
-            discrepancy_between(model, np.zeros((len(ds.xt), 3)))
+        with pytest.raises(UsageError, match="needs AdaBN recalibration"):
+            discrepancy_between(model.calibrated_probs("a"), np.zeros((len(ds.xt), 3)))
+
+
+def head_distance(bank, config, target_x, head):
+    """Mean over rows of the squared distance between `config`'s and the
+    full config's `head` predictions, each recalibrated on `target_x`."""
+    cand, anchor = (recalibrated(bank, c, target_x).calibrated_probs(head)
+                    for c in (config, bank.arch.full_config()))
+    return float(((cand - anchor) ** 2).sum(axis=1).mean())
+
+
+class TestDeploymentHead:
+    """A baseline bank deploys its "task" head and never trains head "a".
+    Every search reads the anchor, each score and each accuracy under
+    `head`, so each delta is the distance between the candidate's and the
+    anchor's "task" predictions."""
+
+    HEAD = deploy_head("baseline")
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return trained_bank(ARCH, mode="baseline")
+
+    @pytest.mark.parametrize("widths", [(2, 5), (8, 12), (16, 24)])
+    def test_anchor_discrepancy(self, baseline, widths):
+        bank, ds = baseline
+        yt = ds.target_labels(evaluation=True)
+        cfg = ARCH.make_config(widths)
+        score = anchor_discrepancy(bank, cfg, ds.xt, target_y=yt, head=self.HEAD)
+        assert score.delta == pytest.approx(head_distance(bank, cfg, ds.xt, self.HEAD),
+                                            rel=1e-12, abs=1e-15)
+        assert score.accuracy == config_accuracy(bank, cfg, ds.xt, yt, head=self.HEAD)
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_random_bands(self, baseline, labelled):
+        bank, ds = baseline
+        yt = ds.target_labels(evaluation=True) if labelled else None
+        plan = SearchPlan(k=3, tolerance=0.05, seed=6, n_random=4)
+        scores = [s for _, band in random_bands(bank, plan, ds.xt, yt, self.HEAD) for s in band]
+        assert len(scores) == 12
+        for s in scores:
+            assert s.delta == pytest.approx(head_distance(bank, s.config, ds.xt, self.HEAD),
+                                            rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    def test_greedy_ladder(self, baseline, labelled):
+        bank, ds = baseline
+        yt = ds.target_labels(evaluation=True) if labelled else None
+        steps = inherited_greedy_search(bank, SearchPlan(k=3, q=5, seed=3), ds.xt,
+                                        target_y=yt, head=self.HEAD)
+        assert len(steps) == 3
+        for s in steps:
+            assert s.delta == pytest.approx(head_distance(bank, s.config, ds.xt, self.HEAD),
+                                            rel=1e-12, abs=1e-15)
 
 
 class TestEvalInputShapes:
@@ -611,7 +664,7 @@ class TestGreedy:
         bank, ds = trained
         plan = SearchPlan(k=3, q=5, seed=3)
         yt = ds.target_labels(evaluation=True)
-        blind = inherited_greedy_search(bank, plan, ds.xt)
+        blind = inherited_greedy_search(bank, plan, ds.xt, head=head)
         labelled = inherited_greedy_search(bank, plan, ds.xt, target_y=yt, head=head)
         assert all(s.accuracy is None for s in blind)
         assert [dataclasses.replace(s, accuracy=None) for s in labelled] == blind
@@ -859,8 +912,8 @@ class TestCorrelationTools:
             cfg = ARCH.make_config(widths)
             score = anchor_discrepancy(bank, cfg, ds.xt, target_y=yt, head=head)
             assert score.accuracy == config_accuracy(bank, cfg, ds.xt, yt, head=head)
-            assert score.delta == anchor_discrepancy(bank, cfg, ds.xt).delta
-        assert anchor_discrepancy(bank, cfg, ds.xt).accuracy is None
+            assert score.delta == anchor_discrepancy(bank, cfg, ds.xt, head=head).delta
+        assert anchor_discrepancy(bank, cfg, ds.xt, head=head).accuracy is None
 
     @pytest.mark.parametrize("head", ["a", "task"])
     def test_correlate_recalibrates_once_per_config(self, trained, monkeypatch, head):
