@@ -3,7 +3,7 @@
 Subcommands: gen-data, train, search, correlate, eval.  One experiment
 config JSON fully determines a run; all outputs land in the configured
 output directory as CSV/JSON files.  Exit codes: 0 success, 2 config
-error, 3 numeric error, 4 IO error.
+error or out of memory, 3 numeric error, 4 IO error.
 """
 
 from __future__ import annotations
@@ -125,13 +125,19 @@ def parse_experiment(doc: dict, seed_override: int | None = None, out_override: 
         raise ConfigError(f"field trainer.batch_size: must be at most min(dataset.n_s, "
                           f"dataset.n_t) = {domain}, got {trainer_cfg.batch_size}")
     plan = SearchPlan(seed=seed, **kwargs[SearchPlan])
-    try:  # every command refuses a ladder that `search` would refuse
+    _check_ladder(plan, arch, "field search.budgets")  # every command refuses what `search` would
+    return Experiment(dataset_fields=data, arch=arch, trainer=trainer_cfg, plan=plan, **kwargs[Experiment])
+
+
+def _check_ladder(plan: SearchPlan, arch: Architecture, source: str) -> None:
+    """Refuse a budget ladder that `plan.budgets` refuses, as a config error
+    naming `source`, where its ratios came from."""
+    try:
         plan.budgets(arch)
     except UsageError as exc:
         if not plan.budget_ratios:  # a search.k above the FLOPs levels, named by SearchPlan
             raise
-        raise ConfigError(f"field search.budgets: {exc}") from exc
-    return Experiment(dataset_fields=data, arch=arch, trainer=trainer_cfg, plan=plan, **kwargs[Experiment])
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def _load_experiment(args) -> Experiment:
@@ -236,10 +242,11 @@ def _load_trained(exp: Experiment, labelled: bool):
 
 def cmd_search(args) -> int:
     exp = _load_experiment(args)
-    bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
     plan = exp.plan
     if args.budgets:
         plan = replace(plan, budget_ratios=_flag_values(args.budgets, float, "--budgets"))
+        _check_ladder(plan, exp.arch, "--budgets")
+    bank, ds, labels, head = _load_trained(exp, labelled=args.reveal_labels)
 
     if args.strategy == "greedy":
         steps = inherited_greedy_search(bank, plan, ds.xt, target_y=labels, head=head)
@@ -352,6 +359,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # the fix is a smaller config
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

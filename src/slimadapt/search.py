@@ -26,8 +26,7 @@ bank 32-42 of `correlate --n 10`'s 60 samples are distinct (seeds 1-10).
 The Pearson and Spearman coefficients are computed in numpy by scipy's
 own arithmetic, so they equal the `scipy.stats` statistics bit for bit
 while the package needs only numpy at run time; scipy is a test-only
-oracle.  Importing `scipy.stats` took about 0.46 s and 73 MiB of a cold
-CLI start (scipy 1.17, Python 3.11, 2-core x86-64 box).
+oracle.
 """
 
 from __future__ import annotations

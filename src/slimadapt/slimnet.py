@@ -45,15 +45,19 @@ ReLU, and the eval heads' probabilities per `probs`/`predict`/
 In training a head serves two optimization roles: the classifier role
 moves the head's parameters and must not move the extractor, the
 extractor role moves the features and must not move the head.
-`SlimModel.routed_probs` computes each requested head's logits on one
-batch of features once and serves the probability heads in both routes,
-building each head on first read: a training step evaluates each (head,
-domain) once per model, and its graph holds no head that no loss or
-target reads.
+`SlimModel.routed_probs` serves every probability head on one batch of
+features in both routes.  It builds each classifier's logits once, when
+either route first reads it, and each head on first read: a training step
+evaluates each (head, domain) once per model, and its graph holds no
+classifier or head that no loss or target reads.  `_probs_of` is the one
+table of heads, for training and evaluation alike: it derives "st" and
+"task" from the "s" and "t" logits, and `_head_params` refuses any name
+that is not a classifier.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -363,32 +367,24 @@ class SlimModel:
         (see `_probs_of`): the one-batch `_head_probs`."""
         return self._head_probs([feats], head)
 
-    def routed_probs(self, feats: Tensor,
-                     heads: tuple[str, ...] = ("s", "t")) -> tuple[Mapping, Mapping]:
-        """The probability heads of `probs` over `heads` (which holds "s"
-        and "t"; "a" if asked) on one batch of features, each head's logits
-        computed once, in two routes: `(to_heads, to_features)`, two
-        `_probs_of` mappings that build each head on first read.  A loss
-        on `to_heads` moves only the heads' parameters, one on
+    def routed_probs(self, feats: Tensor) -> tuple[Mapping, Mapping]:
+        """The probability heads of `probs` on one batch of features, in two
+        routes: `(to_heads, to_features)`, two `_probs_of` mappings that
+        build each head on first read.  A classifier's `affine_routes`
+        product is built once, when either route first reads it, and serves
+        both.  A loss on `to_heads` moves only the heads' parameters, one on
         `to_features` only the features; both hold the values of `probs`.
         """
-        if not {"s", "t"} <= set(heads):
-            raise ConfigError(f"routed heads {heads!r} must include 's' and 't'")
-        to_heads, to_features = {}, {}
-        for head in heads:
-            to_heads[head], to_features[head] = ad.affine_routes(feats, *self._head_params(head))
-        return _probs_of(to_heads), _probs_of(to_features)
+        routes = functools.cache(lambda head: ad.affine_routes(feats, *self._head_params(head)))
+        return _probs_of(lambda h: routes(h)[0]), _probs_of(lambda h: routes(h)[1])
 
-    def _head_probs(self, feats, head: str) -> np.ndarray:
+    def _head_probs(self, feats: list[np.ndarray], head: str) -> np.ndarray:
         """`head`'s probabilities over the rows of per-batch eval features,
-        checked once for NaN/Inf.  Each batch's logits of each head read
-        come from `head_logits`, and one softmax runs over the joined rows.
-        Every op after the matmul is row-wise, so each row has the bits a
-        per-batch softmax would give it."""
-        heads = ("s", "t") if head in ("st", "task") else (head,)  # `head_logits` checks each
-        per_batch = [[self.head_logits(f, h) for h in heads] for f in feats]
-        logits = {h: np.concatenate(parts, axis=0) for h, parts in zip(heads, zip(*per_batch))}
-        probs = ad.softmax_values(logits[head], 1) if head in logits else _probs_of(logits)[head]
+        checked once for NaN/Inf.  Each classifier's logits are its
+        per-batch `head_logits`, joined, and one softmax runs over all the
+        rows.  Every op after the matmul is row-wise, so each row has the
+        bits a per-batch softmax would give it."""
+        probs = _probs_of(lambda h: np.concatenate([self.head_logits(f, h) for f in feats]))[head]
         ad.check_finite(probs, f"head {head!r} probabilities")
         return probs
 
@@ -403,50 +399,48 @@ class SlimModel:
         """Eval-mode class probabilities as a plain array (needs BN stats)."""
         if len(x) == 0:
             raise UsageError("predict needs at least one row of x")
-        return self._head_probs((self.features(x[lo:lo + EVAL_BATCH], mode="eval")
-                                 for lo in range(0, len(x), EVAL_BATCH)), head)
+        return self._head_probs([self.features(x[lo:lo + EVAL_BATCH], mode="eval")
+                                 for lo in range(0, len(x), EVAL_BATCH)], head)
 
 
 class _probs_of(Mapping):  # named and called like a function, as `functools.partial` is
-    """The probability heads over the logits of the K-way heads in
-    `logits` ("s" and "t" at least): graph nodes from tensors, plain arrays
-    from arrays.  "s"/"t"/"a" are K-way softmaxes; "st" is the
-    shared-neuron 2K-way softmax over the concatenated s and t logits
-    (first K entries = source half, last K = target half); "task" is the
-    mean of the "s" and "t" distributions, the bank's task-level
-    prediction.  A read-only mapping: it builds each head on first read and
-    keeps it, so a head no one reads costs nothing and adds no graph node;
-    it iterates every head it can serve."""
+    """The probability heads over classifier logits, where `logits(h)` is
+    classifier `h`'s logits: graph nodes from tensors, plain arrays from
+    arrays.  "s"/"t"/"a" are K-way softmaxes; "st" is the shared-neuron
+    2K-way softmax over the concatenated s and t logits (first K entries =
+    source half, last K = target half); "task" is the mean of the "s" and
+    "t" distributions, the bank's task-level prediction.  Any other name
+    goes to `logits`, which refuses an unknown one.  A read-only mapping:
+    it builds each head on first read and keeps it, so a head no one reads
+    costs nothing and adds no graph node; it iterates every head it can
+    serve."""
 
-    def __init__(self, logits: dict):
+    _HEADS = (*ParamStore.HEADS, "st", "task")
+
+    def __init__(self, logits):
         self._logits, self._built = logits, {}
-        self._heads = (*logits, "st", "task")
-        graph = isinstance(logits["s"], Tensor)
-        self._softmax, self._concat = ((ad.softmax, ad.concat) if graph
-                                       else (ad.softmax_values, np.concatenate))
 
     def __getitem__(self, head: str):
         if head not in self._built:
-            z = self._logits
-            if head in z:
-                probs = self._softmax(z[head], axis=1)
-            elif head == "st":
-                probs = self._softmax(self._concat([z["s"], z["t"]], axis=1), axis=1)
-            elif head == "task":
+            if head == "task":
                 probs = (self["s"] + self["t"]) * 0.5
             else:
-                raise KeyError(head)
+                z = self._logits("s" if head == "st" else head)
+                graph = isinstance(z, Tensor)
+                if head == "st":
+                    z = (ad.concat if graph else np.concatenate)([z, self._logits("t")], axis=1)
+                probs = (ad.softmax if graph else ad.softmax_values)(z, axis=1)
             self._built[head] = probs
         return self._built[head]
 
     def __contains__(self, head) -> bool:  # without building the head
-        return head in self._heads
+        return head in self._HEADS
 
     def __iter__(self):
-        return iter(self._heads)
+        return iter(self._HEADS)
 
     def __len__(self) -> int:
-        return len(self._heads)
+        return len(self._HEADS)
 
 
 def _descend(store: ParamStore, shapes: list[list[tuple[str, int, int]]],

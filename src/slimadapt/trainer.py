@@ -19,9 +19,10 @@ Every step samples a model batch that always contains the largest and the
 smallest configurations.  In `_model_batch`, each model runs one feature
 forward per domain and reads its heads from one `routed_probs` record:
 every (head, domain) is evaluated once, and the losses, the ensemble and
-the teacher targets all read that record, which builds only the heads
-they read.  A mode only lists its weighted loss terms and its models' loss
-parts; `_apply_step` is the one place a step is fused, checked and
+the teacher targets all read that record, which builds only the
+classifiers and heads they read.  A mode distils into the head it deploys
+(`deploy_head`) and only lists its weighted loss terms and its models'
+loss parts; `_apply_step` is the one place a step is fused, checked and
 applied.  It sums the weighted terms into one scalar and runs one
 backward over it: routing is structural (classifier-side losses read the
 route whose gradient reaches only the heads, extractor-side losses the
@@ -44,6 +45,7 @@ from .autodiff import SgdState, Tensor, lr_schedule, sgd_step
 from .datasets import DomainDataset, batches
 from .errors import ConfigError, NumericError, UsageError, is_int_at_least
 from .losses import domain_confusion_targets, one_hot
+from .search import config_accuracy
 from .seeding import named_rng
 from .slimnet import Architecture, ParamStore, WidthConfig
 
@@ -170,15 +172,15 @@ def sharpen(g: np.ndarray, tau: float) -> np.ndarray:
 
 
 def distillation_loss(routed_t, target_t: np.ndarray, routed_s, target_s: np.ndarray,
-                      head: str = "a") -> tuple[Tensor, Tensor]:
+                      head: str) -> tuple[Tensor, Tensor]:
     """Cross-entropy of one head's prediction against constant targets on
     both domains: `target_t` on the target batch plus `target_s` on the
     source batch.  `routed_t` and `routed_s` are a model's
     `routed_probs` records of those batches.
 
-    slimda distils the ensemble target and the one-hot source labels into
-    the deployment head ("a"); inplaced distils the teacher's task
-    predictions into each student's task heads (head="task").
+    A mode distils into the head it deploys (`deploy_head`): slimda the
+    ensemble target and the one-hot source labels into "a", inplaced the
+    teacher's predictions into each student's task heads.
     Returns (classifier_loss, extractor_loss): one value, routed to the head
     only and to the features only.
     """
@@ -210,11 +212,11 @@ def _apply_step(bank: ParamStore, state: SgdState, terms, parts, loss_seed: floa
 
 
 def _model_batch(bank: ParamStore, cfg: TrainerConfig, rng_model: np.random.Generator,
-                 xs, xt, heads: tuple[str, ...]) -> tuple[list[WidthConfig], list[list]]:
-    """The sampled configs and each model's `routed_probs` over `heads` per domain."""
+                 xs, xt) -> tuple[list[WidthConfig], list[list]]:
+    """The sampled configs and each model's `routed_probs` record per domain."""
     configs = sample_width_configs(rng_model, bank.arch, cfg.model_batch_size)
     models = [bank.slice(c) for c in configs]
-    return configs, [[mdl.routed_probs(mdl.features(x), heads) for x in (xs, xt)]
+    return configs, [[mdl.routed_probs(mdl.features(x)) for x in (xs, xt)]
                      for mdl in models]
 
 
@@ -222,7 +224,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
                rng_model: np.random.Generator) -> dict:
     """One slimda update over a freshly sampled model batch."""
     arch = bank.arch
-    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t", "a"))
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt)
     conf = confidence(configs, cfg.policy, arch)
     m = len(configs)
     w_dc = conf / conf.sum()
@@ -238,7 +240,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
     terms, parts, seed_vals = [], [], []
     for j, (rs, rt) in enumerate(routed):
         dc = domain_confusion_targets(rs, rt, ys, w_ent=cfg.w_ent)
-        seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot)
+        seed_cls, seed_ext = distillation_loss(rt, g_seed, rs, ys_onehot, deploy_head(cfg.mode))
         terms += [(1.0 / m, dc.classifier_loss), (1.0 / m, seed_cls),
                   (w_dc[j], dc.extractor_loss), (w_seed[j], seed_ext)]
         parts.append(dc.parts)
@@ -249,7 +251,7 @@ def train_step(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig
 def train_step_baseline(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: TrainerConfig,
                         rng_model: np.random.Generator) -> dict:
     """One step of plain model-batch averaging of the confusion losses."""
-    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t"))
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt)
     m = len(configs)
     terms, parts = [], []
     for rs, rt in routed:
@@ -267,15 +269,15 @@ def train_step_inplaced(bank: ParamStore, state: SgdState, xs, ys, xt, cfg: Trai
     matches the teacher's task prediction (a constant) on both domains, the
     gradient reaching its task heads and its features alike.
     """
-    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt, ("s", "t"))
-    m = len(configs)
+    configs, routed = _model_batch(bank, cfg, rng_model, xs, xt)
+    m, head = len(configs), deploy_head(cfg.mode)
     dc = domain_confusion_targets(*routed[0], ys, w_ent=cfg.w_ent)
-    teacher_s, teacher_t = (to_features["task"].data for _, to_features in routed[0])
+    teacher_s, teacher_t = (to_features[head].data for _, to_features in routed[0])
 
     terms = [(1.0 / m, dc.classifier_loss), (1.0 / m, dc.extractor_loss)]
     distill_vals = []
     for rs, rt in routed[1:]:
-        d_cls, d_ext = distillation_loss(rt, teacher_t, rs, teacher_s, head="task")
+        d_cls, d_ext = distillation_loss(rt, teacher_t, rs, teacher_s, head)
         terms += [(1.0 / m, d_cls), (1.0 / m, d_ext)]
         distill_vals.append(d_cls.item())
     return _apply_step(bank, state, terms, [dc.parts], float(np.mean(distill_vals)), cfg.mode)
@@ -314,8 +316,6 @@ def train(bank: ParamStore, dataset: DomainDataset, cfg: TrainerConfig,
     models after AdaBN).  The labels are used for probing only and never
     feed back into any update.
     """
-    from .search import config_accuracy  # local import keeps modules acyclic
-
     step_fn = _STEP_FNS[cfg.mode]
     rng_data = named_rng(cfg.seed, "data")
     rng_model = named_rng(cfg.seed, "model")

@@ -477,6 +477,17 @@ class TestMalformedInput:
         assert run(["search", "--budgets", "0.5,nan", "--config", cfg_path]) == 2
         assert "budget ratios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budgets,message", [
+        ("0.5,0.4", "budget ratios must be strictly increasing"),
+        ("0.001,1.0", "budget ratios must lie in (0.0489, 1]"),
+    ], ids=["decreasing", "below-slimmest"])
+    def test_a_bad_budget_flag_is_refused_by_name(self, initialised, capsys, budgets, message):
+        cfg_path, out, _ = initialised
+        capsys.readouterr()
+        assert run(["search", "--budgets", budgets, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == f"error: --budgets: {message}\n"
+        assert not (out / "search.csv").exists()
+
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_config_number_is_named(self, workdir, capsys, key):
         """Every number key of the schema, and each item of `search.budgets`."""
@@ -628,6 +639,20 @@ class TestMalformedInput:
         assert run(["train", "--config", cfg_path]) == 3
         assert (out / "checkpoint.json").read_bytes() == checkpoint
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json", "dataset.json"]
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_one_line_and_exit_2(self, workdir, capsys, monkeypatch):
+        """The fix is a smaller config, so it exits as a config error does."""
+        def no_memory(**_):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "make_dataset", no_memory)
+        cfg_path, _ = workdir
+        capsys.readouterr()
+        assert run(["gen-data", "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 8.00 GiB for an array\n")
 
 
 class TestDefaults:

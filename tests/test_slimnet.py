@@ -306,7 +306,7 @@ class TestRoutedProbs:
                        for lo, hi in zip(ARCH.min_widths(), ARCH.block_max_widths))
         model = store.slice(ARCH.make_config(widths))
         feats = model.features(rng.normal(size=(n, ARCH.input_dim)))
-        to_heads, to_features = model.routed_probs(feats, ("s", "t", "a"))
+        to_heads, to_features = model.routed_probs(feats)
         assert set(to_heads) == set(to_features) == self.KEYS
         for key in self.KEYS:
             want = model.probs(feats.data, key).tobytes()
@@ -317,7 +317,7 @@ class TestRoutedProbs:
         model = store.slice(ARCH.make_config((8, 12)))
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, ARCH.input_dim))
-        to_heads, to_features = model.routed_probs(model.features(x), ("s", "t", "a"))
+        to_heads, to_features = model.routed_probs(model.features(x))
         project = {k: rng.normal(size=p.shape) for k, p in to_heads.items()}
         loss = lambda probs: sum((probs[k] * project[k]).sum() for k in sorted(self.KEYS))
         head_grads = ad.gradients(loss(to_heads), store.params)
@@ -326,11 +326,18 @@ class TestRoutedProbs:
         assert feature_grads and all(name.startswith("f.") for name in feature_grads)
         assert all(np.any(g != 0) for g in {**head_grads, **feature_grads}.values())
 
-    def test_task_heads_are_required(self, store):
+
+
+    def test_an_unknown_head_is_refused_by_name(self, store):
+        """One refusal, `_head_params`'s, in training and in evaluation."""
         model = store.slice(ARCH.full_config())
-        feats = model.features(np.ones((4, ARCH.input_dim)))
-        with pytest.raises(ConfigError):
-            model.routed_probs(feats, ("s", "a"))
+        feats = model.features(np.random.default_rng(9).normal(size=(4, ARCH.input_dim)))
+        for route in model.routed_probs(feats):
+            assert "x" not in route
+            with pytest.raises(ConfigError, match="unknown head 'x'"):
+                route["x"]
+        with pytest.raises(ConfigError, match="unknown head 'x'"):
+            model.probs(feats.data, "x")
 
 
 class TestFlops:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimadapt import autodiff as ad
+from slimadapt import trainer
 from slimadapt.datasets import DomainDataset, ShiftSpec, make_dataset
 from slimadapt.errors import ConfigError, NumericError, UsageError
 from slimadapt.losses import domain_confusion_targets, one_hot
@@ -211,11 +212,11 @@ class TestDistillationLoss:
         model = bank.slice(ARCH.make_config((8, 12)))
         xs, ys, xt = small_batch(4)
         g_seed = np.random.default_rng(1).dirichlet(np.ones(3), size=len(xt))
-        routed = lambda x: model.routed_probs(model.features(x), ("s", "t", "a"))
-        base = distillation_loss(routed(xt), g_seed, routed(xs), one_hot(ys, 3))[0].item()
+        routed = lambda x: model.routed_probs(model.features(x))
+        base = distillation_loss(routed(xt), g_seed, routed(xs), one_hot(ys, 3), "a")[0].item()
         perm = np.random.default_rng(2).permutation(len(xt))
         again = distillation_loss(routed(xt[perm]), g_seed[perm], routed(xs[perm]),
-                                  one_hot(ys[perm], 3))[0].item()
+                                  one_hot(ys[perm], 3), "a")[0].item()
         assert abs(base - again) < 1e-9
 
 
@@ -369,10 +370,11 @@ class TestFusedStep:
     @pytest.mark.parametrize("mode, heads", [("slimda", 3), ("baseline", 2), ("inplaced", 2)])
     def test_each_head_product_once_per_model_and_domain(self, mode, heads, monkeypatch):
         """A step computes heads x 2 domains x m head products (slimda's
-        "s", "t" and "a"; the task heads otherwise), all through
-        `affine_routes`: it never calls `head_logits`, and its only
-        matmuls are the feature layers'."""
+        "s", "t" and "a"; the task heads otherwise, which never build "a"),
+        all through `affine_routes`: it never calls `head_logits`, and its
+        only matmuls are the feature layers'."""
         calls = {"affine_routes": 0, "head_logits": 0, "matmul": 0}
+        built, affine_routes = [], ad.affine_routes
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -380,7 +382,8 @@ class TestFusedStep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ad, "affine_routes", counted("affine_routes", ad.affine_routes))
+        monkeypatch.setattr(ad, "affine_routes", counted(
+            "affine_routes", lambda x, w, b: built.append(b.name) or affine_routes(x, w, b)))
         monkeypatch.setattr(ad, "matmul", counted("matmul", ad.matmul))
         monkeypatch.setattr(SlimModel, "head_logits",
                             counted("head_logits", SlimModel.head_logits))
@@ -391,6 +394,33 @@ class TestFusedStep:
         layers = ARCH.n_blocks * ARCH.layers_per_block
         assert calls == {"affine_routes": heads * 2 * m, "head_logits": 0,
                          "matmul": 2 * m * layers}
+        assert sorted(built) == sorted(f"c.{h}.b" for h in "sta"[:heads] for _ in range(2 * m))
+
+
+class TestRoutedRecords:
+    KEYS = ("s", "t", "a", "st", "task")
+
+    @pytest.mark.parametrize("mode", sorted(STEP_FNS))
+    def test_every_record_serves_all_five_heads(self, mode, monkeypatch):
+        """Whatever a mode reads, each of its `routed_probs` records serves
+        every head, "a" included."""
+        records, model_batch = [], trainer._model_batch
+
+        def record_batch(*args):
+            configs, routed = model_batch(*args)
+            records.extend(routed)
+            return configs, routed
+
+        monkeypatch.setattr(trainer, "_model_batch", record_batch)
+        STEP_FNS[mode](init_bank(ARCH, 70), ad.SgdState(lr=0.01, momentum=0.9), *small_batch(71),
+                       TrainerConfig(mode=mode, model_batch_size=4), named_rng(10, "model"))
+        k = ARCH.class_count
+        for route in (route for model in records for domain in model for route in domain):
+            assert tuple(route) == self.KEYS
+            for head in self.KEYS:
+                p = route[head].data
+                assert p.shape[1] == (2 * k if head == "st" else k)
+                np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 class TestNonFiniteStep:
