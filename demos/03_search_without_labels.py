@@ -25,6 +25,7 @@ from slimadapt import (
     make_dataset,
     named_rng,
     random_bands,
+    score_configs,
     train,
 )
 from slimadapt.datasets import DEFAULT_TASK
@@ -42,8 +43,8 @@ train(bank, ds, TrainerConfig(mode="slimda", epochs=20, batch_size=128,
                               model_batch_size=10, seed=SEED))
 
 print("\ndoes capacity buy accuracy, and does the score track it?")
-rep = correlate(bank, sample_configs_spanning(named_rng(SEED, "probe"), ARCH, 100),
-                ds.xt, yt)
+configs = sample_configs_spanning(named_rng(SEED, "probe"), ARCH, 100)
+rep = correlate(score_configs(bank, configs, ds.xt, yt))
 print(f"  over 100 sampled configs: pearson(score, acc) = {rep.pearson:.3f}, "
       f"spearman(score, acc) = {rep.spearman:.3f}, "
       f"spearman(flops, acc) = {rep.capacity_spearman:.3f}")

@@ -37,6 +37,7 @@ from .search import (
     correlate,
     inherited_greedy_search,
     random_bands,
+    score_configs,
 )
 from .seeding import named_rng
 from .slimnet import (

@@ -9,7 +9,6 @@ error or out of memory, 3 numeric error, 4 IO error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
@@ -22,8 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import DomainDataset, ShiftSpec, load_dataset, make_dataset, save_dataset
 from .errors import ConfigError, NumericError, SearchError, UsageError
 from .jsonio import field, list_of
-from .search import (SearchPlan, config_accuracy, correlation_coefficients,
-                     inherited_greedy_search, random_bands)
+from .search import SearchPlan, config_accuracy, correlate, inherited_greedy_search, random_bands
 from .slimnet import Architecture
 from .trainer import (METRIC_KEYS, MODES, PROBE_KEYS, ConfidencePolicy, TrainerConfig, deploy_head,
                       init_bank, train)
@@ -80,24 +78,11 @@ CONFIG_FIELDS = {
     "search.budgets": Setting(list_of(float), SearchPlan, "budget_ratios"),
     "search.n_random": Setting(int, SearchPlan, "n_random"),
 }
-_TOP_LEVEL = dict.fromkeys(key.partition(".")[0] for key in CONFIG_FIELDS)
-
-
-def _refuse_unknown_keys(doc: dict) -> None:
-    """A top-level or section key that `CONFIG_FIELDS` does not list is a
-    ConfigError naming it and the nearest known name."""
-    for top, value in doc.items():
-        inner = value if top not in CONFIG_FIELDS and isinstance(value, dict) else {}
-        for name, known in [(top, _TOP_LEVEL), *((f"{top}.{k}", CONFIG_FIELDS) for k in inner)]:
-            if name not in known:
-                near = difflib.get_close_matches(name, known, n=1)
-                hint = f" (did you mean {near[0]}?)" if near else ""
-                raise ConfigError(f"unknown field {name}{hint}")
 
 
 def parse_experiment(doc: dict, seed_override: int | None = None, out_override: str | None = None,
                      mode_override: str | None = None) -> Experiment:
-    _refuse_unknown_keys(doc)
+    jsonio.refuse_unknown_keys(doc, CONFIG_FIELDS)
     given = {"seed": seed_override, "out_dir": out_override, "trainer.mode": mode_override}
     values, kwargs = {}, {s.owner: {} for s in CONFIG_FIELDS.values()}
     for key, s in CONFIG_FIELDS.items():
@@ -279,13 +264,12 @@ def cmd_correlate(args) -> int:
     bank, ds, labels, head = _load_trained(exp, labelled=True)  # evaluation-only
     scatter_rows, summary_rows = [], []
     for ratio, scores in random_bands(bank, plan, ds.xt, labels, head):
-        deltas = [s.delta for s in scores]
-        accs = [s.accuracy for s in scores]
-        scatter_rows += [",".join([_f(ratio), _f(d), _f(a, 4)]) for d, a in zip(deltas, accs)]
-        # A band whose scores or accuracies do not vary has no defined
-        # correlation; it keeps its row with empty pearson/spearman cells.
-        pearson, spearman = correlation_coefficients(deltas, accs) or (None, None)
-        summary_rows.append(",".join([_f(ratio), _f(pearson, 4), _f(spearman, 4), str(plan.n_random)]))
+        scatter_rows += [",".join([_f(ratio), _f(s.delta), _f(s.accuracy, 4)]) for s in scores]
+        # A band whose correlation is undefined (one config, or no spread in
+        # its scores or accuracies) keeps its row with empty cells.
+        rep = correlate(scores)
+        coefficients = (rep.pearson, rep.spearman) if rep else (None, None)
+        summary_rows.append(",".join([_f(ratio), *(_f(c, 4) for c in coefficients), str(plan.n_random)]))
     _write_csv(exp.out_dir / CORR_SCATTER_FILE, "budget_ratio,delta,accuracy", scatter_rows)
     _write_csv(exp.out_dir / CORR_SUMMARY_FILE, "budget_ratio,pearson,spearman,n", summary_rows)
     print(f"wrote {exp.out_dir / CORR_SCATTER_FILE} and {exp.out_dir / CORR_SUMMARY_FILE}")

@@ -16,14 +16,13 @@ see them by accident.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
-from functools import partial
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from . import jsonio
 from .errors import ConfigError, LabelLeakageError, UsageError
-from .jsonio import field, list_of
+from .jsonio import field, float_array, list_of
 
 __all__ = [
     "ShiftSpec",
@@ -243,12 +242,16 @@ def save_dataset(path, dataset: DomainDataset) -> None:
 
 
 def load_dataset(path, evaluation: bool = False) -> DomainDataset:
-    """Load a dataset file.  Unless `evaluation` is set, the hidden-label
-    section is skipped entirely, so a training path cannot reach it."""
+    """Load a dataset file; a key `save_dataset` does not write is refused.
+    Unless `evaluation` is set, the hidden-label section is skipped
+    entirely, so a training path cannot reach it."""
     doc = jsonio.load(path)
-    floats, ints = partial(np.asarray, dtype=np.float64), list_of(int)
+    jsonio.refuse_unknown_keys(doc, [*(f"spec.{f.name}" for f in fields(ShiftSpec)), "seed", "K",
+                                     "d", "n_s", "n_t", "xs", "ys", "xt", "yt_hidden"], f"{path}: ")
+    ints = list_of(int)
     yt = field(doc, "yt_hidden", ints, None) if evaluation else None
-    return DomainDataset(field(doc, "xs", floats), field(doc, "ys", ints), field(doc, "xt", floats),
+    return DomainDataset(field(doc, "xs", float_array), field(doc, "ys", ints),
+                         field(doc, "xt", float_array),
                          field(doc, "K", int), field(doc, "spec", lambda v: ShiftSpec(**v)),
                          field(doc, "seed", int), yt_hidden=yt)
 

@@ -1,6 +1,7 @@
 """Exact JSON serialization for datasets and checkpoints, atomic output
-files, and the typed reader of loaded documents (checkpoints and
-experiment configs).
+files, and the typed reader of loaded documents (datasets, checkpoints
+and experiment configs), which refuses a key the document's schema does
+not list.
 
 Floats are written as Python's shortest round-trip repr, so every float64
 loads back bit for bit; key order follows insertion order, so a given
@@ -9,15 +10,18 @@ object always serializes to the same bytes.
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-__all__ = ["dump_exact", "write_atomic", "load", "field", "list_of"]
+__all__ = ["dump_exact", "write_atomic", "load", "refuse_unknown_keys", "field", "list_of",
+           "dict_of", "float_array"]
 
 _REQUIRED = object()  # `field`'s default when the caller gives none
 
@@ -59,6 +63,21 @@ def load(path) -> dict:
     return doc
 
 
+def refuse_unknown_keys(doc: dict, known, prefix: str = "") -> None:
+    """A top-level or section key of `doc` that the dotted field names
+    `known` do not list is a ConfigError naming it, after `prefix`, and the
+    nearest known name.  A key listed whole ("params") is not searched."""
+    known = dict.fromkeys(known)
+    top = dict.fromkeys(name.partition(".")[0] for name in known)
+    for key, value in doc.items():
+        inner = value if key not in known and isinstance(value, dict) else {}
+        for name, names in [(key, top), *((f"{key}.{k}", known) for k in inner)]:
+            if name not in names:
+                near = difflib.get_close_matches(name, names, n=1)
+                hint = f" (did you mean {near[0]}?)" if near else ""
+                raise ConfigError(f"{prefix}unknown field {name}{hint}")
+
+
 def field(doc: dict, path: str, kind, default=_REQUIRED):
     """Field `path` ("section.name" or "name") of `doc` read through `kind`,
     required unless a `default`, None included, is given.  A missing field,
@@ -90,6 +109,38 @@ def list_of(kind):
             raise TypeError(f"expected a list, got {type(value).__name__}")
         return tuple(_read(kind, v) for v in value)
     return read
+
+
+def dict_of(kind):
+    """A `field` reader of a JSON object, each value read through `kind`;
+    a rejected value is named by its key."""
+    def read(value):
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {type(value).__name__}")
+        out = {}
+        for key, v in value.items():
+            try:
+                out[key] = _read(kind, v)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{key!r}: {exc}") from exc
+        return out
+    return read
+
+
+def float_array(value) -> np.ndarray:
+    """A `field` reader of a number or of nested JSON lists of numbers, as
+    a float64 array.  Every cell must be a JSON number: a bool, a string
+    (numeric or not) or a null is refused, not read as its number, and so
+    are lists and numbers side by side at one depth."""
+    cells = [value]
+    while list in (kinds := set(map(type, cells))):
+        if kinds != {list}:
+            raise ValueError("ragged array: lists and cells side by side")
+        cells = list(chain.from_iterable(cells))
+    if not kinds <= {int, float}:
+        bad = next(c for c in cells if type(c) not in (int, float))
+        raise TypeError(f"expected a number in every cell, got {type(bad).__name__} {bad!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 _STRICT = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}

@@ -18,12 +18,11 @@ distributed channel increments and keeping the lowest-discrepancy one.
 Every scored config is recalibrated once, and its score (and accuracy,
 with labels) is read from that calibration.  A rung's candidates all grow
 from one winner and share long width prefixes, so the ladder calibrates
-them in one shared `adabn_pass` per rung.  Random search and `correlate`
-score each distinct config once, and a repeat reuses its score: the
-band sampler often repeats a config, and on the `cli_deep` benchmark's
-bank 32-42 of `correlate --n 10`'s 60 samples are distinct (seeds 1-10).
+them in one shared `adabn_pass` per rung.  `score_configs` scores any
+other list against one anchor, each distinct config once (the band
+sampler often repeats a config), and `correlate(scores)` correlates them.
 
-The Pearson and Spearman coefficients are computed in numpy by scipy's
+Its Pearson and Spearman coefficients are computed in numpy by scipy's
 own arithmetic, so they equal the `scipy.stats` statistics bit for bit
 while the package needs only numpy at run time; scipy is a test-only
 oracle.
@@ -46,9 +45,9 @@ __all__ = [
     "SearchPlan",
     "SearchStep",
     "CorrelationReport",
-    "correlation_coefficients",
     "recalibrated",
     "anchor_discrepancy",
+    "score_configs",
     "discrepancy_between",
     "config_accuracy",
     "sample_configs_spanning",
@@ -81,8 +80,9 @@ class SearchStep:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Pearson and Spearman between scores and accuracies, and Spearman
-    between FLOPs and accuracies (None when either has zero range)."""
+    """What `correlate` reads from labelled scores: Pearson and Spearman
+    between deltas and accuracies, and Spearman between FLOPs and
+    accuracies (None when the FLOPs have zero range)."""
 
     pearson: float
     spearman: float
@@ -217,8 +217,14 @@ def anchor_discrepancy(bank: ParamStore, config: WidthConfig, target_x: np.ndarr
                             accuracy=accuracy)
 
 
-def _scores(bank, configs, target_x, anchor_probs, target_y, head) -> list[DiscrepancyScore]:
-    """Each config's `anchor_discrepancy`, in order, computed once per distinct config."""
+def score_configs(bank: ParamStore, configs, target_x: np.ndarray,
+                  target_y: np.ndarray | None = None, head: str = "a") -> list[DiscrepancyScore]:
+    """One `anchor_discrepancy` score per config of `configs`, in order,
+    against one anchor recalibrated under `head`.  Each distinct config is
+    recalibrated once and a repeat reuses its score; with `target_y`
+    (evaluation only), each score carries its config's accuracy."""
+    configs = list(configs)
+    anchor_probs = _anchor_probs(bank, target_x, head)
     scored = {c: anchor_discrepancy(bank, c, target_x, anchor_probs, target_y, head)
               for c in dict.fromkeys(configs)}
     return [scored[c] for c in configs]
@@ -295,18 +301,18 @@ def sample_config_at_budget(rng: np.random.Generator, arch: Architecture, budget
 
 def random_bands(bank: ParamStore, plan: SearchPlan, target_x: np.ndarray,
                  target_y: np.ndarray | None = None, head: str = "a"):
-    """Yield (budget ratio, scores) per budget of `plan`: `plan.n_random` configs
-    drawn from `named_rng(plan.seed, "search")` within ±`plan.tolerance` of the
-    budget, each distinct one scored once under `head` against one recalibrated
-    anchor (with accuracies when `target_y` is given, as in `anchor_discrepancy`)."""
+    """(budget ratio, scores) per budget of `plan`, in order: `plan.n_random`
+    configs a band, drawn band by band from `named_rng(plan.seed, "search")`
+    within ±`plan.tolerance` of the budget, then all scored by one
+    `score_configs` call under `head` (with accuracies when `target_y` is
+    given), so a config two bands share is scored once."""
     rng = named_rng(plan.seed, "search")
-    arch = bank.arch
-    full = arch.full_config().flops
-    anchor_probs = _anchor_probs(bank, target_x, head)
-    for ratio in plan.budgets(arch):
-        configs = [sample_config_at_budget(rng, arch, ratio * full, plan.tolerance)
-                   for _ in range(plan.n_random)]
-        yield ratio, _scores(bank, configs, target_x, anchor_probs, target_y, head)
+    arch, n = bank.arch, plan.n_random
+    full, ratios = arch.full_config().flops, plan.budgets(arch)
+    configs = [sample_config_at_budget(rng, arch, ratio * full, plan.tolerance)
+               for ratio in ratios for _ in range(n)]
+    scores = score_configs(bank, configs, target_x, target_y, head)
+    return [(ratio, scores[i * n:(i + 1) * n]) for i, ratio in enumerate(ratios)]
 
 
 def _grow_candidate(rng: np.random.Generator, arch: Architecture, base: WidthConfig,
@@ -379,44 +385,31 @@ def inherited_greedy_search(bank: ParamStore, plan: SearchPlan, target_x: np.nda
     return steps
 
 
-def correlate(bank: ParamStore, configs, target_x: np.ndarray, target_y: np.ndarray,
-              head: str = "a") -> CorrelationReport:
-    """Pearson and Spearman correlation between anchor discrepancies and
-    true target accuracies over a set of configurations (evaluation only),
-    and Spearman's rho between FLOPs and the same accuracies, which checks
-    the anchor's assumption that capacity buys accuracy.
-
-    Each distinct config is recalibrated once (`anchor_discrepancy` with
-    labels), and that one model's `head` predictions give both its
-    discrepancy and its accuracy; the anchor is read under `head` too.
+def correlate(scores: list[DiscrepancyScore]) -> CorrelationReport | None:
+    """Pearson and Spearman correlation between the anchor discrepancies
+    and the target accuracies of labelled scores (evaluation only), and
+    Spearman's rho between FLOPs and the same accuracies, which checks the
+    anchor's assumption that capacity buys accuracy.  None when the
+    correlation is undefined: fewer than two scores, or zero range in the
+    deltas or the accuracies.  A score without an accuracy is a UsageError.
     """
-    configs = list(configs)
-    if len(configs) < 3:
-        raise UsageError(f"correlation needs at least 3 configs, got {len(configs)}")
-    scores = _scores(bank, configs, target_x, _anchor_probs(bank, target_x, head), target_y, head)
-    deltas = [s.delta for s in scores]
-    accs = [s.accuracy for s in scores]
-    coefficients = correlation_coefficients(deltas, accs)
-    if coefficients is None:
-        raise UsageError("correlation undefined: zero variance in scores or accuracies")
-    pearson, spearman = coefficients
-    return CorrelationReport(pearson=pearson, spearman=spearman,
-                             capacity_spearman=_spearman([c.flops for c in configs], accs))
-
-
-def correlation_coefficients(deltas, accs) -> tuple[float, float] | None:
-    """(Pearson, Spearman) between scores and accuracies, or None when the
-    correlation is undefined: zero range in the scores or the accuracies."""
-    deltas, accs = np.asarray(deltas, dtype=float), np.asarray(accs, dtype=float)
+    if any(s.accuracy is None for s in scores):
+        raise UsageError("correlate needs every score's accuracy: score the configs with target_y")
+    deltas = np.array([s.delta for s in scores], dtype=float)
+    accs = np.array([s.accuracy for s in scores], dtype=float)
     spearman = _spearman(deltas, accs)
-    return None if spearman is None else (float(_pearson(deltas, accs)), spearman)
+    if spearman is None:
+        return None
+    return CorrelationReport(pearson=float(_pearson(deltas, accs)), spearman=spearman,
+                             capacity_spearman=_spearman([s.config.flops for s in scores], accs))
 
 
 def _spearman(x, y) -> float | None:
     """Spearman's rho, equal to scipy's `spearmanr` statistic, or None when
-    x or y has zero range and the correlation is undefined."""
+    x or y has fewer than two values or zero range and the correlation is
+    undefined."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if np.ptp(x) == 0 or np.ptp(y) == 0:
+    if len(x) < 2 or np.ptp(x) == 0 or np.ptp(y) == 0:
         return None
     ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])

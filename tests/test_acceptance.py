@@ -37,6 +37,7 @@ from slimadapt.search import (
     inherited_greedy_search,
     random_bands,
     sample_configs_spanning,
+    score_configs,
 )
 from slimadapt.seeding import named_rng
 from slimadapt.slimnet import Architecture, ParamStore, WidthConfig
@@ -356,7 +357,7 @@ def test_criterion_07_score_anticorrelation(trained_runs, task_data):
         bank = trained_runs[(seed, "slimda")]["bank"]
         t0 = time.perf_counter()
         configs = sample_configs_spanning(named_rng(seed, "probe"), ARCH, 100)
-        rep = correlate(bank, configs, ds.xt, yt)
+        rep = correlate(score_configs(bank, configs, ds.xt, yt))
         elapsed = time.perf_counter() - t0
         hits += rep.pearson <= -0.5 and elapsed < 180
         details.append(f"s{seed}: {rep.pearson:.3f} ({elapsed:.0f}s)")
@@ -369,7 +370,7 @@ def test_criterion_09_capacity_accuracy_assumption(trained_runs, task_data):
         ds, yt = task_data[seed]
         bank = trained_runs[(seed, "slimda")]["bank"]
         configs = sample_configs_spanning(named_rng(seed, "mono"), ARCH, 100)
-        values.append(correlate(bank, configs, ds.xt, yt).capacity_spearman)
+        values.append(correlate(score_configs(bank, configs, ds.xt, yt)).capacity_spearman)
     report(9, all(v is not None and v > 0 for v in values),
            "spearman(flops, acc) per seed: " + ", ".join(
                "undefined" if v is None else f"{v:.3f}" for v in values))

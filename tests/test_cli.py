@@ -944,6 +944,7 @@ DATASET_MUTATIONS = {
     "xt-bool-cell": _set(("xt", 0, 0), True),
     "ys-string": _set(("ys",), "012"),
     "xt-not-a-list": _set(("xt",), {"rows": 60}),
+    "unknown-key": _set(("extra_key",), 1),
     "truncated": None,
 }
 
@@ -963,8 +964,23 @@ CHECKPOINT_MUTATIONS = {
     "class-count-float": _set(("architecture", "class_count"), 3.0),
     "mode-list": _set(("mode",), ["slimda"]),
     "step-string": _set(("step",), "1"),
+    "unknown-key": _set(("extra_key",), 1),
+    "architecture-unknown-key": _set(("architecture", "depth"), 2),
     "truncated": None,
 }
+
+# Damage that every command reading the file refuses (exit 2): the file, the
+# mutation and what the one error line names.
+REFUSED_DAMAGE = [
+    ("dataset.json", "xs-string-cell", "field xs: "),
+    ("dataset.json", "xt-bool-cell", "field xt: "),
+    ("dataset.json", "unknown-key", "dataset.json: unknown field extra_key"),
+    ("checkpoint.json", "param-string-cell", "field params: 'c.t.w': "),
+    ("checkpoint.json", "param-bool-cell", "field params: 'c.s.b': "),
+    ("checkpoint.json", "unknown-key", "checkpoint.json: unknown field extra_key"),
+    ("checkpoint.json", "architecture-unknown-key",
+     "checkpoint.json: unknown field architecture.depth"),
+]
 
 
 class TestFileFuzz:
@@ -1025,6 +1041,24 @@ class TestFileFuzz:
         cfg_path = self.damaged_run(tmp_path, trained_files, "checkpoint.json",
                                     CHECKPOINT_MUTATIONS[mutation])
         self.assert_contract(capsys, ("search", "eval"), cfg_path)
+
+    @pytest.mark.parametrize("name,mutation,named", REFUSED_DAMAGE,
+                             ids=[f"{name[:-5]}-{mutation}" for name, mutation, _ in REFUSED_DAMAGE])
+    def test_a_cell_or_key_the_file_does_not_hold_is_named(self, tmp_path, capsys, trained_files,
+                                                            name, mutation, named):
+        """A string or a bool in a numeric array cell is not read as its
+        number, and a key the file's writer does not write is not ignored:
+        each command that reads the file exits 2 with one line naming it."""
+        if name == "dataset.json":
+            mutations, commands = DATASET_MUTATIONS, ("search", "eval", "train")
+        else:
+            mutations, commands = CHECKPOINT_MUTATIONS, ("search", "eval")
+        cfg_path = self.damaged_run(tmp_path, trained_files, name, mutations[mutation])
+        for command in commands:
+            capsys.readouterr()
+            assert run([command, "--config", cfg_path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
 
 
 class TestGreedyLadderSkips:

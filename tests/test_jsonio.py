@@ -166,3 +166,40 @@ def test_undecodable_or_non_object_file_is_config_error(tmp_path, text):
     with pytest.raises(ConfigError):
         jsonio.load(path)
 
+
+
+@pytest.mark.parametrize("value", [[[1.0, "2"]], [[0.5], [True]], [None, 1.0], [[1.0], 2.0],
+                                   [[1.0, 2.0], [3.0]], "1.0"],
+                         ids=["string-cell", "bool-cell", "null-cell", "list-beside-cell",
+                              "ragged", "string"])
+def test_a_float_array_refuses_a_cell_that_is_no_number(value):
+    """Every cell of a float array is a JSON number: a numeric string or a
+    bool is not read as its number, and a ragged array is refused."""
+    with pytest.raises(ConfigError, match="^field xs: "):
+        jsonio.field({"xs": value}, "xs", jsonio.float_array)
+
+
+@pytest.mark.parametrize("value", [[[1, 0.5], [-2.0, 3]], [0.25, 4], [], 1.5, [[float("nan")]]],
+                         ids=["rows", "vector", "empty", "scalar", "nan"])
+def test_a_float_array_reads_numbers_as_float64(value):
+    got = jsonio.field({"xs": value}, "xs", jsonio.float_array)
+    np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
+    assert got.dtype == np.float64
+
+
+def test_a_dict_of_names_the_entry_it_refuses():
+    read = jsonio.dict_of(jsonio.float_array)
+    assert read({"a.w": [1, 2]})["a.w"].tolist() == [1.0, 2.0]
+    with pytest.raises(ConfigError, match="^field params: 'a.b': expected a number in every cell"):
+        jsonio.field({"params": {"a.w": [1.0], "a.b": [False]}}, "params", read)
+
+
+@pytest.mark.parametrize("doc,name", [({"extra": 1}, "extra"), ({"s": {"y": 1}}, "s.y"),
+                                      ({"s": 1, "t": {"u": 2}}, "t")],
+                         ids=["top-level", "in-a-section", "unknown-section"])
+def test_unknown_keys_are_refused_by_name(doc, name):
+    """A key the known names do not list is refused; a key listed whole
+    ("t.u" under a known "t") is not searched."""
+    jsonio.refuse_unknown_keys({"s": {"x": 1}, "t": {"anything": 2}}, ["s.x", "t"])
+    with pytest.raises(ConfigError, match=f"^file.json: unknown field {name}"):
+        jsonio.refuse_unknown_keys(doc, ["s.x", "s.z"], "file.json: ")

@@ -18,12 +18,12 @@ from slimadapt import search
 from slimadapt.datasets import DEFAULT_TASK, ShiftSpec, make_dataset
 from slimadapt.errors import SearchError, UsageError
 from slimadapt.search import (
+    DiscrepancyScore,
     SearchPlan,
     SearchStep,
     anchor_discrepancy,
     config_accuracy,
     correlate,
-    correlation_coefficients,
     discrepancy_between,
     inherited_greedy_search,
     linear_budget_ladder,
@@ -31,9 +31,11 @@ from slimadapt.search import (
     recalibrated,
     sample_config_at_budget,
     sample_configs_spanning,
+    score_configs,
 )
 from slimadapt.seeding import named_rng
-from slimadapt.slimnet import Architecture, ParamStore, SlimModel, flops_per_sample, flops_step
+from slimadapt.slimnet import (Architecture, ParamStore, SlimModel, WidthConfig, flops_per_sample,
+                               flops_step)
 from slimadapt.trainer import TrainerConfig, deploy_head, init_bank, train
 
 ARCH = Architecture(input_dim=6, block_max_widths=(16, 24), layers_per_block=1, class_count=3)
@@ -793,30 +795,56 @@ class TestScoringPasses:
         assert len(counted["adabn"]) == 2
 
 
+def labelled_scores(deltas, accs):
+    """One score per (delta, accuracy) pair, the i-th config costing i FLOPs."""
+    return [DiscrepancyScore(WidthConfig((1,), float(i)), d, a)
+            for i, (d, a) in enumerate(zip(deltas, accs))]
+
+
+def coefficients(deltas, accs):
+    """`correlate`'s (Pearson, Spearman) over these pairs, or its None."""
+    rep = correlate(labelled_scores(deltas, accs))
+    return None if rep is None else (rep.pearson, rep.spearman)
+
+
 class TestCorrelationTools:
     def test_perfect_anticorrelation_detected(self):
         # The package's own coefficients on an exactly decreasing line.
         deltas = np.array([1.0, 2.0, 3.0, 4.0])
-        pearson, spearman = correlation_coefficients(deltas, 1 - 0.1 * deltas)
+        pearson, spearman = coefficients(deltas, 1 - 0.1 * deltas)
         assert pearson == pytest.approx(-1.0)
         assert spearman == -1.0
 
-    def test_too_few_configs_rejected(self, trained):
-        bank, ds = trained
-        with pytest.raises(UsageError):
-            correlate(bank, [ARCH.full_config()], ds.xt, np.zeros(len(ds.xt), dtype=int))
-
-    def test_correlate_rejects_zero_variance_configs(self, trained):
-        bank, ds = trained
-        yt = ds.target_labels(evaluation=True)
-        with pytest.raises(UsageError, match="zero variance"):
-            correlate(bank, [ARCH.full_config()] * 3, ds.xt, yt)
-
     def test_coefficients_undefined_without_range(self):
         varied = [0.1, 0.3, 0.2, 0.5]
-        assert correlation_coefficients([0.2] * 4, varied) is None
-        assert correlation_coefficients(varied, [0.49] * 4) is None
-        assert correlation_coefficients([0.1], [0.5]) is None
+        assert coefficients([0.2] * 4, varied) is None
+        assert coefficients(varied, [0.49] * 4) is None
+        assert coefficients([0.1], [0.5]) is None
+
+    def test_undefined_on_one_score_or_none(self):
+        assert correlate(labelled_scores([0.1], [0.5])) is None
+        assert correlate([]) is None
+
+    @pytest.mark.parametrize("accs", [[0.5, 0.7], [0.7, 0.5]])
+    def test_two_points_give_scipys_plus_or_minus_one(self, accs):
+        """Pearson is exactly +-1 on two points, as scipy rounds it;
+        Spearman is scipy's statistic, which may miss 1 by an ulp."""
+        from scipy import stats
+        rep = correlate(labelled_scores([0.1, 0.3], accs))
+        assert abs(rep.pearson) == 1.0 and abs(rep.spearman) == pytest.approx(1.0)
+        assert rep.pearson == stats.pearsonr([0.1, 0.3], accs).statistic
+        assert rep.spearman == stats.spearmanr([0.1, 0.3], accs).statistic
+
+    def test_a_score_without_accuracy_is_refused(self):
+        scores = labelled_scores([0.1, 0.2, 0.3], [0.5, 0.6, 0.7])
+        scores[1] = dataclasses.replace(scores[1], accuracy=None)
+        with pytest.raises(UsageError, match="target_y"):
+            correlate(scores)
+
+    def test_zero_variance_configs_are_undefined(self, trained):
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        assert correlate(score_configs(bank, [ARCH.full_config()] * 3, ds.xt, yt)) is None
 
     def test_coefficients_match_scipy(self):
         from scipy import stats
@@ -824,7 +852,7 @@ class TestCorrelationTools:
         for n in (2, 5, 40):
             deltas = rng.uniform(0, 1, n)
             accs = np.round(rng.uniform(0, 1, n), 1)  # ties, as accuracies have
-            pearson, spearman = correlation_coefficients(list(deltas), list(accs))
+            pearson, spearman = coefficients(list(deltas), list(accs))
             assert pearson == stats.pearsonr(deltas, accs).statistic
             assert spearman == stats.spearmanr(deltas, accs).statistic
 
@@ -841,7 +869,7 @@ class TestCorrelationTools:
         from scipy import stats
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = correlation_coefficients(deltas, accs)
+            got = coefficients(deltas, accs)
             want = (stats.pearsonr(deltas, accs).statistic, stats.spearmanr(deltas, accs).statistic)
         np.testing.assert_equal(got, want)
 
@@ -856,7 +884,7 @@ class TestCorrelationTools:
         whole = st.integers(-10 ** 6, 10 ** 6)
         deltas = np.array(data.draw(st.lists(whole, min_size=n, max_size=n))) * 10.0 ** scale
         accs = np.array(data.draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
-        got = correlation_coefficients(list(deltas), list(accs))
+        got = coefficients(list(deltas), list(accs))
         if np.ptp(deltas) == 0 or np.ptp(accs) == 0:
             assert got is None
         else:
@@ -879,14 +907,14 @@ class TestCorrelationTools:
         yt = ds.target_labels(evaluation=True)
         configs = sample_configs_spanning(np.random.default_rng(2), bank.arch, 12)
         accs = [config_accuracy(bank, c, ds.xt, yt) for c in configs]
-        rho = correlate(bank, configs, ds.xt, yt).capacity_spearman
+        rho = correlate(score_configs(bank, configs, ds.xt, yt)).capacity_spearman
         assert rho == stats.spearmanr([c.flops for c in configs], accs).statistic
 
     def test_capacity_spearman_is_none_over_configs_of_equal_flops(self, trained):
         bank, ds = trained
         configs = [ARCH.make_config(w) for w in [(3, 24), (6, 14), (9, 9), (12, 6), (15, 4)]]
         assert len({c.flops for c in configs}) == 1
-        rep = correlate(bank, configs, ds.xt, ds.target_labels(evaluation=True))
+        rep = correlate(score_configs(bank, configs, ds.xt, ds.target_labels(evaluation=True)))
         assert rep.capacity_spearman is None
 
     def test_spanning_sampler_is_legal_and_wide(self):
@@ -923,14 +951,33 @@ class TestCorrelationTools:
         monkeypatch.setattr(search, "adabn_recalibrate",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         configs = sample_configs_spanning(np.random.default_rng(7), ARCH, 6)
-        correlate(bank, configs, ds.xt, ds.target_labels(evaluation=True), head=head)
+        correlate(score_configs(bank, configs, ds.xt, ds.target_labels(evaluation=True), head=head))
         assert len(calls) == len(configs) + 1  # one per config, one for the anchor
+
+    @pytest.mark.parametrize("head", ["a", "task"])
+    def test_score_configs_is_each_configs_own_score(self, trained, monkeypatch, head):
+        """Each score equals its config's own `anchor_discrepancy` bit for
+        bit, and one anchor plus one calibration per distinct config are
+        all the recalibrations made."""
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        configs = [ARCH.make_config(w) for w in [(8, 12), (2, 5), (8, 12), (16, 24), (2, 5)]]
+        alone = [anchor_discrepancy(bank, c, ds.xt, target_y=yt, head=head) for c in configs]
+        calls = []
+        original = search.adabn_recalibrate
+        monkeypatch.setattr(search, "adabn_recalibrate",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        scores = score_configs(bank, iter(configs), ds.xt, yt, head)
+        assert len(calls) == 1 + len(set(configs))
+        assert scores == alone
+        assert [s.delta.hex() for s in scores] == [s.delta.hex() for s in alone]
 
 
 class TestDistinctScores:
-    """Random search and correlate score each distinct config once, with
-    `anchor_discrepancy`; a repeated config reuses its first score, which
-    equals the config's own `anchor_discrepancy` bit for bit."""
+    """`score_configs`, under random search and correlate, scores each
+    distinct config once, with `anchor_discrepancy`, across all the bands
+    of a plan; a repeated config reuses its first score, which equals the
+    config's own `anchor_discrepancy` bit for bit."""
 
     POOL = [ARCH.make_config(w) for w in ((2, 3), (8, 12), (16, 24), (5, 20), (12, 6))]
 
@@ -958,11 +1005,30 @@ class TestDistinctScores:
 
         calls.clear()
         with mock.patch.object(search, "anchor_discrepancy", counted):
-            try:
-                report = correlate(bank, configs, ds.xt, yt)
-                got = (report.pearson, report.spearman)
-            except UsageError:  # zero variance: undefined
-                got = None
+            report = correlate(score_configs(bank, configs, ds.xt, yt))
+        got = None if report is None else (report.pearson, report.spearman)
         assert calls == list(dict.fromkeys(configs))
-        assert got == correlation_coefficients([alone[c].delta for c in configs],
-                                               [alone[c].accuracy for c in configs])
+        assert got == coefficients([alone[c].delta for c in configs],
+                                   [alone[c].accuracy for c in configs])
+
+    def test_a_config_two_bands_share_is_scored_once(self, trained):
+        bank, ds = trained
+        yt = ds.target_labels(evaluation=True)
+        first, second = [self.POOL[i] for i in (0, 1, 2)], [self.POOL[i] for i in (2, 3, 0)]
+        calls = []
+
+        def counted(bank, config, *args, **kwargs):
+            calls.append(config)
+            return anchor_discrepancy(bank, config, *args, **kwargs)
+
+        samples = iter(first + second)
+        plan = SearchPlan(budget_ratios=(0.5, 1.0), n_random=3)
+        with mock.patch.object(search, "anchor_discrepancy", counted), \
+                mock.patch.object(search, "sample_config_at_budget",
+                                  lambda *args, **kwargs: next(samples)):
+            bands = random_bands(bank, plan, ds.xt, target_y=yt)
+        assert calls == list(dict.fromkeys(first + second))  # 4 distinct configs of 6
+        assert [(r, [s.config for s in scores]) for r, scores in bands] == [(0.5, first),
+                                                                             (1.0, second)]
+        alone = {c: anchor_discrepancy(bank, c, ds.xt, target_y=yt) for c in set(calls)}
+        assert [s for _, scores in bands for s in scores] == [alone[c] for c in first + second]
